@@ -80,6 +80,21 @@ class RectArray:
     def aperture_h(self) -> float:
         return self.n_per_side * self.elem_h
 
+    @property
+    def d_f(self) -> float:
+        """Fraunhofer distance of one element."""
+        return 2.0 * self.elem_diag ** 2 / self.wavelength
+
+    @property
+    def d_fa(self) -> float:
+        """Fraunhofer distance of the whole array."""
+        return self.n_elements * self.d_f
+
+    @property
+    def d_b(self) -> float:
+        """Boundary distance: twice the aperture length."""
+        return 2.0 * self.elem_diag * self.n_per_side
+
 
 @dataclass(frozen=True)
 class CircArray:
@@ -189,11 +204,9 @@ def characteristic_distances(arr: RectArray, a3db: float) -> ArrayDistances:
     the onset range beyond which focusing no longer bounds the beam depth."""
     if not a3db > 0:
         raise ValueError(f"a3db must be positive, got {a3db}")
-    d_f = 2.0 * arr.elem_diag ** 2 / arr.wavelength
-    d_fa = arr.n_elements * d_f
-    d_b = 2.0 * arr.elem_diag * arr.n_per_side
-    bd_limit = d_fa / (4.0 * a3db * (1.0 + arr.eta ** 2))
-    return ArrayDistances(d_f=d_f, d_fa=d_fa, d_b=d_b, bd_limit=bd_limit)
+    bd_limit = arr.d_fa / (4.0 * a3db * (1.0 + arr.eta ** 2))
+    return ArrayDistances(d_f=arr.d_f, d_fa=arr.d_fa, d_b=arr.d_b,
+                          bd_limit=bd_limit)
 
 
 def project_array(arr: RectArray, azimuth: float) -> RectArray:

@@ -84,12 +84,14 @@ def solve_a3db(eta: float, tol: float = 1e-10) -> float:
     Solves analytic_gain_rect(eta, a) = 0.5 for a.  The bracket is grown
     geometrically from a value far below any crossing and then scanned so
     that the returned root is the mainlobe crossing, not a sidelobe one.
+    The root scales as 1/(1 + eta^2), so the bracket starts below that too.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not (eta > 0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo, hi = 1e-6, 2e-6
+    lo = min(1e-6, 1e-3 / (1.0 + eta ** 2))
+    hi = 2.0 * lo
     for _ in range(80):
         if analytic_gain_rect(eta, hi) < 0.5:
             break
@@ -116,9 +118,7 @@ def solve_a3db(eta: float, tol: float = 1e-10) -> float:
 
 def finite_bd_limit_rect(arr: RectArray) -> float:
     """Focal distance beyond which the rectangular-array depth is infinite."""
-    a3 = solve_a3db(arr.eta)
-    dists = characteristic_distances(arr, a3)
-    return dists.d_fa / (4.0 * a3 * (1.0 + arr.eta ** 2))
+    return characteristic_distances(arr, solve_a3db(arr.eta)).bd_limit
 
 
 def bd_rect(arr: RectArray, focus: float) -> BeamDepthResult:

@@ -26,14 +26,12 @@ from .array_geometry import (
     FixedApertureLength,
     FixedElementDiagonal,
     TxGeometry,
-    characteristic_distances,
     make_rect_array,
     project_array,
     wavelength_from_carrier,
 )
 from .beam_depth import (
     STATUS_FINITE,
-    bd_circ,
     bd_rect,
     circ_lobe_catalog,
     finite_bd_limit_rect,
@@ -46,6 +44,7 @@ from .gain_engine import (
     exact_array_gain_steered,
     gain_profile,
     projected_gain_approx,
+    run_sweep,
 )
 from .multiplexing import (
     build_channel_matrix,
@@ -53,13 +52,6 @@ from .multiplexing import (
     monte_carlo_sum_rate,
     plan_focal_points,
     sum_rate,
-)
-
-EXPERIMENTS = (
-    "gain-profile", "bd-vs-eta", "bd-vs-phi", "a3db-curve",
-    "finite-limit-curve", "circular-gain", "lobe-catalog", "distance-error",
-    "projection-error", "multiplex-plan", "sum-rate-vs-snr",
-    "sum-rate-vs-users", "sum-rate-vs-eta", "sum-rate-vs-phi",
 )
 
 DEFAULT_SEED = 12345
@@ -127,7 +119,7 @@ def build_geometry(gcfg):
             arr = make_rect_array(n, eta, sizing, lam)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"geometry: {err}") from err
-        return arr, characteristic_distances(arr, 1.25).d_f
+        return arr, arr.d_f
     if kind == "circ":
         radius = parse_length(_require(gcfg, "radius", "geometry"), math.nan,
                               "geometry.radius")
@@ -142,15 +134,24 @@ def build_geometry(gcfg):
     raise ConfigError(f"unknown geometry kind {kind!r}")
 
 
-def _distance_grid(sweep, d_f):
-    z_min = parse_length(_require(sweep, "z_min", "sweep"), d_f, "sweep.z_min")
-    z_max = parse_length(_require(sweep, "z_max", "sweep"), d_f, "sweep.z_max")
-    n = int(_require(sweep, "n_points", "sweep"))
+def _count(sweep, key, default=None):
+    """Positive integer sweep field; required when no default is given."""
+    n = int(_require(sweep, key, "sweep") if default is None else sweep.get(key, default))
     if n < 1:
-        raise ConfigError("sweep.n_points must be at least 1")
+        raise ConfigError(f"sweep.{key} must be at least 1")
+    return n
+
+
+def _length(ctx, key):
+    return parse_length(_require(ctx.sweep, key, "sweep"), ctx.d_f, f"sweep.{key}")
+
+
+def _distance_grid(ctx):
+    z_min, z_max = _length(ctx, "z_min"), _length(ctx, "z_max")
+    n = _count(ctx.sweep, "n_points")
     if not 0 < z_min < z_max:
         raise ConfigError("sweep requires 0 < z_min < z_max")
-    spacing = sweep.get("spacing", "log")
+    spacing = ctx.sweep.get("spacing", "log")
     if spacing == "log":
         return np.geomspace(z_min, z_max, n)
     if spacing == "linear":
@@ -158,18 +159,25 @@ def _distance_grid(sweep, d_f):
     raise ConfigError(f"unknown spacing {spacing!r}")
 
 
-def _scalar_grid(sweep, lo_key, hi_key, n_key, values_key, section="sweep"):
+def _scalar_grid(sweep, lo_key, hi_key, values_key):
+    """Listed values, else n_points evenly spaced from lo to hi."""
     if values_key in sweep:
         vals = [float(v) for v in sweep[values_key]]
         if not vals:
-            raise ConfigError(f"{section}.{values_key} is empty")
+            raise ConfigError(f"sweep.{values_key} is empty")
         return np.asarray(vals)
-    lo = float(_require(sweep, lo_key, section))
-    hi = float(_require(sweep, hi_key, section))
-    n = int(_require(sweep, n_key, section))
-    if n < 1:
-        raise ConfigError(f"{section}.{n_key} must be at least 1")
-    return np.linspace(lo, hi, n)
+    lo = float(_require(sweep, lo_key, "sweep"))
+    hi = float(_require(sweep, hi_key, "sweep"))
+    return np.linspace(lo, hi, _count(sweep, "n_points"))
+
+
+def _eta_grid(sweep):
+    etas = _scalar_grid(sweep, "eta_min", "eta_max", "eta_values")
+    if np.any(etas <= 0):
+        raise ConfigError("eta values must be positive")
+    if "eta_values" not in sweep and sweep.get("spacing", "log") == "log":
+        etas = np.geomspace(etas.min(), etas.max(), len(etas))
+    return etas
 
 
 def _fmt(x):
@@ -189,69 +197,38 @@ def write_csv(path, experiment, preset, header, rows):
     return path
 
 
-def _variant_path(base, suffix):
-    root, ext = os.path.splitext(base)
-    return f"{root}_{suffix}{ext or '.csv'}"
-
-
-def _sweep_rows(fn, values):
-    rows, failures = [], []
-    for i, v in enumerate(values):
-        try:
-            rows.append(fn(v))
-        except (ValueError, RuntimeError) as exc:
-            failures.append((i, exc))
-    if failures:
-        raise SweepEvalError(failures)
-    return rows
-
-
 def _quad(ctx):
     return QuadratureSpec(order=int(ctx.sweep.get("quad_order", 8)),
                           refinement=int(ctx.sweep.get("refinement", 1)))
 
 
-def run_gain_profile(ctx):
-    kinds = ctx.sweep.get("kinds", ["exact"])
-    if not kinds:
-        raise ConfigError("sweep.kinds is empty")
-    grid = _distance_grid(ctx.sweep, ctx.d_f)
-    focus = parse_length(_require(ctx.sweep, "focus", "sweep"), ctx.d_f,
-                         "sweep.focus")
-    azimuth = float(ctx.sweep.get("azimuth", 0.0))
-    elevation = float(ctx.sweep.get("elevation", 0.0))
-    paths = []
-    for kind in kinds:
-        pts = grid
-        if kind in ("exact", "steered", "projected") and not isinstance(ctx.geometry, CircArray):
-            floor = REACTIVE_LIMIT_FACTOR * ctx.geometry.aperture_len
-            pts = grid[grid >= floor]
-        elif kind == "exact" and isinstance(ctx.geometry, CircArray):
+def _profile_rows(ctx, kind):
+    grid = _distance_grid(ctx)
+    focus = _length(ctx, "focus")
+    # quadrature kinds evaluate only beyond the reactive near field
+    floor = 0.0
+    if isinstance(ctx.geometry, CircArray):
+        if kind == "exact":
             floor = REACTIVE_LIMIT_FACTOR * 2 * ctx.geometry.radius
-            pts = grid[grid >= floor]
-        if pts.size == 0:
-            raise ConfigError(f"sweep range is entirely below the radiative "
-                              f"floor for kind {kind!r}")
-        prof = gain_profile(kind, ctx.geometry, pts, focus,
-                            azimuth=azimuth, elevation=elevation,
-                            quad=_quad(ctx), threads=ctx.threads)
-        out = ctx.out if len(kinds) == 1 else _variant_path(ctx.out, kind)
-        rows = [(z / ctx.d_f, g) for z, g in zip(prof.distances, prof.gains)]
-        paths.append(write_csv(out, ctx.experiment, ctx.preset,
-                               ["distance_over_dF", "gain"], rows))
-    return paths
-
-
-def run_circular_gain(ctx):
-    if not isinstance(ctx.geometry, CircArray):
-        raise ConfigError("circular-gain requires a circ geometry")
-    return run_gain_profile(ctx)
+    elif kind in ("exact", "steered", "projected"):
+        floor = REACTIVE_LIMIT_FACTOR * ctx.geometry.aperture_len
+    pts = grid[grid >= floor]
+    if pts.size == 0:
+        raise ConfigError(f"sweep range is entirely below the radiative "
+                          f"floor for kind {kind!r}")
+    if pts.size < grid.size:
+        print(f"{ctx.experiment}: kind {kind!r}: dropped {grid.size - pts.size} of "
+              f"{grid.size} points below the radiative floor {floor!r} m",
+              file=sys.stderr)
+    prof = gain_profile(kind, ctx.geometry, pts, focus,
+                        azimuth=float(ctx.sweep.get("azimuth", 0.0)),
+                        elevation=float(ctx.sweep.get("elevation", 0.0)),
+                        quad=_quad(ctx), threads=ctx.threads)
+    return [(z / ctx.d_f, g) for z, g in zip(prof.distances, prof.gains)]
 
 
 def _rect_for_eta(ctx, eta, sizing_mode):
     base = ctx.geometry
-    if isinstance(base, CircArray):
-        raise ConfigError(f"{ctx.experiment} requires a rect geometry")
     if sizing_mode == "aperture-area":
         sizing = FixedApertureArea(base.aperture_area)
     elif sizing_mode == "aperture-length":
@@ -261,119 +238,72 @@ def _rect_for_eta(ctx, eta, sizing_mode):
     return make_rect_array(base.n_per_side, float(eta), sizing, base.wavelength)
 
 
-def run_bd_vs_eta(ctx):
-    etas = _scalar_grid(ctx.sweep, "eta_min", "eta_max", "n_points", "eta_values")
-    if np.any(etas <= 0):
-        raise ConfigError("eta values must be positive")
-    if "eta_values" not in ctx.sweep and ctx.sweep.get("spacing", "log") == "log":
-        etas = np.geomspace(etas.min(), etas.max(), len(etas))
-    modes = ctx.sweep.get("sizing_modes", ["aperture-area"])
-    if not modes:
-        raise ConfigError("sweep.sizing_modes is empty")
-    paths = []
-    for mode in modes:
-        def one(eta, mode=mode):
-            arr = _rect_for_eta(ctx, eta, mode)
-            d = characteristic_distances(arr, solve_a3db(arr.eta))
-            res = bd_rect(arr, d.d_b)
-            finite = 1 if res.status == STATUS_FINITE else 0
-            depth = res.depth / d.d_f if finite else math.inf
-            return (float(eta), d.d_b / d.d_f, depth, finite)
-        rows = _sweep_rows(one, etas)
-        out = ctx.out if len(modes) == 1 else _variant_path(ctx.out, mode)
-        paths.append(write_csv(out, ctx.experiment, ctx.preset,
-                               ["eta", "F_over_dF", "bd_over_dF", "finite"],
-                               rows))
-    return paths
+def _depth_row(eta, focus, d_f, res):
+    finite = res.status == STATUS_FINITE
+    return (eta, focus / d_f, res.depth / d_f if finite else math.inf, int(finite))
 
 
-def run_bd_vs_phi(ctx):
-    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "n_points", "phi_values")
-    focus = parse_length(_require(ctx.sweep, "focus", "sweep"), ctx.d_f,
-                         "sweep.focus")
+def _bd_eta_rows(ctx, mode):
+    def one(eta):
+        arr = _rect_for_eta(ctx, eta, mode)
+        return _depth_row(float(eta), arr.d_b, arr.d_f, bd_rect(arr, arr.d_b))
+
+    return run_sweep(one, _eta_grid(ctx.sweep), ctx.threads)
+
+
+def _bd_phi_rows(ctx, _):
+    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "phi_values")
+    focus = _length(ctx, "focus")
 
     def one(phi):
         proj = project_array(ctx.geometry, float(phi))
-        res = bd_rect(proj, focus)
-        finite = 1 if res.status == STATUS_FINITE else 0
-        depth = res.depth / ctx.d_f if finite else math.inf
-        return (proj.eta, focus / ctx.d_f, depth, finite)
+        return _depth_row(proj.eta, focus, ctx.d_f, bd_rect(proj, focus))
 
-    rows = _sweep_rows(one, phis)
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset,
-                      ["eta", "F_over_dF", "bd_over_dF", "finite"], rows)]
+    return run_sweep(one, phis, ctx.threads)
 
 
-def run_a3db_curve(ctx):
-    etas = _scalar_grid(ctx.sweep, "eta_min", "eta_max", "n_points", "eta_values")
-    if "eta_values" not in ctx.sweep and ctx.sweep.get("spacing", "log") == "log":
-        etas = np.geomspace(etas.min(), etas.max(), len(etas))
-
+def _a3db_rows(ctx, _):
     def one(eta):
         a = solve_a3db(float(eta))
         return (float(eta), a, a * (1 + float(eta) ** 2))
 
-    rows = _sweep_rows(one, etas)
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset,
-                      ["eta", "a3db", "product"], rows)]
+    return run_sweep(one, _eta_grid(ctx.sweep), ctx.threads)
 
 
-def run_finite_limit_curve(ctx):
-    etas = _scalar_grid(ctx.sweep, "eta_min", "eta_max", "n_points", "eta_values")
-    if "eta_values" not in ctx.sweep and ctx.sweep.get("spacing", "log") == "log":
-        etas = np.geomspace(etas.min(), etas.max(), len(etas))
+def _finite_limit_rows(ctx, _):
     mode = ctx.sweep.get("sizing_mode", "aperture-area")
 
     def one(eta):
         arr = _rect_for_eta(ctx, eta, mode)
-        d_f = characteristic_distances(arr, 1.25).d_f
-        return (float(eta), finite_bd_limit_rect(arr) / d_f)
+        return (float(eta), finite_bd_limit_rect(arr) / arr.d_f)
 
-    rows = _sweep_rows(one, etas)
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset,
-                      ["eta", "limit_over_dF"], rows)]
+    return run_sweep(one, _eta_grid(ctx.sweep), ctx.threads)
 
 
-def run_lobe_catalog(ctx):
-    if not isinstance(ctx.geometry, CircArray):
-        raise ConfigError("lobe-catalog requires a circ geometry")
-    k_max = int(_require(ctx.sweep, "k_max", "sweep"))
-    if k_max < 1:
-        raise ConfigError("sweep.k_max must be at least 1")
-    focus = parse_length(_require(ctx.sweep, "focus", "sweep"), ctx.d_f,
-                         "sweep.focus")
-    entries = circ_lobe_catalog(ctx.geometry, focus, k_max)
-    rows = [(e.index, e.kind, e.l_value, e.z_value / ctx.d_f, e.gain_db)
-            for e in entries]
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset,
-                      ["k", "kind", "l", "z_over_dF", "gain_db"], rows)]
+def _lobe_rows(ctx, _):
+    entries = circ_lobe_catalog(ctx.geometry, _length(ctx, "focus"),
+                                _count(ctx.sweep, "k_max"))
+    return [(e.index, e.kind, e.l_value, e.z_value / ctx.d_f, e.gain_db) for e in entries]
 
 
-def run_distance_error(ctx):
-    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "n_points", "phi_values")
-    fixed = ctx.sweep.get("dist")
-    d_b = characteristic_distances(ctx.geometry, 1.25).d_b
+def _distance_error_rows(ctx, _):
+    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "phi_values")
+    fixed = _length(ctx, "dist") if "dist" in ctx.sweep else None
 
     def one(phi):
         phi = float(phi)
-        dist = (parse_length(fixed, ctx.d_f, "sweep.dist") if fixed is not None
-                else d_b / math.cos(phi))
+        dist = fixed if fixed is not None else ctx.geometry.d_b / math.cos(phi)
         tx = TxGeometry(dist, azimuth=phi)
-        return (phi,
-                mean_abs_distance_error(ctx.geometry, tx, "direct"),
+        return (phi, mean_abs_distance_error(ctx.geometry, tx, "direct"),
                 mean_abs_distance_error(ctx.geometry, tx, "indirect"))
 
-    rows = _sweep_rows(one, phis)
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset,
-                      ["phi", "direct_err_m", "indirect_err_m"], rows)]
+    return run_sweep(one, phis, ctx.threads)
 
 
-def run_projection_error(ctx):
-    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "n_points", "phi_values")
-    dist = parse_length(_require(ctx.sweep, "dist", "sweep"), ctx.d_f,
-                        "sweep.dist")
-    focus = parse_length(_require(ctx.sweep, "focus", "sweep"), ctx.d_f,
-                         "sweep.focus")
+def _projection_error_rows(ctx, _):
+    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "phi_values")
+    dist = _length(ctx, "dist")
+    focus = _length(ctx, "focus")
     quad = _quad(ctx)
 
     def one(phi):
@@ -382,86 +312,67 @@ def run_projection_error(ctx):
         proj = projected_gain_approx(ctx.geometry, tx, focus, quad)
         return (float(phi), exact, proj, abs(exact - proj))
 
-    rows = _sweep_rows(one, phis)
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset,
-                      ["phi", "exact_gain", "projected_gain", "abs_err"], rows)]
+    return run_sweep(one, phis, ctx.threads)
 
 
-def _region(ctx, arr=None):
-    arr = arr or ctx.geometry
-    if isinstance(arr, CircArray):
-        raise ConfigError(f"{ctx.experiment} requires a rect geometry")
-    d = characteristic_distances(arr, solve_a3db(arr.eta))
-    z_min = (parse_length(ctx.sweep["z_min"], ctx.d_f, "sweep.z_min")
-             if "z_min" in ctx.sweep else d.d_b)
-    z_max = (parse_length(ctx.sweep["z_max"], ctx.d_f, "sweep.z_max")
-             if "z_max" in ctx.sweep else d.d_fa / 10)
+def _region(ctx):
+    """User-distance region: sweep z_min/z_max, else [d_B, d_FA/10]."""
+    z_min = _length(ctx, "z_min") if "z_min" in ctx.sweep else ctx.geometry.d_b
+    z_max = _length(ctx, "z_max") if "z_max" in ctx.sweep else ctx.geometry.d_fa / 10
+    if not 0 < z_min < z_max:
+        raise ConfigError("sweep requires 0 < z_min < z_max")
     return z_min, z_max
 
 
-def run_multiplex_plan(ctx):
-    region = _region(ctx)
+def _plan_rows(ctx, _):
     max_users = ctx.sweep.get("max_users")
-    plan = plan_focal_points(ctx.geometry, region,
+    plan = plan_focal_points(ctx.geometry, _region(ctx),
                              None if max_users is None else int(max_users))
-    rows = [(k + 1, f / ctx.d_f, lo / ctx.d_f, hi / ctx.d_f)
+    return [(k + 1, f / ctx.d_f, lo / ctx.d_f, hi / ctx.d_f)
             for k, (f, (lo, hi)) in enumerate(zip(plan.focal_points,
                                                   plan.intervals))]
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset,
-                      ["k", "F_over_dF", "zlo_over_dF", "zhi_over_dF"], rows)]
 
 
-def _planned_rate(arr, plan, power, azimuth=0.0):
+def _planned_row(ctx, arr, plan, snr, azimuth=0.0):
+    """Rate row of users at the planned focal points, all at one azimuth."""
     users = [TxGeometry(float(f), azimuth=azimuth) for f in plan.focal_points]
     h = build_channel_matrix(arr, users)
-    w = mmse_precoder(h)
-    return sum_rate(h, w, [power] * len(plan))
+    rate = sum_rate(h, mmse_precoder(h), [10 ** (snr / 10)] * len(plan))
+    return (snr, len(plan), "planned", rate, 0.0, 1, ctx.seed)
 
 
-_RATE_HEADER = ["snr_db", "k_users", "placement", "mean_rate", "stderr",
-                "n_trials", "seed"]
-
-
-def run_sum_rate_vs_snr(ctx):
-    snrs = _scalar_grid(ctx.sweep, "snr_min_db", "snr_max_db", "n_points",
-                        "snr_values_db")
-    k_users = int(ctx.sweep.get("k_users", 5))
-    n_trials = int(ctx.sweep.get("n_trials", 200))
+def _rate_snr_rows(ctx, _):
+    snrs = _scalar_grid(ctx.sweep, "snr_min_db", "snr_max_db", "snr_values_db")
+    k_users = _count(ctx.sweep, "k_users", 5)
+    n_trials = _count(ctx.sweep, "n_trials", 200)
     region = _region(ctx)
     plan = plan_focal_points(ctx.geometry, region, max_users=k_users)
-    rows = []
-    for snr in snrs:
-        planned = _planned_rate(ctx.geometry, plan, 10 ** (float(snr) / 10))
-        rows.append((float(snr), len(plan), "planned", planned, 0.0, 1,
-                     ctx.seed))
-        mc = monte_carlo_sum_rate(ctx.geometry, k_users, region, n_trials,
-                                  float(snr), ctx.seed)
-        rows.append((float(snr), k_users, "random", mc.mean_rate, mc.stderr,
-                     mc.n_trials, ctx.seed))
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset, _RATE_HEADER, rows)]
+
+    def one(snr):
+        snr = float(snr)
+        mc = monte_carlo_sum_rate(ctx.geometry, k_users, region, n_trials, snr, ctx.seed)
+        return (_planned_row(ctx, ctx.geometry, plan, snr),
+                (snr, k_users, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed))
+
+    return [row for pair in run_sweep(one, snrs, ctx.threads) for row in pair]
 
 
-def run_sum_rate_vs_users(ctx):
-    k_lo = int(ctx.sweep.get("k_min", 1))
-    k_hi = int(ctx.sweep.get("k_max", 8))
+def _rate_users_rows(ctx, _):
+    k_lo, k_hi = int(ctx.sweep.get("k_min", 1)), int(ctx.sweep.get("k_max", 8))
     if not 1 <= k_lo <= k_hi:
         raise ConfigError("sweep requires 1 <= k_min <= k_max")
     snr = float(ctx.sweep.get("snr_db", 25.0))
-    n_trials = int(ctx.sweep.get("n_trials", 500))
+    n_trials = _count(ctx.sweep, "n_trials", 500)
     region = _region(ctx)
-    rows = []
-    for k in range(k_lo, k_hi + 1):
-        mc = monte_carlo_sum_rate(ctx.geometry, k, region, n_trials, snr,
-                                  ctx.seed)
-        rows.append((snr, k, "random", mc.mean_rate, mc.stderr, mc.n_trials,
-                     ctx.seed))
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset, _RATE_HEADER, rows)]
+
+    def one(k):
+        mc = monte_carlo_sum_rate(ctx.geometry, k, region, n_trials, snr, ctx.seed)
+        return (snr, k, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed)
+
+    return run_sweep(one, range(k_lo, k_hi + 1), ctx.threads)
 
 
-def run_sum_rate_vs_eta(ctx):
-    etas = _scalar_grid(ctx.sweep, "eta_min", "eta_max", "n_points", "eta_values")
-    if "eta_values" not in ctx.sweep and ctx.sweep.get("spacing", "log") == "log":
-        etas = np.geomspace(etas.min(), etas.max(), len(etas))
+def _rate_eta_rows(ctx, _):
     snr = float(ctx.sweep.get("snr_db", 25.0))
     mode = ctx.sweep.get("sizing_mode", "aperture-length")
     region = _region(ctx)
@@ -469,16 +380,13 @@ def run_sum_rate_vs_eta(ctx):
     def one(eta):
         arr = _rect_for_eta(ctx, eta, mode)
         plan = plan_focal_points(arr, region)
-        rate = _planned_rate(arr, plan, 10 ** (snr / 10))
-        return (float(eta), snr, len(plan), "planned", rate, 0.0, 1, ctx.seed)
+        return (float(eta),) + _planned_row(ctx, arr, plan, snr)
 
-    rows = _sweep_rows(one, etas)
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset,
-                      ["eta"] + _RATE_HEADER, rows)]
+    return run_sweep(one, _eta_grid(ctx.sweep), ctx.threads)
 
 
-def run_sum_rate_vs_phi(ctx):
-    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "n_points", "phi_values")
+def _rate_phi_rows(ctx, _):
+    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "phi_values")
     snr = float(ctx.sweep.get("snr_db", 25.0))
     region = _region(ctx)
     k_users = ctx.sweep.get("k_users")
@@ -486,30 +394,42 @@ def run_sum_rate_vs_phi(ctx):
                              max_users=None if k_users is None else int(k_users))
 
     def one(phi):
-        rate = _planned_rate(ctx.geometry, plan, 10 ** (snr / 10), float(phi))
-        return (float(phi), snr, len(plan), "planned", rate, 0.0, 1, ctx.seed)
+        phi = float(phi)
+        return (phi,) + _planned_row(ctx, ctx.geometry, plan, snr, phi)
 
-    rows = _sweep_rows(one, phis)
-    return [write_csv(ctx.out, ctx.experiment, ctx.preset,
-                      ["phi"] + _RATE_HEADER, rows)]
+    return run_sweep(one, phis, ctx.threads)
 
 
-_RUNNERS = {
-    "gain-profile": run_gain_profile,
-    "bd-vs-eta": run_bd_vs_eta,
-    "bd-vs-phi": run_bd_vs_phi,
-    "a3db-curve": run_a3db_curve,
-    "finite-limit-curve": run_finite_limit_curve,
-    "circular-gain": run_circular_gain,
-    "lobe-catalog": run_lobe_catalog,
-    "distance-error": run_distance_error,
-    "projection-error": run_projection_error,
-    "multiplex-plan": run_multiplex_plan,
-    "sum-rate-vs-snr": run_sum_rate_vs_snr,
-    "sum-rate-vs-users": run_sum_rate_vs_users,
-    "sum-rate-vs-eta": run_sum_rate_vs_eta,
-    "sum-rate-vs-phi": run_sum_rate_vs_phi,
+_PROFILE_HEADER = ["distance_over_dF", "gain"]
+_DEPTH_HEADER = ["eta", "F_over_dF", "bd_over_dF", "finite"]
+_RATE_HEADER = ["snr_db", "k_users", "placement", "mean_rate", "stderr",
+                "n_trials", "seed"]
+
+# experiment -> (geometry kind it needs, None for either; (sweep key, default) listing
+# one output file per entry, or None; CSV header; rows function (ctx, entry) -> rows)
+_TABLE = {
+    "gain-profile": (None, ("kinds", ["exact"]), _PROFILE_HEADER, _profile_rows),
+    "bd-vs-eta": ("rect", ("sizing_modes", ["aperture-area"]), _DEPTH_HEADER,
+                  _bd_eta_rows),
+    "bd-vs-phi": ("rect", None, _DEPTH_HEADER, _bd_phi_rows),
+    "a3db-curve": (None, None, ["eta", "a3db", "product"], _a3db_rows),
+    "finite-limit-curve": ("rect", None, ["eta", "limit_over_dF"], _finite_limit_rows),
+    "circular-gain": ("circ", ("kinds", ["exact"]), _PROFILE_HEADER, _profile_rows),
+    "lobe-catalog": ("circ", None, ["k", "kind", "l", "z_over_dF", "gain_db"],
+                     _lobe_rows),
+    "distance-error": ("rect", None, ["phi", "direct_err_m", "indirect_err_m"],
+                       _distance_error_rows),
+    "projection-error": ("rect", None, ["phi", "exact_gain", "projected_gain", "abs_err"],
+                         _projection_error_rows),
+    "multiplex-plan": ("rect", None, ["k", "F_over_dF", "zlo_over_dF", "zhi_over_dF"],
+                       _plan_rows),
+    "sum-rate-vs-snr": ("rect", None, _RATE_HEADER, _rate_snr_rows),
+    "sum-rate-vs-users": ("rect", None, _RATE_HEADER, _rate_users_rows),
+    "sum-rate-vs-eta": ("rect", None, ["eta"] + _RATE_HEADER, _rate_eta_rows),
+    "sum-rate-vs-phi": ("rect", None, ["phi"] + _RATE_HEADER, _rate_phi_rows),
 }
+
+EXPERIMENTS = tuple(_TABLE)
 
 
 def _square_geometry(n=100, eta=1.0, diag_wl=0.25, carrier=3e9):
@@ -531,7 +451,7 @@ def _circ_geometry(radius_wl=12.5, carrier=3e9):
 
 def build_presets():
     lam = wavelength_from_carrier(3e9)
-    presets = {
+    return {
         "fig2": {
             "description": "broadside gain profile, exact vs closed form "
                            "(eta=4, F=1000 dF)",
@@ -648,7 +568,6 @@ def build_presets():
             "sweep": {"k_max": 4, "focus": "400 dF"},
         },
     }
-    return presets
 
 
 def load_config(args):
@@ -696,19 +615,32 @@ def cmd_run(args):
     experiment = cfg.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown or missing experiment {experiment!r}")
+    need, files, header, rows = _TABLE[experiment]
     geometry, d_f = build_geometry(_require(cfg, "geometry", "config"))
+    if need not in (None, "circ" if isinstance(geometry, CircArray) else "rect"):
+        raise ConfigError(f"{experiment} requires a {need} geometry")
     sweep = cfg.get("sweep", {})
     if not isinstance(sweep, dict):
         raise ConfigError("sweep must be an object")
     seed = int(args.seed if args.seed is not None
                else cfg.get("seed", DEFAULT_SEED))
     out = args.out or cfg.get("output") or f"{args.preset or experiment}.csv"
-    ctx = SimpleNamespace(geometry=geometry, d_f=d_f, sweep=sweep,
-                          experiment=experiment,
+    ctx = SimpleNamespace(geometry=geometry, d_f=d_f, sweep=sweep, experiment=experiment,
                           preset=args.preset or "custom", seed=seed,
-                          threads=resolve_threads(args, cfg), out=out)
+                          threads=resolve_threads(args, cfg))
+    entries = [None]
+    if files:
+        key, default = files
+        entries = sweep.get(key, default)
+        if not entries:
+            raise ConfigError(f"sweep.{key} is empty")
+    root, ext = os.path.splitext(out)
+    paths = []
     try:
-        paths = _RUNNERS[experiment](ctx)
+        for entry in entries:
+            path = out if len(entries) == 1 else f"{root}_{entry}{ext or '.csv'}"
+            paths.append(write_csv(path, experiment, ctx.preset, header,
+                                   rows(ctx, entry)))
     except OSError as err:
         raise ConfigError(f"cannot write output: {err}") from err
     except ValueError as err:

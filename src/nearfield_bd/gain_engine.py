@@ -4,8 +4,9 @@ Exact gains integrate the spherical-wave field over the aperture
 (composite per-element Gauss-Legendre) after multiplying in a focusing
 filter; closed-form gains evaluate the Fresnel-integral expressions for
 rectangular apertures (broadside and slanted transmitters) and the sinc^2
-expression for circular apertures. A profile driver sweeps distance grids
-and aggregates per-point failures.
+expression for circular apertures. ``run_sweep`` evaluates any sweep point
+by point, optionally threaded, and aggregates per-point failures;
+``gain_profile`` uses it over distance grids.
 
 Two focusing conventions are provided. ``exact_array_gain`` injects the
 broadside quadratic phase e^{+j(2 pi/lambda)(x^2+y^2)/(2F)}, which is what
@@ -46,7 +47,7 @@ class SweepEvalError(RuntimeError):
         self.failures = failures
         idx = ", ".join(str(i) for i, _ in failures)
         first = failures[0][1]
-        super().__init__(f"gain evaluation failed at sweep indices [{idx}]: {first}")
+        super().__init__(f"evaluation failed at sweep indices [{idx}]: {first}")
 
     @property
     def indices(self):
@@ -64,10 +65,6 @@ def effective_distance(focus: float, dist: float) -> float:
     if focus == dist:
         return math.inf
     return focus * dist / abs(focus - dist)
-
-
-def _d_fa(arr: RectArray) -> float:
-    return 2.0 * arr.elem_diag ** 2 / arr.wavelength * arr.n_elements
 
 
 def _check_radiative(arr: RectArray, tx: TxGeometry):
@@ -203,7 +200,7 @@ def rect_gain_broadside(arr: RectArray, z: float, focus: float) -> float:
     z_eff = effective_distance(focus, z)
     if math.isinf(z_eff):
         return 1.0
-    a = _d_fa(arr) / (4.0 * z_eff * (1.0 + arr.eta ** 2))
+    a = arr.d_fa / (4.0 * z_eff * (1.0 + arr.eta ** 2))
     return analytic_gain_rect(arr.eta, a)
 
 
@@ -214,7 +211,7 @@ def rect_gain_slanted(arr: RectArray, tx: TxGeometry, focus: float) -> float:
     d = tx.dist
     eta = arr.eta
     lam = arr.wavelength
-    d_fa = _d_fa(arr)
+    d_fa = arr.d_fa
     sin_az = tx.x / d
     sin_el = tx.y / d
     d_eff = effective_distance(focus, d)
@@ -362,30 +359,29 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
         return exact_array_gain(geometry, tx, focus, quad)
 
     dgrid = [float(d) for d in distances]
-    results = [None] * len(dgrid)
-    failures = []
+    gains = run_sweep(eval_point, dgrid, threads)
+    return GainProfile(focus=focus, distances=np.array(dgrid),
+                       gains=np.array(gains), kind=kind)
+
+
+def run_sweep(fn, values, threads: int | None = None) -> list:
+    """``[fn(v) for v in values]`` in order, over ``threads`` worker threads
+    when more than one. Every point runs; the ValueError/RuntimeError of any
+    point is collected into one SweepEvalError with the offending indices."""
+    def attempt(value):
+        try:
+            return fn(value), None
+        except (ValueError, RuntimeError) as exc:
+            return None, exc
+
+    values = list(values)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, res in enumerate(pool.map(_safe_call, [(eval_point, d) for d in dgrid])):
-                if isinstance(res, Exception):
-                    failures.append((i, res))
-                else:
-                    results[i] = res
+            outcomes = list(pool.map(attempt, values))
     else:
-        for i, d in enumerate(dgrid):
-            try:
-                results[i] = eval_point(d)
-            except (ValueError, RuntimeError) as exc:
-                failures.append((i, exc))
+        outcomes = [attempt(v) for v in values]
+    failures = [(i, exc) for i, (_, exc) in enumerate(outcomes)
+                if exc is not None]
     if failures:
         raise SweepEvalError(failures)
-    return GainProfile(focus=focus, distances=np.array(dgrid),
-                       gains=np.array(results), kind=kind)
-
-
-def _safe_call(bundle):
-    fn, arg = bundle
-    try:
-        return fn(arg)
-    except (ValueError, RuntimeError) as exc:
-        return exc
+    return [res for res, _ in outcomes]

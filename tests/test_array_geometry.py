@@ -43,6 +43,7 @@ def test_reference_square_array_distances():
     npt.assert_allclose(dists.d_b, 400 * dists.d_f, rtol=1e-12)
     npt.assert_allclose(dists.bd_limit, dists.d_fa / 10, rtol=1e-12)
     npt.assert_allclose(dists.d_fa, arr.n_elements * dists.d_f, rtol=1e-12)
+    assert (arr.d_f, arr.d_fa, arr.d_b) == (dists.d_f, dists.d_fa, dists.d_b)
 
 
 @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0, 2.0, 4.0, 10.0])

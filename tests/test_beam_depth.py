@@ -69,6 +69,14 @@ def test_a3db_aspect_symmetry():
                             rtol=1e-9)
 
 
+def test_a3db_large_eta_product_converges():
+    """The root falls below the old fixed bracket start for eta >~ 1.3e3;
+    the (1 + eta^2) product still tends to its strip limit."""
+    ref = solve_a3db(1e3) * (1 + 1e3 ** 2)
+    for eta in (1e4, 1e5):
+        assert solve_a3db(eta) * (1 + eta ** 2) == pytest.approx(ref, rel=1e-6)
+
+
 def test_a3db_product_peaks_at_square():
     etas = np.geomspace(0.1, 10.0, 21)
     prods = [solve_a3db(float(e)) * (1 + e ** 2) for e in etas]
@@ -79,6 +87,9 @@ def test_a3db_product_peaks_at_square():
 def test_a3db_validation():
     with pytest.raises(ValueError):
         solve_a3db(0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve_a3db(bad)
     with pytest.raises(ValueError):
         solve_a3db(1.0, tol=-1e-9)
 

@@ -25,6 +25,16 @@ TINY_GEOM = {
     "carrier_hz": 3e9,
 }
 
+CIRC_GEOM = {"kind": "circ", "radius": "0.5 m", "carrier_hz": 3e9}
+
+SMALL_WIDE_GEOM = {
+    "kind": "rect",
+    "n_per_side": 20,
+    "eta": 1.0,
+    "sizing": {"mode": "element-diag", "value": f"{0.5 * LAM} m"},
+    "carrier_hz": 3e9,
+}
+
 SQUARE_GEOM = {
     "kind": "rect",
     "n_per_side": 100,
@@ -152,7 +162,7 @@ def test_gain_profile_config_writes_one_file_per_kind(tmp_path):
         assert za == ze
 
 
-def test_gain_profile_clamps_reactive_points(tmp_path):
+def test_gain_profile_clamps_reactive_points(tmp_path, capsys):
     cfg = {
         "geometry": TINY_GEOM,
         "experiment": "gain-profile",
@@ -168,6 +178,9 @@ def test_gain_profile_clamps_reactive_points(tmp_path):
                                   LAM).aperture_len
     assert 0 < len(rows) < 12
     assert all(float(r[0]) * tiny_d_f() >= floor * (1 - 1e-12) for r in rows)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"gain-profile: kind 'exact': dropped {12 - len(rows)} of "
+                   f"12 points below the radiative floor {floor!r} m"]
 
 
 def test_unit_suffixes_are_equivalent(tmp_path):
@@ -207,6 +220,8 @@ def test_bare_number_distance_rejected(tmp_path, capsys):
     ({"experiment": "no-such-experiment"}, "unknown or missing experiment"),
     ({"sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 0}}, "n_points"),
     ({"sweep": {"eta_values": []}}, "empty"),
+    ({"experiment": "sum-rate-vs-users", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"k_max": 2, "n_trials": 0}}, "n_trials"),
 ])
 def test_config_validation_failures(tmp_path, capsys, patch, fragment):
     cfg = {
@@ -237,15 +252,37 @@ def test_malformed_json_config(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
-def test_geometry_kind_mismatch(tmp_path, capsys):
+# experiment -> (geometry kind it needs, a sweep it would otherwise accept)
+KIND_BOUND = {
+    "lobe-catalog": ("circ", {"k_max": 3, "focus": "4 m"}),
+    "circular-gain": ("circ", {"z_min": "2 m", "z_max": "8 m",
+                               "n_points": 3, "focus": "4 m",
+                               "kinds": ["analytic"]}),
+    "bd-vs-eta": ("rect", {"eta_values": [1.0]}),
+    "bd-vs-phi": ("rect", {"phi_values": [0.1], "focus": "4 m"}),
+    "finite-limit-curve": ("rect", {"eta_values": [1.0]}),
+    "distance-error": ("rect", {"phi_values": [0.1]}),
+    "projection-error": ("rect", {"phi_values": [0.1], "dist": "4 m",
+                                  "focus": "4 m"}),
+    "multiplex-plan": ("rect", {}),
+    "sum-rate-vs-snr": ("rect", {"snr_values_db": [10.0], "n_trials": 2}),
+    "sum-rate-vs-users": ("rect", {"k_max": 2, "n_trials": 2}),
+    "sum-rate-vs-eta": ("rect", {"eta_values": [1.0]}),
+    "sum-rate-vs-phi": ("rect", {"phi_values": [0.1]}),
+}
+
+
+@pytest.mark.parametrize("experiment", list(KIND_BOUND))
+def test_geometry_kind_mismatch(tmp_path, capsys, experiment):
+    need, sweep = KIND_BOUND[experiment]
     cfg = {
-        "geometry": TINY_GEOM,
-        "experiment": "lobe-catalog",
-        "sweep": {"k_max": 3, "focus": "4 m"},
+        "geometry": TINY_GEOM if need == "circ" else CIRC_GEOM,
+        "experiment": experiment,
+        "sweep": sweep,
     }
     assert run_cli("run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "x.csv")) == 2
-    assert "circ geometry" in capsys.readouterr().err
+    assert f"{experiment} requires a {need} geometry" in capsys.readouterr().err
 
 
 def test_numerical_failure_reports_sweep_indices(tmp_path, capsys):
@@ -305,23 +342,35 @@ def test_seed_override_lands_in_rows(tmp_path):
 
 
 def test_threads_env_and_flag(tmp_path, monkeypatch):
-    cfg = {
+    configs = [{
         "geometry": TINY_GEOM,
         "experiment": "gain-profile",
         "sweep": {"z_min": "2 m", "z_max": "8 m", "n_points": 6,
                   "spacing": "log", "focus": "4 m", "kinds": ["exact"],
                   "quad_order": 4, "refinement": 0},
-    }
-    path = write_config(tmp_path, cfg)
-    serial = tmp_path / "serial.csv"
-    flag = tmp_path / "flag.csv"
-    env = tmp_path / "env.csv"
-    assert run_cli("run", "--config", path, "--out", str(serial)) == 0
-    assert run_cli("run", "--config", path, "--out", str(flag),
-                   "--threads", "2") == 0
-    monkeypatch.setenv("NEARFIELD_BD_THREADS", "3")
-    assert run_cli("run", "--config", path, "--out", str(env)) == 0
-    assert serial.read_bytes() == flag.read_bytes() == env.read_bytes()
+    }, {
+        "geometry": TINY_GEOM,
+        "experiment": "a3db-curve",
+        "sweep": {"eta_min": 0.2, "eta_max": 5.0, "n_points": 9},
+    }, {
+        "geometry": SMALL_WIDE_GEOM,
+        "experiment": "sum-rate-vs-users",
+        "sweep": {"k_min": 1, "k_max": 4, "snr_db": 10.0, "n_trials": 4,
+                  "z_min": "40 dF", "z_max": "150 dF"},
+    }]
+    for cfg in configs:
+        name = cfg["experiment"]
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        serial = tmp_path / f"{name}-serial.csv"
+        flag = tmp_path / f"{name}-flag.csv"
+        env = tmp_path / f"{name}-env.csv"
+        monkeypatch.delenv("NEARFIELD_BD_THREADS", raising=False)
+        assert run_cli("run", "--config", path, "--out", str(serial)) == 0
+        assert run_cli("run", "--config", path, "--out", str(flag),
+                       "--threads", "2") == 0
+        monkeypatch.setenv("NEARFIELD_BD_THREADS", "3")
+        assert run_cli("run", "--config", path, "--out", str(env)) == 0
+        assert serial.read_bytes() == flag.read_bytes() == env.read_bytes()
 
 
 def test_bad_threads_env(tmp_path, monkeypatch, capsys):

@@ -31,6 +31,7 @@ from nearfield_bd.gain_engine import (
     projected_gain_approx,
     rect_gain_broadside,
     rect_gain_slanted,
+    run_sweep,
 )
 
 LAM = wavelength_from_carrier(3e9)
@@ -298,6 +299,23 @@ def test_gain_profile_error_aggregation():
     with pytest.raises(SweepEvalError) as info:
         gain_profile("exact", arr, grid, 1000 * D_F, quad=FAST_QUAD)
     assert info.value.indices == [0, 1]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_sweep_order_and_failures(threads):
+    assert run_sweep(lambda x: x * x, range(7), threads) == [0, 1, 4, 9, 16, 25, 36]
+
+    def flaky(x):
+        if x % 3 == 0:
+            raise ValueError(f"bad point {x}")
+        if x == 4:
+            raise RuntimeError("no convergence")
+        return x
+
+    with pytest.raises(SweepEvalError) as info:
+        run_sweep(flaky, range(8), threads)
+    assert info.value.indices == [0, 3, 4, 6]
+    assert "bad point 0" in str(info.value)
 
 
 def test_gain_profile_kind_validation():
