@@ -121,6 +121,20 @@ def finite_bd_limit_rect(arr: RectArray) -> float:
     return characteristic_distances(arr, solve_a3db(arr.eta)).bd_limit
 
 
+def _depth_interval(focus: float, k: float, c: float, valid: bool) -> BeamDepthResult:
+    """Interval z = kF/(k + cF) .. kF/(k - cF) around the focus F, finite
+    below F = k/c and infinite from there on."""
+    if not focus > 0:
+        raise ValueError(f"focus must be positive, got {focus}")
+    limit = k / c
+    z_lo = k * focus / (k + c * focus) if math.isfinite(focus) else limit
+    if focus >= limit:
+        return BeamDepthResult(z_lo, math.inf, math.inf, limit,
+                               status=STATUS_INFINITE, within_validity=valid)
+    z_hi = k * focus / (k - c * focus)
+    return BeamDepthResult(z_lo, z_hi, z_hi - z_lo, limit, within_validity=valid)
+
+
 def bd_rect(arr: RectArray, focus: float) -> BeamDepthResult:
     """Closed-form half-power depth of a focused rectangular array.
 
@@ -128,20 +142,10 @@ def bd_rect(arr: RectArray, focus: float) -> BeamDepthResult:
     with c = 4 a_3dB (1 + eta^2); the depth diverges as F approaches
     d_FA/c and is infinite beyond.
     """
-    if focus <= 0:
-        raise ValueError("focus must be positive")
     a3 = solve_a3db(arr.eta)
     dists = characteristic_distances(arr, a3)
-    c = 4.0 * a3 * (1.0 + arr.eta ** 2)
-    limit = dists.d_fa / c
-    valid = focus >= dists.d_b
-    if focus >= limit:
-        z_lo = dists.d_fa * focus / (dists.d_fa + c * focus) if math.isfinite(focus) else limit
-        return BeamDepthResult(z_lo, math.inf, math.inf, limit,
-                               status=STATUS_INFINITE, within_validity=valid)
-    z_lo = dists.d_fa * focus / (dists.d_fa + c * focus)
-    z_hi = dists.d_fa * focus / (dists.d_fa - c * focus)
-    return BeamDepthResult(z_lo, z_hi, z_hi - z_lo, limit, within_validity=valid)
+    return _depth_interval(focus, dists.d_fa, 4.0 * a3 * (1.0 + arr.eta ** 2),
+                           focus >= dists.d_b)
 
 
 def bd_circ(circ: CircArray, focus: float) -> BeamDepthResult:
@@ -152,19 +156,9 @@ def bd_circ(circ: CircArray, focus: float) -> BeamDepthResult:
     F >= R^2/(0.886 lambda).  Stated validity starts at twice the
     circumscribing aperture length, i.e. F >= 4R.
     """
-    if focus <= 0:
-        raise ValueError("focus must be positive")
-    r_sq = circ.radius ** 2
-    cl = SINC_HALF_POWER_COEFF * circ.wavelength
-    limit = r_sq / cl
-    valid = focus >= 4.0 * circ.radius
-    if focus >= limit:
-        z_lo = r_sq * focus / (r_sq + cl * focus) if math.isfinite(focus) else limit
-        return BeamDepthResult(z_lo, math.inf, math.inf, limit,
-                               status=STATUS_INFINITE, within_validity=valid)
-    z_lo = r_sq * focus / (r_sq + cl * focus)
-    z_hi = r_sq * focus / (r_sq - cl * focus)
-    return BeamDepthResult(z_lo, z_hi, z_hi - z_lo, limit, within_validity=valid)
+    return _depth_interval(focus, circ.radius ** 2,
+                           SINC_HALF_POWER_COEFF * circ.wavelength,
+                           focus >= 4.0 * circ.radius)
 
 
 def _bisect_crossing(fn: Callable[[float], float], lo: float, hi: float,
@@ -253,8 +247,8 @@ def circ_lobe_catalog(circ: CircArray, focus: float, k_max: int) -> list[LobeEnt
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    if focus <= 0:
-        raise ValueError("focus must be positive")
+    if not focus > 0:
+        raise ValueError(f"focus must be positive, got {focus}")
     r_sq = circ.radius ** 2
     entries: list[LobeEntry] = []
     for k in range(1, k_max + 1):

@@ -151,12 +151,15 @@ def _distance_grid(ctx):
     n = _count(ctx.sweep, "n_points")
     if not 0 < z_min < z_max:
         raise ConfigError("sweep requires 0 < z_min < z_max")
-    spacing = ctx.sweep.get("spacing", "log")
-    if spacing == "log":
-        return np.geomspace(z_min, z_max, n)
-    if spacing == "linear":
-        return np.linspace(z_min, z_max, n)
-    raise ConfigError(f"unknown spacing {spacing!r}")
+    return (np.geomspace if _log_spacing(ctx.sweep) else np.linspace)(z_min, z_max, n)
+
+
+def _log_spacing(sweep):
+    """True for "log" grid spacing (the default), False for "linear"."""
+    spacing = sweep.get("spacing", "log")
+    if spacing not in ("log", "linear"):
+        raise ConfigError(f"unknown spacing {spacing!r}")
+    return spacing == "log"
 
 
 def _scalar_grid(sweep, lo_key, hi_key, values_key):
@@ -175,7 +178,7 @@ def _eta_grid(sweep):
     etas = _scalar_grid(sweep, "eta_min", "eta_max", "eta_values")
     if np.any(etas <= 0):
         raise ConfigError("eta values must be positive")
-    if "eta_values" not in sweep and sweep.get("spacing", "log") == "log":
+    if _log_spacing(sweep) and "eta_values" not in sweep:
         etas = np.geomspace(etas.min(), etas.max(), len(etas))
     return etas
 
@@ -376,13 +379,20 @@ def _rate_eta_rows(ctx, _):
     snr = float(ctx.sweep.get("snr_db", 25.0))
     mode = ctx.sweep.get("sizing_mode", "aperture-length")
     region = _region(ctx)
-
-    def one(eta):
+    # plan every eta first: a region a rebuilt array cannot tile is a config fault
+    plans = []
+    for eta in _eta_grid(ctx.sweep):
         arr = _rect_for_eta(ctx, eta, mode)
-        plan = plan_focal_points(arr, region)
-        return (float(eta),) + _planned_row(ctx, arr, plan, snr)
+        try:
+            plans.append((float(eta), arr, plan_focal_points(arr, region)))
+        except ValueError as err:
+            raise ConfigError(f"eta {float(eta)!r}: {err}") from err
 
-    return run_sweep(one, _eta_grid(ctx.sweep), ctx.threads)
+    def one(planned):
+        eta, arr, plan = planned
+        return (eta,) + _planned_row(ctx, arr, plan, snr)
+
+    return run_sweep(one, plans, ctx.threads)
 
 
 def _rate_phi_rows(ctx, _):

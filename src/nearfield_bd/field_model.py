@@ -2,9 +2,10 @@
 
 The exact spherical-wave field, its Fresnel (quadratic-phase)
 approximations for broadside and slanted transmitters, the matched-filter
-phase used to focus the aperture, per-element channel responses by 2D
-Gauss-Legendre quadrature, and the Taylor distance-approximation error
-diagnostics used to compare the direct and indirect expansions.
+phase used to focus the aperture, per-element channel responses, and the
+Taylor distance-approximation error diagnostics used to compare the direct
+and indirect expansions.  Exact gains and channels all reduce over the
+blocks of one aperture kernel, ``_aperture_blocks``.
 
 Fields are only ever used in ratios, so the source amplitude is fixed at 1;
 the 1/sqrt(4*pi) prefactor is kept so values match the underlying spherical
@@ -25,11 +26,14 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 _REFINE_RTOL = 1e-8
 
+# Grid nodes per kernel block; bounds the kernel's memory for any array size.
+_BLOCK_NODES = 1 << 18
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor Gauss-Legendre rule: points per axis, plus how many times a
-    rectangle may be subdivided when the doubled-order estimate disagrees."""
+    """Per-element tensor Gauss-Legendre rule: points per element side, and how
+    many times the order may double until two successive results agree."""
 
     order: int = 8
     refinement: int = 1
@@ -41,22 +45,26 @@ class QuadratureSpec:
             raise ValueError(f"refinement must be >= 0, got {self.refinement}")
 
 
+def _spherical_wave(tx: TxGeometry, x, y, wavelength: float):
+    """Amplitude and phase of the exact field at aperture points (x, y, 0)."""
+    dx2 = (x - tx.x) ** 2
+    z = tx.z
+    r2 = dx2 + (y - tx.y) ** 2 + z * z
+    if np.any(r2 == 0.0):
+        raise ValueError("transmitter lies in the aperture plane at this point")
+    amp = np.sqrt(z * (dx2 + z * z)) / (SQRT_4PI * r2 ** 1.25)
+    return amp, -2.0 * np.pi / wavelength * np.sqrt(r2)
+
+
 def exact_field(tx: TxGeometry, x, y, wavelength: float):
     """Spherical-wave field of a unit transmitter at aperture point (x, y, 0).
 
     Amplitude sqrt(z*((x-x_t)^2 + z^2)) / (sqrt(4 pi) * rho^(5/2)) with rho
     the Euclidean distance; the phase is exactly -(2 pi / lambda) * rho.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = x - tx.x
-    dy = y - tx.y
-    z = tx.z
-    r2 = dx * dx + dy * dy + z * z
-    if np.any(r2 == 0.0):
-        raise ValueError("transmitter lies in the aperture plane at this point")
-    amp = np.sqrt(z * (dx * dx + z * z)) / (SQRT_4PI * r2 ** 1.25)
-    return amp * np.exp(-2j * np.pi / wavelength * np.sqrt(r2))
+    amp, phase = _spherical_wave(tx, np.asarray(x, dtype=float),
+                                 np.asarray(y, dtype=float), wavelength)
+    return amp * np.exp(1j * phase)
 
 
 def fresnel_field_broadside(z: float, x, y, wavelength: float):
@@ -95,26 +103,60 @@ def matched_filter_phase(focus: float, x, y, wavelength: float):
     return np.exp(2j * np.pi / wavelength * (x * x + y * y) / (2.0 * focus))
 
 
-def _gl_rect(f, xc, yc, wx, wy, order):
-    """Integral of f over the wx-by-wy rectangle centered at (xc, yc)."""
+def _aperture_blocks(arr: RectArray, xc, yc, tx: TxGeometry, order: int,
+                     focus_phase=None):
+    """Exact field on the per-element Gauss-Legendre grid of the elements
+    centred at xc (rows) by yc (columns), in blocks of whole element rows.
+
+    Yields the block's row and column node weights, the field amplitude and
+    the field times e^{j focus_phase(gx, gy)} on its node grid; the focusing
+    phase is added before the one complex exponential."""
     nodes, wts = roots_legendre(order)
-    gx = xc + 0.5 * wx * nodes
-    gy = yc + 0.5 * wy * nodes
-    vals = f(gx[:, None], gy[None, :])
-    return 0.25 * wx * wy * (wts @ vals @ wts)
+    gy = (yc[:, None] + 0.5 * arr.elem_h * nodes).ravel()
+    wy = np.tile(0.5 * arr.elem_h * wts, len(yc))
+    rows = max(1, _BLOCK_NODES // (order * gy.size))
+    for i in range(0, len(xc), rows):
+        gx = (xc[i:i + rows, None] + 0.5 * arr.elem_w * nodes).ravel()
+        amp, phase = _spherical_wave(tx, gx[:, None], gy, arr.wavelength)
+        if focus_phase is not None:
+            phase += focus_phase(gx, gy)
+        wx = np.tile(0.5 * arr.elem_w * wts, gx.size // order)
+        yield wx, wy, amp, amp * np.exp(1j * phase)
 
 
-def _refining_rect(f, xc, yc, wx, wy, order, depth):
-    coarse = _gl_rect(f, xc, yc, wx, wy, order)
-    fine = _gl_rect(f, xc, yc, wx, wy, 2 * order)
-    if depth <= 0 or abs(fine - coarse) <= _REFINE_RTOL * max(abs(fine), 1e-300):
-        return fine
-    total = 0.0 + 0.0j
-    for sx in (-0.25, 0.25):
-        for sy in (-0.25, 0.25):
-            total += _refining_rect(f, xc + sx * wx, yc + sy * wy,
-                                    0.5 * wx, 0.5 * wy, order, depth - 1)
-    return total
+def _refined(evaluate, quad: QuadratureSpec, agree):
+    """``evaluate`` at quad.order, doubling the order up to quad.refinement
+    times until two successive results agree; each entry of an array result
+    keeps its first agreeing value.  RuntimeError if some entry never agrees."""
+    coarse = result = evaluate(quad.order)
+    pending = np.full(np.shape(coarse), quad.refinement > 0)
+    for k in range(1, quad.refinement + 1):
+        fine = evaluate(quad.order << k)
+        done = pending & agree(coarse, fine)
+        result, pending = np.where(done, fine, result), pending & ~done
+        if not pending.any():
+            break
+        gap, coarse = np.max(np.abs(fine - coarse)[pending]), fine
+    if pending.any():
+        raise RuntimeError(
+            f"aperture quadrature did not converge: orders {quad.order << (k - 1)} "
+            f"and {quad.order << k} differ by {gap:.3e}")
+    return result
+
+
+def _element_channels(arr: RectArray, xc, yc, tx: TxGeometry,
+                      quad: QuadratureSpec) -> np.ndarray:
+    """Channels of the elements centred at xc by yc, shape (len(xc), len(yc)):
+    (1/sqrt(A)) times the integral of the exact field over each element."""
+    def channels(order):
+        return np.concatenate([
+            np.einsum("ai,bj,aibj->ab", wx.reshape(-1, order), wy.reshape(-1, order),
+                      field.reshape(-1, order, len(yc), order))
+            for wx, wy, _, field in _aperture_blocks(arr, xc, yc, tx, order)
+        ]) / math.sqrt(arr.elem_area)
+
+    return _refined(channels, quad, lambda h, h2: np.abs(h2 - h) <= _REFINE_RTOL
+                    * np.maximum(np.abs(h2), 1e-300))
 
 
 def element_channel(arr: RectArray, n: int, m: int, tx: TxGeometry,
@@ -122,49 +164,45 @@ def element_channel(arr: RectArray, n: int, m: int, tx: TxGeometry,
     """Channel of element (n, m): (1/sqrt(A)) * integral of the exact field
     over the element area."""
     xc, yc, _ = element_center(arr, n, m)
+    return complex(_element_channels(arr, np.array([xc]), np.array([yc]), tx,
+                                     quad)[0, 0])
 
-    def f(gx, gy):
-        return exact_field(tx, gx, gy, arr.wavelength)
 
-    val = _refining_rect(f, xc, yc, arr.elem_w, arr.elem_h,
-                         quad.order, quad.refinement)
-    return complex(val / math.sqrt(arr.elem_area))
+def _distance(x, y, tx: TxGeometry):
+    return np.sqrt((x - tx.x) ** 2 + (y - tx.y) ** 2 + tx.z ** 2)
+
+
+# first-order Taylor expansions of _distance, one per variant
+_TAYLOR = {
+    "direct": lambda x, y, tx: tx.z * (
+        1.0 + ((x - tx.x) ** 2 + (y - tx.y) ** 2) / (2.0 * tx.z * tx.z)),
+    "indirect": lambda x, y, tx: tx.dist + (
+        x * x + y * y - 2.0 * (x * tx.x + y * tx.y)) / (2.0 * tx.dist),
+}
 
 
 def distance_exact(arr: RectArray, n: int, m: int, tx: TxGeometry) -> float:
     """Euclidean distance from the transmitter to the element center."""
-    x, y, _ = element_center(arr, n, m)
-    return math.sqrt((x - tx.x) ** 2 + (y - tx.y) ** 2 + tx.z ** 2)
+    return float(_distance(*element_center(arr, n, m)[:2], tx))
 
 
 def distance_taylor_direct(arr: RectArray, n: int, m: int, tx: TxGeometry) -> float:
     """First-order expansion around the broadside axis:
     z * (1 + ((x - x_t)^2 + (y - y_t)^2) / (2 z^2))."""
-    x, y, _ = element_center(arr, n, m)
-    z = tx.z
-    return z * (1.0 + ((x - tx.x) ** 2 + (y - tx.y) ** 2) / (2.0 * z * z))
+    return _TAYLOR["direct"](*element_center(arr, n, m)[:2], tx)
 
 
 def distance_taylor_indirect(arr: RectArray, n: int, m: int, tx: TxGeometry) -> float:
     """First-order expansion after recentering on the transmitter range:
     d + (x^2 + y^2 - 2(x x_t + y y_t)) / (2 d)."""
-    x, y, _ = element_center(arr, n, m)
-    d = tx.dist
-    return d + (x * x + y * y - 2.0 * (x * tx.x + y * tx.y)) / (2.0 * d)
+    return _TAYLOR["indirect"](*element_center(arr, n, m)[:2], tx)
 
 
 def mean_abs_distance_error(arr: RectArray, tx: TxGeometry, variant: str) -> float:
     """Mean over all N elements of |exact - Taylor| distance, in meters."""
+    if variant not in _TAYLOR:
+        raise ValueError(f"variant must be 'direct' or 'indirect', got {variant!r}")
     xs, ys = element_grid(arr)
     X = xs[:, None]
     Y = ys[None, :]
-    f = np.sqrt((X - tx.x) ** 2 + (Y - tx.y) ** 2 + tx.z ** 2)
-    if variant == "direct":
-        z = tx.z
-        approx = z * (1.0 + ((X - tx.x) ** 2 + (Y - tx.y) ** 2) / (2.0 * z * z))
-    elif variant == "indirect":
-        d = tx.dist
-        approx = d + (X * X + Y * Y - 2.0 * (X * tx.x + Y * tx.y)) / (2.0 * d)
-    else:
-        raise ValueError(f"variant must be 'direct' or 'indirect', got {variant!r}")
-    return float(np.mean(np.abs(f - approx)))
+    return float(np.mean(np.abs(_distance(X, Y, tx) - _TAYLOR[variant](X, Y, tx))))

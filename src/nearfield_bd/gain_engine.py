@@ -1,8 +1,8 @@
 """Normalized array gain in the radiative near-field.
 
-Exact gains integrate the spherical-wave field over the aperture
-(composite per-element Gauss-Legendre) after multiplying in a focusing
-filter; closed-form gains evaluate the Fresnel-integral expressions for
+Exact gains reduce the spherical-wave field over the aperture, times a
+focusing filter, over the blocks of ``field_model``'s aperture kernel;
+closed-form gains evaluate the Fresnel-integral expressions for
 rectangular apertures (broadside and slanted transmitters) and the sinc^2
 expression for circular apertures. ``run_sweep`` evaluates any sweep point
 by point, optionally threaded, and aggregates per-point failures;
@@ -32,7 +32,7 @@ from .array_geometry import (
     element_grid,
     project_array,
 )
-from .field_model import SQRT_4PI, QuadratureSpec
+from .field_model import SQRT_4PI, QuadratureSpec, _aperture_blocks, _refined
 from .fresnel_core import fresnel_cs, sinc
 
 REACTIVE_LIMIT_FACTOR = 1.2
@@ -67,92 +67,58 @@ def effective_distance(focus: float, dist: float) -> float:
     return focus * dist / abs(focus - dist)
 
 
-def _check_radiative(arr: RectArray, tx: TxGeometry):
-    limit = REACTIVE_LIMIT_FACTOR * arr.aperture_len
-    if tx.dist < limit:
-        raise ValueError(
-            f"transmitter at {tx.dist:.6g} m is inside the reactive near-field "
-            f"boundary {limit:.6g} m (1.2 x aperture length)")
-
-
 def _check_focus(focus: float):
     if not (math.isinf(focus) or focus > 0):
         raise ValueError(f"focal distance must be positive or inf, got {focus}")
 
 
-def _composite_grid(arr: RectArray, order: int):
-    """Per-element tensor Gauss-Legendre nodes/weights over the aperture."""
-    nodes, wts = roots_legendre(order)
+def _aperture_gain(arr: RectArray, tx: TxGeometry, focus: float,
+                   quad: QuadratureSpec, phase) -> float:
+    """|sum w E e^{j phase}|^2 / (A sum w |E|^2) over the aperture kernel's
+    blocks, with the order refined per ``quad``."""
+    limit = REACTIVE_LIMIT_FACTOR * arr.aperture_len
+    if tx.dist < limit:
+        raise ValueError(
+            f"transmitter at {tx.dist:.6g} m is inside the reactive near-field "
+            f"boundary {limit:.6g} m (1.2 x aperture length)")
+    _check_focus(focus)
     xc, yc = element_grid(arr)
-    gx = (xc[:, None] + 0.5 * arr.elem_w * nodes[None, :]).ravel()
-    gy = (yc[:, None] + 0.5 * arr.elem_h * nodes[None, :]).ravel()
-    wx = np.tile(0.5 * arr.elem_w * wts, arr.n_per_side)
-    wy = np.tile(0.5 * arr.elem_h * wts, arr.n_per_side)
-    return gx, gy, wx, wy
 
+    def gain(order):
+        num = den = 0.0
+        for wx, wy, amp, field in _aperture_blocks(arr, xc, yc, tx, order, phase):
+            num += wx @ field @ wy
+            den += wx @ (amp * amp) @ wy
+        return abs(num) ** 2 / (arr.aperture_area * den)
 
-def _gain_once(arr, tx, mf_phase, order):
-    gx, gy, wx, wy = _composite_grid(arr, order)
-    lam = arr.wavelength
-    z = tx.z
-    dx2 = (gx - tx.x) ** 2
-    dy2 = (gy - tx.y) ** 2
-    r2 = dx2[:, None] + dy2[None, :] + z * z
-    amp = np.sqrt(z * (dx2[:, None] + z * z)) / (SQRT_4PI * r2 ** 1.25)
-    phase = -2.0 * np.pi / lam * np.sqrt(r2)
-    phase += mf_phase(gx, gy)
-    num = np.abs(wx @ (amp * np.exp(1j * phase)) @ wy) ** 2
-    den = wx @ (amp * amp) @ wy
-    return float(num / (arr.aperture_area * den))
-
-
-def _gain_refined(arr, tx, mf_phase, quad):
-    g = _gain_once(arr, tx, mf_phase, quad.order)
-    if quad.refinement >= 1:
-        g2 = _gain_once(arr, tx, mf_phase, 2 * quad.order)
-        if abs(g2 - g) > _GAIN_REFINE_ATOL:
-            raise RuntimeError(
-                f"aperture quadrature did not converge: order {quad.order} and "
-                f"{2 * quad.order} gains differ by {abs(g2 - g):.3e}")
-        g = g2
-    return g
+    return float(_refined(gain, quad, lambda g, g2: abs(g2 - g) <= _GAIN_REFINE_ATOL))
 
 
 def exact_array_gain(arr: RectArray, tx: TxGeometry, focus: float,
                      quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Gain with the broadside quadratic focusing phase toward (0, 0, F)."""
-    _check_radiative(arr, tx)
-    _check_focus(focus)
-    lam = arr.wavelength
+    def focus_phase(gx, gy):
+        return np.pi / arr.wavelength * ((gx * gx)[:, None] + gy * gy) / focus
 
-    def mf_phase(gx, gy):
-        if math.isinf(focus):
-            return 0.0
-        return (2.0 * np.pi / lam) * ((gx * gx)[:, None] + (gy * gy)[None, :]) \
-            / (2.0 * focus)
-
-    return _gain_refined(arr, tx, mf_phase, quad)
+    return _aperture_gain(arr, tx, focus, quad,
+                          None if math.isinf(focus) else focus_phase)
 
 
 def exact_array_gain_steered(arr: RectArray, tx: TxGeometry, focus: float,
                              quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Gain with the true propagation phase conjugated toward the point at
     range F along the transmitter ray (steered focusing)."""
-    _check_radiative(arr, tx)
-    _check_focus(focus)
-    lam = arr.wavelength
     ux, uy, uz = tx.x / tx.dist, tx.y / tx.dist, tx.z / tx.dist
 
-    def mf_phase(gx, gy):
+    def focus_phase(gx, gy):
         if math.isinf(focus):
             # plane wave arriving from the ray direction
-            return -(2.0 * np.pi / lam) * ((gx * ux)[:, None] + (gy * uy)[None, :])
+            return -(2.0 * np.pi / arr.wavelength) * ((gx * ux)[:, None] + gy * uy)
         fx, fy, fz = focus * ux, focus * uy, focus * uz
-        rho = np.sqrt(((gx - fx) ** 2)[:, None] + ((gy - fy) ** 2)[None, :]
-                      + fz * fz)
-        return (2.0 * np.pi / lam) * rho
+        rho = np.sqrt(((gx - fx) ** 2)[:, None] + (gy - fy) ** 2 + fz * fz)
+        return (2.0 * np.pi / arr.wavelength) * rho
 
-    return _gain_refined(arr, tx, mf_phase, quad)
+    return _aperture_gain(arr, tx, focus, quad, focus_phase)
 
 
 def analytic_gain_rect(eta: float, a: float) -> float:

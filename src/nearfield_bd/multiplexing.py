@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .array_geometry import RectArray, TxGeometry, characteristic_distances, element_grid
 from .beam_depth import solve_a3db
-from .field_model import QuadratureSpec, exact_field, fresnel_field_nonbroadside
+from .field_model import QuadratureSpec, _element_channels, fresnel_field_nonbroadside
 from .gain_engine import REACTIVE_LIMIT_FACTOR
 
 _PLAN_EDGE_RTOL = 1e-9
@@ -105,6 +104,8 @@ def plan_focal_points(arr: RectArray, region: tuple,
     max_users.
     """
     z_min, z_max = region
+    if math.isnan(z_min) or math.isnan(z_max):
+        raise ValueError(f"region bounds must be numbers, got {region}")
     if max_users is not None and max_users < 1:
         raise ValueError("max_users must be at least 1")
     if z_min >= z_max:
@@ -136,20 +137,6 @@ def _check_users(arr: RectArray, users: Sequence[TxGeometry]):
                              f"(dist {tx.dist:.4g} m)")
 
 
-def _exact_channel_column(arr: RectArray, tx: TxGeometry,
-                          quad: QuadratureSpec) -> np.ndarray:
-    nodes, wts = roots_legendre(quad.order)
-    xc, yc = element_grid(arr)
-    gx = (xc[:, None] + 0.5 * arr.elem_w * nodes[None, :]).ravel()
-    gy = (yc[:, None] + 0.5 * arr.elem_h * nodes[None, :]).ravel()
-    vals = exact_field(tx, gx[:, None], gy[None, :], arr.wavelength)
-    vals = vals.reshape(arr.n_per_side, quad.order, arr.n_per_side, quad.order)
-    w = 0.5 * arr.elem_w * wts
-    v = 0.5 * arr.elem_h * wts
-    per_elem = np.einsum("i,j,aibj->ab", w, v, vals)
-    return (per_elem / math.sqrt(arr.elem_area)).ravel()
-
-
 def build_channel_matrix(arr: RectArray, users: Sequence[TxGeometry],
                          quad: Optional[QuadratureSpec] = None,
                          model: str = "phase") -> ChannelMatrix:
@@ -169,7 +156,8 @@ def build_channel_matrix(arr: RectArray, users: Sequence[TxGeometry],
     for k, tx in enumerate(users):
         try:
             if model == "exact":
-                cols.append(_exact_channel_column(arr, tx, quad or QuadratureSpec()))
+                cols.append(_element_channels(arr, xc, yc, tx,
+                                              quad or QuadratureSpec()).ravel())
             else:
                 vals = fresnel_field_nonbroadside(tx, xc[:, None], yc[None, :],
                                                   arr.wavelength)
@@ -272,6 +260,8 @@ def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
     z_min, z_max = region
     if not 0 < z_min < z_max:
         raise ValueError("region must satisfy 0 < z_min < z_max")
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
     power = 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     draws = 1.0 / rng.uniform(1.0 / z_max, 1.0 / z_min, size=(n_trials, k_users))

@@ -138,6 +138,8 @@ def test_bd_rect_validity_flag_and_errors():
     assert res.status == STATUS_FINITE
     with pytest.raises(ValueError):
         bd_rect(arr, 0.0)
+    with pytest.raises(ValueError, match="focus"):
+        bd_rect(arr, math.nan)
 
 
 def test_bd_rect_depth_grows_toward_limit():
@@ -215,6 +217,8 @@ def test_bd_circ_branches_and_small_focus():
     npt.assert_allclose(small.depth, approx, rtol=2e-3)
     with pytest.raises(ValueError):
         bd_circ(circ, -1.0)
+    with pytest.raises(ValueError, match="focus"):
+        bd_circ(circ, math.nan)
 
 
 def test_half_power_coefficient_consistency():
@@ -358,3 +362,5 @@ def test_lobe_catalog_validation():
         circ_lobe_catalog(circ, 50 * LAM, 0)
     with pytest.raises(ValueError):
         circ_lobe_catalog(circ, 0.0, 2)
+    with pytest.raises(ValueError, match="focus"):
+        circ_lobe_catalog(circ, math.nan, 2)

@@ -222,6 +222,11 @@ def test_bare_number_distance_rejected(tmp_path, capsys):
     ({"sweep": {"eta_values": []}}, "empty"),
     ({"experiment": "sum-rate-vs-users", "geometry": SMALL_WIDE_GEOM,
       "sweep": {"k_max": 2, "n_trials": 0}}, "n_trials"),
+    ({"sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 3, "spacing": "lgo"}},
+     "unknown spacing 'lgo'"),
+    ({"experiment": "sum-rate-vs-eta", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"eta_values": [0.5, 1.0], "z_min": "1 dF"}},
+     "eta 0.5: region starts below the boundary distance"),
 ])
 def test_config_validation_failures(tmp_path, capsys, patch, fragment):
     cfg = {

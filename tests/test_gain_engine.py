@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -161,6 +162,33 @@ def test_exact_gain_bounds_and_refinement():
     g1 = exact_array_gain(arr, tx, 1000 * D_F, QuadratureSpec(order=8, refinement=1))
     assert 0.0 <= g0 <= 1.0 + 1e-6
     assert abs(g1 - g0) < 1e-6
+
+
+def test_refinement_doubles_until_gains_agree():
+    """Coarse elements: orders 2 and 4 differ by 6e-6, so the order keeps
+    doubling until two successive gains agree within 1e-6."""
+    arr = make_rect_array(10, 1.0, FixedElementDiagonal(4 * LAM), LAM)
+    tx = TxGeometry(1.5 * arr.aperture_len)
+    ref = exact_array_gain(arr, tx, tx.dist, QuadratureSpec(order=16, refinement=0))
+    g = exact_array_gain(arr, tx, tx.dist, QuadratureSpec(order=2, refinement=4))
+    assert abs(g - ref) < 1e-6
+    with pytest.raises(RuntimeError, match="did not converge"):
+        exact_array_gain(arr, tx, tx.dist, QuadratureSpec(order=2, refinement=1))
+
+
+def test_exact_gain_memory_bounded():
+    """The n=200 aperture grid holds 2.56e6 nodes at order 8; blocks of
+    whole element rows keep the traced peak far below the full grid."""
+    arr = make_rect_array(200, 1.0, FixedElementDiagonal(LAM / 2), LAM)
+    tx = TxGeometry(2 * arr.aperture_len)
+    tracemalloc.start()
+    try:
+        g = exact_array_gain(arr, tx, tx.dist, FAST_QUAD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 < g <= 1.0 + 1e-6
+    assert peak < 32 * 2 ** 20
 
 
 def test_reactive_near_field_rejected():

@@ -13,6 +13,7 @@ from nearfield_bd.array_geometry import (
     wavelength_from_carrier,
 )
 from nearfield_bd.beam_depth import solve_a3db
+from nearfield_bd.field_model import QuadratureSpec, element_channel
 from nearfield_bd.multiplexing import (
     ChannelMatrix,
     PlacementPlan,
@@ -122,6 +123,9 @@ def test_plan_validation():
         plan_focal_points(arr, (z_min, 10 * z_max))
     with pytest.raises(ValueError):
         plan_focal_points(arr, (z_min, z_max), max_users=0)
+    for region in ((math.nan, z_max), (z_min, math.nan)):
+        with pytest.raises(ValueError, match="region"):
+            plan_focal_points(arr, region)
     with pytest.raises(ValueError):
         PlacementPlan((1.0,), ((2.0, 3.0),))
     with pytest.raises(ValueError):
@@ -170,6 +174,20 @@ def test_channel_exact_model_close_to_midpoint():
     rel = (np.abs(mid.entries - exact.entries).max()
            / np.abs(exact.entries).max())
     assert rel < 0.05
+
+
+@pytest.mark.parametrize("quad", [QuadratureSpec(8, 1), QuadratureSpec(2, 3)],
+                         ids=["8-1", "2-3"])
+def test_channel_exact_model_matches_element_channel(quad):
+    arr = make_rect_array(6, 2.0, FixedElementDiagonal(2 * LAM), LAM)
+    users = [TxGeometry(1.5 * arr.aperture_len, azimuth=0.3),
+             TxGeometry(3 * arr.aperture_len)]
+    h = build_channel_matrix(arr, users, quad, model="exact").entries
+    for k, tx in enumerate(users):
+        for n in range(1, 7):
+            for m in range(1, 7):
+                npt.assert_allclose(h[(n - 1) * 6 + (m - 1), k],
+                                    element_channel(arr, n, m, tx, quad), rtol=1e-12)
 
 
 def test_channel_validation():
@@ -339,3 +357,6 @@ def test_monte_carlo_validation():
         monte_carlo_sum_rate(arr, 2, region, 0, 25.0, seed=1)
     with pytest.raises(ValueError):
         monte_carlo_sum_rate(arr, 2, (region[1], region[0]), 10, 25.0, seed=1)
+    for snr_db in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            monte_carlo_sum_rate(arr, 2, region, 10, snr_db, seed=1)
