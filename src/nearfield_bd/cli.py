@@ -379,20 +379,21 @@ def _rate_eta_rows(ctx, _):
     snr = float(ctx.sweep.get("snr_db", 25.0))
     mode = ctx.sweep.get("sizing_mode", "aperture-length")
     region = _region(ctx)
-    # plan every eta first: a region a rebuilt array cannot tile is a config fault
-    plans = []
-    for eta in _eta_grid(ctx.sweep):
+
+    def plan_eta(eta):
         arr = _rect_for_eta(ctx, eta, mode)
         try:
-            plans.append((float(eta), arr, plan_focal_points(arr, region)))
+            return float(eta), arr, plan_focal_points(arr, region)
         except ValueError as err:
+            # a region a rebuilt array cannot tile is a config fault
             raise ConfigError(f"eta {float(eta)!r}: {err}") from err
 
     def one(planned):
         eta, arr, plan = planned
         return (eta,) + _planned_row(ctx, arr, plan, snr)
 
-    return run_sweep(one, plans, ctx.threads)
+    return run_sweep(one, run_sweep(plan_eta, _eta_grid(ctx.sweep), ctx.threads),
+                     ctx.threads)
 
 
 def _rate_phi_rows(ctx, _):

@@ -26,14 +26,14 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 _REFINE_RTOL = 1e-8
 
-# Grid nodes per kernel block; bounds the kernel's memory for any array size.
+# Grid nodes per kernel block, unless one element row (order**2 * n) holds more.
 _BLOCK_NODES = 1 << 18
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Per-element tensor Gauss-Legendre rule: points per element side, and how
-    many times the order may double until two successive results agree."""
+    """Per-element tensor Gauss-Legendre rule of 2*order points per side, and
+    how many more times the order may double until two successive results agree."""
 
     order: int = 8
     refinement: int = 1
@@ -125,23 +125,23 @@ def _aperture_blocks(arr: RectArray, xc, yc, tx: TxGeometry, order: int,
 
 
 def _refined(evaluate, quad: QuadratureSpec, agree):
-    """``evaluate`` at quad.order, doubling the order up to quad.refinement
-    times until two successive results agree; each entry of an array result
-    keeps its first agreeing value.  RuntimeError if some entry never agrees."""
+    """``evaluate`` at 2*quad.order, unchecked if quad.refinement is 0; else each
+    entry keeps its first result that agrees with the one at half its order,
+    within quad.refinement more doublings (RuntimeError if some never agrees)."""
+    if quad.refinement == 0:
+        return evaluate(2 * quad.order)
     coarse = result = evaluate(quad.order)
-    pending = np.full(np.shape(coarse), quad.refinement > 0)
-    for k in range(1, quad.refinement + 1):
+    pending = np.full(np.shape(coarse), True)
+    for k in range(1, quad.refinement + 2):
         fine = evaluate(quad.order << k)
         done = pending & agree(coarse, fine)
         result, pending = np.where(done, fine, result), pending & ~done
         if not pending.any():
-            break
+            return result
         gap, coarse = np.max(np.abs(fine - coarse)[pending]), fine
-    if pending.any():
-        raise RuntimeError(
-            f"aperture quadrature did not converge: orders {quad.order << (k - 1)} "
-            f"and {quad.order << k} differ by {gap:.3e}")
-    return result
+    raise RuntimeError(
+        f"aperture quadrature did not converge: orders {quad.order << (k - 1)} "
+        f"and {quad.order << k} differ by {gap:.3e}")
 
 
 def _element_channels(arr: RectArray, xc, yc, tx: TxGeometry,

@@ -166,8 +166,8 @@ def build_channel_matrix(arr: RectArray, users: Sequence[TxGeometry],
                 else:
                     vals = vals * math.sqrt(arr.elem_area)
                 cols.append(vals.ravel())
-        except ValueError as err:
-            raise ValueError(f"user {k}: {err}") from err
+        except (ValueError, RuntimeError) as err:
+            raise type(err)(f"user {k}: {err}") from err
     return ChannelMatrix(np.column_stack(cols))
 
 

@@ -304,6 +304,21 @@ def test_numerical_failure_reports_sweep_indices(tmp_path, capsys):
     assert "sweep index 1" in err
 
 
+def test_planning_failure_reports_sweep_index(tmp_path, capsys):
+    """solve_a3db cannot bracket eta = 1e7: a numerical fault, not a config one."""
+    cfg = {
+        "geometry": SMALL_WIDE_GEOM,
+        "experiment": "sum-rate-vs-eta",
+        "sweep": {"eta_values": [1.0, 1e7], "z_min": "40.05 dF",
+                  "z_max": "40.2 dF"},
+    }
+    assert run_cli("run", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "x.csv")) == 3
+    err = capsys.readouterr().err
+    assert "sweep index 1: bracketing failure" in err
+    assert "sweep index 0" not in err
+
+
 def test_config_merges_over_preset(tmp_path):
     override = {"sweep": {"n_points": 5}}
     out = tmp_path / "merged.csv"

@@ -165,9 +165,9 @@ def test_exact_gain_bounds_and_refinement():
 
 
 def test_refinement_doubles_until_gains_agree():
-    """Coarse elements: orders 2 and 4 differ by 6e-6, so the order keeps
-    doubling until two successive gains agree within 1e-6."""
-    arr = make_rect_array(10, 1.0, FixedElementDiagonal(4 * LAM), LAM)
+    """Large elements: the gains at orders 2, 4 and 8 are 6e-3 and 4e-6
+    apart, so refinement 1 fails and more doublings agree within 1e-6."""
+    arr = make_rect_array(2, 1.0, FixedElementDiagonal(32 * LAM), LAM)
     tx = TxGeometry(1.5 * arr.aperture_len)
     ref = exact_array_gain(arr, tx, tx.dist, QuadratureSpec(order=16, refinement=0))
     g = exact_array_gain(arr, tx, tx.dist, QuadratureSpec(order=2, refinement=4))
@@ -177,7 +177,7 @@ def test_refinement_doubles_until_gains_agree():
 
 
 def test_exact_gain_memory_bounded():
-    """The n=200 aperture grid holds 2.56e6 nodes at order 8; blocks of
+    """The n=200 aperture grid holds 1.02e7 nodes at order 16; blocks of
     whole element rows keep the traced peak far below the full grid."""
     arr = make_rect_array(200, 1.0, FixedElementDiagonal(LAM / 2), LAM)
     tx = TxGeometry(2 * arr.aperture_len)

@@ -194,6 +194,10 @@ def test_channel_validation():
     arr = wide_array()
     with pytest.raises(ValueError, match="user 1"):
         build_channel_matrix(arr, [TxGeometry(500 * LAM), TxGeometry(50 * LAM)])
+    coarse = make_rect_array(2, 1.0, FixedElementDiagonal(32 * LAM), LAM)
+    with pytest.raises(RuntimeError, match="user 0: aperture quadrature did not converge"):
+        build_channel_matrix(coarse, [TxGeometry(3 * coarse.aperture_len)],
+                             QuadratureSpec(2, 1), model="exact")
     with pytest.raises(ValueError):
         build_channel_matrix(arr, [])
     with pytest.raises(ValueError):
