@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .array_geometry import CircArray, RectArray, characteristic_distances
 from .gain_engine import GainProfile, analytic_gain_circ, analytic_gain_rect
@@ -28,8 +28,6 @@ SINC_HALF_POWER_COEFF = 0.886
 STATUS_FINITE = "finite"
 STATUS_INFINITE = "infinite"
 STATUS_UNDETERMINED = "undetermined"
-
-_BRACKET_SCAN = 64
 
 
 @dataclass(frozen=True)
@@ -81,36 +79,21 @@ class LobeEntry:
 def solve_a3db(eta: float, tol: float = 1e-10) -> float:
     """Smallest positive half-power argument of the broadside gain curve.
 
-    Solves analytic_gain_rect(eta, a) = 0.5 for a.  The bracket is grown
-    geometrically from a value far below any crossing and then scanned so
-    that the returned root is the mainlobe crossing, not a sidelobe one.
-    The root scales as 1/(1 + eta^2), so the bracket starts below that too.
+    Solves analytic_gain_rect(eta, a) = 0.5 for a with Brent's method.  The
+    root scales as 1/(1 + eta^2): the product a_3dB (1 + eta^2) stays within
+    [1.738, 2.485] for eta from 1e-6 to 1e6, so the scale-free bracket
+    [1, 3]/(1 + eta^2) holds the mainlobe crossing and no sidelobe one.
     """
     if not (eta > 0 and math.isfinite(eta)):
         raise ValueError(f"eta must be positive and finite, got {eta}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo = min(1e-6, 1e-3 / (1.0 + eta ** 2))
-    hi = 2.0 * lo
-    for _ in range(80):
-        if analytic_gain_rect(eta, hi) < 0.5:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise RuntimeError("bracketing failure in solve_a3db")
-    grid = np.linspace(lo, hi, _BRACKET_SCAN + 1)
-    vals = [analytic_gain_rect(eta, a) for a in grid]
-    for i in range(_BRACKET_SCAN):
-        if vals[i] >= 0.5 > vals[i + 1]:
-            lo, hi = grid[i], grid[i + 1]
-            break
-    while hi - lo > 1e-14 * hi:
-        mid = 0.5 * (lo + hi)
-        if analytic_gain_rect(eta, mid) >= 0.5:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    scale = 1.0 + eta ** 2
+    try:
+        root = brentq(lambda a: analytic_gain_rect(eta, a) - 0.5,
+                      1.0 / scale, 3.0 / scale, xtol=1e-14 / scale, rtol=1e-14)
+    except ValueError as err:
+        raise RuntimeError("bracketing failure in solve_a3db") from err
     if abs(analytic_gain_rect(eta, root) - 0.5) > tol:
         raise RuntimeError("bracketing failure in solve_a3db")
     return root
@@ -161,16 +144,13 @@ def bd_circ(circ: CircArray, focus: float) -> BeamDepthResult:
                            focus >= 4.0 * circ.radius)
 
 
-def _bisect_crossing(fn: Callable[[float], float], lo: float, hi: float,
-                     half: float, rising: bool, rel_tol: float) -> float:
-    while hi - lo > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        above = fn(mid) >= half
-        if above == rising:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _crossing(fn: Callable[[float], float], lo: float, hi: float,
+              half: float, rel_tol: float) -> float:
+    f = lambda x: fn(x) - half
+    if not f(lo) * f(hi) <= 0:
+        raise ValueError(f"gain_fn does not cross the half-power level "
+                         f"between the samples z = {lo} and z = {hi}")
+    return brentq(f, lo, hi, xtol=rel_tol * lo)
 
 
 def numeric_bd(profile: GainProfile,
@@ -179,9 +159,11 @@ def numeric_bd(profile: GainProfile,
                rel_tol: float = 1e-4) -> BeamDepthResult:
     """Half-power interval extracted from a sampled gain profile.
 
-    Crossings are bracketed by adjacent samples and refined by bisection to
-    ``rel_tol`` relative accuracy; ``gain_fn`` supplies the continuous curve
-    and defaults to linear interpolation of the samples.  When the gain never
+    Crossings are bracketed by adjacent samples and refined with Brent's
+    method to ``rel_tol`` relative accuracy; ``gain_fn`` supplies the
+    continuous curve and defaults to linear interpolation of the samples.
+    A ``gain_fn`` that does not cross half the peak between the two samples
+    that bracket a crossing raises ``ValueError``.  When the gain never
     falls to half beyond the peak, the result is INFINITE if the grid extends
     past 100x a supplied ``finite_limit`` and undetermined otherwise.
     """
@@ -199,16 +181,14 @@ def numeric_bd(profile: GainProfile,
     z_lo = math.nan
     for i in range(peak_idx - 1, -1, -1):
         if g[i] < half <= g[i + 1]:
-            z_lo = _bisect_crossing(gain_fn, float(z[i]), float(z[i + 1]),
-                                    half, rising=True, rel_tol=rel_tol)
+            z_lo = _crossing(gain_fn, float(z[i]), float(z[i + 1]), half, rel_tol)
             break
 
     z_hi = math.nan
     upper_crossed = False
     for j in range(peak_idx + 1, len(g)):
         if g[j] < half <= g[j - 1]:
-            z_hi = _bisect_crossing(gain_fn, float(z[j - 1]), float(z[j]),
-                                    half, rising=False, rel_tol=rel_tol)
+            z_hi = _crossing(gain_fn, float(z[j - 1]), float(z[j]), half, rel_tol)
             upper_crossed = True
             break
 

@@ -72,11 +72,11 @@ def parse_length(value, d_f, field):
     if not m:
         raise ConfigError(f"{field}: cannot parse length {value!r}")
     num = float(m.group(1))
-    if m.group(2) == "m":
-        return num
-    if math.isnan(d_f):
-        raise ConfigError(f"{field}: 'dF' units are not available here; use 'm'")
-    return num * d_f
+    if m.group(2) == "dF":
+        if math.isnan(d_f):
+            raise ConfigError(f"{field}: 'dF' units are not available here; use 'm'")
+        num *= d_f
+    return _finite(num, value, field)
 
 
 def parse_area(value, field):
@@ -85,7 +85,13 @@ def parse_area(value, field):
     m = _AREA_RE.match(str(value))
     if not m:
         raise ConfigError(f"{field}: cannot parse area {value!r}")
-    return float(m.group(1))
+    return _finite(float(m.group(1)), value, field)
+
+
+def _finite(num, value, field):
+    if not math.isfinite(num):
+        raise ConfigError(f"{field}: {value!r} is not a finite number")
+    return num
 
 
 def _require(cfg, key, section):

@@ -6,9 +6,9 @@ Half-period convention throughout:
     S(x) = int_0^x sin(pi t^2 / 2) dt
 
 Both are odd, bounded by ~0.78 in magnitude, and tend to 0.5 as x -> +inf.
-Evaluation is piecewise: a power series below ``_SERIES_CUTOFF`` and a
-modified-Lentz complex continued fraction above it. Absolute accuracy is
-~1e-15, comfortably beyond the 1e-10 target the gain formulas need.
+``fresnel_cs`` wraps ``scipy.special.fresnel``, which uses the same
+convention but returns (S, C); its absolute accuracy of ~1e-15 is well
+beyond the 1e-10 target the gain formulas need.
 """
 
 from __future__ import annotations
@@ -16,76 +16,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-_SERIES_CUTOFF = 1.6
-_EPS = 1.0e-16
-_MAXIT = 120
-_TINY = 1.0e-300
-
-
-def _fresnel_series(ax):
-    """Series branch for 0 <= ax <= cutoff. Returns (C, S) arrays."""
-    t = 0.5 * np.pi * ax * ax
-    t2 = t * t
-    # C(x) = x * sum_k (-1)^k t^(2k) / ((2k)! (4k+1))
-    # S(x) = x * sum_k (-1)^k t^(2k+1) / ((2k+1)! (4k+3))
-    term_c = np.ones_like(ax)
-    term_s = t.copy()
-    sum_c = term_c / 1.0
-    sum_s = term_s / 3.0
-    for k in range(1, _MAXIT):
-        term_c *= -t2 / ((2 * k) * (2 * k - 1))
-        term_s *= -t2 / ((2 * k + 1) * (2 * k))
-        sum_c += term_c / (4 * k + 1)
-        sum_s += term_s / (4 * k + 3)
-        if np.all(np.abs(term_c) + np.abs(term_s) < _EPS):
-            break
-    return ax * sum_c, ax * sum_s
-
-
-def _fresnel_cf(ax):
-    """Continued-fraction branch for ax > cutoff (modified Lentz).
-
-    Evaluates the complex fraction for erfc-type functions; then
-    C + iS = (1+i)/2 * (1 - e^{i t/2} (x - ix) h(x)) with t = pi x^2.
-    """
-    t = np.pi * ax * ax
-    b = 1.0 - 1j * t
-    c = np.full_like(b, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d.copy()
-    n = -1.0
-    for _ in range(_MAXIT):
-        n += 2.0
-        a = -n * (n + 1.0)
-        b = b + 4.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h = h * delta
-        if np.all(np.abs(delta.real - 1.0) + np.abs(delta.imag) < _EPS):
-            break
-    h = (ax - 1j * ax) * h
-    cs = 0.5 * (1.0 + 1j) * (1.0 - np.exp(0.5j * t) * h)
-    return cs.real, cs.imag
+from scipy.optimize import brentq
+from scipy.special import fresnel
 
 
 def fresnel_cs(x):
     """Evaluate (C(x), S(x)) elementwise for scalar or array input."""
-    arr = np.asarray(x, dtype=float)
-    ax = np.abs(arr)
-    cc = np.empty_like(ax)
-    ss = np.empty_like(ax)
-    lo = ax <= _SERIES_CUTOFF
-    if np.any(lo):
-        cc[lo], ss[lo] = _fresnel_series(ax[lo])
-    hi = ~lo
-    if np.any(hi):
-        cc[hi], ss[hi] = _fresnel_cf(ax[hi])
-    sign = np.sign(arr)
-    cc *= sign
-    ss *= sign
-    if np.isscalar(x) or arr.ndim == 0:
+    ss, cc = fresnel(np.asarray(x, dtype=float))
+    if cc.ndim == 0:
         return float(cc), float(ss)
     return cc, ss
 
@@ -110,21 +48,12 @@ def sinc(x):
 
 
 def solve_half_power_sinc_arg(tol: float = 1e-12) -> float:
-    """Smallest x > 0 with sinc(x)^2 = 1/2, by bisection on [1, 2].
+    """Smallest x > 0 with sinc(x)^2 = 1/2, by Brent's method on [1, 2].
 
     sinc^2 falls monotonically from 1 through the half-power level inside
     [1, 2] (first zero is at pi), so the bracket is safe.
     """
-    lo, hi = 1.0, 2.0
-    flo = sinc(lo) ** 2 - 0.5
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = sinc(mid) ** 2 - 0.5
-        if (flo > 0) == (fmid > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(lambda x: sinc(x) ** 2 - 0.5, 1.0, 2.0, xtol=tol)
 
 
 #: Argument where sinc(x)^2 crosses one half (~1.39156); the circular-array

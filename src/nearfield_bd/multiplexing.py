@@ -258,6 +258,8 @@ def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     z_min, z_max = region
+    if not (math.isfinite(z_min) and math.isfinite(z_max)):
+        raise ValueError(f"region bounds must be finite, got {region}")
     if not 0 < z_min < z_max:
         raise ValueError("region must satisfy 0 < z_min < z_max")
     if not math.isfinite(snr_db):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearfield_bd.array_geometry import (
     CircArray,
@@ -71,10 +73,24 @@ def test_a3db_aspect_symmetry():
 
 def test_a3db_large_eta_product_converges():
     """The root falls below the old fixed bracket start for eta >~ 1.3e3;
-    the (1 + eta^2) product still tends to its strip limit."""
+    the (1 + eta^2) product still tends to its strip limit, up to the edges
+    eta = 1e6 and (by aspect symmetry) 1e-6 of the scale-free bracket."""
     ref = solve_a3db(1e3) * (1 + 1e3 ** 2)
-    for eta in (1e4, 1e5):
+    for eta in (1e4, 1e5, 1e6, 1e-6):
         assert solve_a3db(eta) * (1 + eta ** 2) == pytest.approx(ref, rel=1e-6)
+
+
+@given(st.floats(min_value=-6.0, max_value=6.0))
+@settings(max_examples=60, deadline=None)
+def test_a3db_is_the_mainlobe_crossing(log_eta):
+    """Over log-uniform eta in [1e-6, 1e6] the root meets its tolerance and
+    the gain stays at or above half everywhere below it, so the root is the
+    first (mainlobe) crossing and not a sidelobe one."""
+    eta = 10.0 ** log_eta
+    root = solve_a3db(eta)
+    assert abs(analytic_gain_rect(eta, root) - 0.5) <= 1e-10
+    below = [analytic_gain_rect(eta, a) for a in root * np.linspace(0.0, 1.0, 201)[1:-1]]
+    assert min(below) >= 0.5
 
 
 def test_a3db_product_peaks_at_square():
@@ -92,6 +108,10 @@ def test_a3db_validation():
             solve_a3db(bad)
     with pytest.raises(ValueError):
         solve_a3db(1.0, tol=-1e-9)
+    # eta = 1e7 puts the whole bracket under analytic_gain_rect's a < 1e-12
+    # cut, where the gain reads 1: a numerical failure, not a bad input.
+    with pytest.raises(RuntimeError, match="bracketing failure"):
+        solve_a3db(1e7)
 
 
 def test_bd_rect_square_preset():
@@ -305,6 +325,17 @@ def test_numeric_rejects_unfocused_profile():
     z = np.linspace(1.0, 2.0, 10)
     with pytest.raises(ValueError):
         numeric_bd(GainProfile(1.5, z, np.full(10, 0.4)))
+
+
+def test_numeric_gain_fn_must_cross_half_power():
+    arr = square_array()
+    focus = 50 * LAM
+    ref = bd_rect(arr, focus)
+    grid = np.geomspace(0.5 * ref.z_lo, 2 * ref.z_hi, 40)
+    prof = gain_profile("analytic", arr, grid, focus)
+    with pytest.raises(ValueError, match="does not cross the half-power level "
+                                         "between the samples z = "):
+        numeric_bd(prof, gain_fn=lambda z: 0.0)
 
 
 def test_result_type_validation():

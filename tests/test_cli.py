@@ -227,6 +227,13 @@ def test_bare_number_distance_rejected(tmp_path, capsys):
     ({"experiment": "sum-rate-vs-eta", "geometry": SMALL_WIDE_GEOM,
       "sweep": {"eta_values": [0.5, 1.0], "z_min": "1 dF"}},
      "eta 0.5: region starts below the boundary distance"),
+    ({"experiment": "sum-rate-vs-users", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"k_max": 2, "n_trials": 3, "z_max": "1e999 dF"}},
+     "sweep.z_max: '1e999 dF' is not a finite number"),
+    ({"geometry": dict(TINY_GEOM, sizing={"mode": "element-diag", "value": "1e999 m"})},
+     "sizing.value: '1e999 m' is not a finite number"),
+    ({"geometry": dict(TINY_GEOM, sizing={"mode": "aperture-area", "value": "1e999 m2"})},
+     "sizing.value: '1e999 m2' is not a finite number"),
 ])
 def test_config_validation_failures(tmp_path, capsys, patch, fragment):
     cfg = {

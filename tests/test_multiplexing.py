@@ -364,3 +364,5 @@ def test_monte_carlo_validation():
     for snr_db in (math.nan, math.inf):
         with pytest.raises(ValueError, match="snr_db"):
             monte_carlo_sum_rate(arr, 2, region, 10, snr_db, seed=1)
+    with pytest.raises(ValueError, match="region bounds must be finite"):
+        monte_carlo_sum_rate(arr, 3, (arr.d_b, math.inf), 20, 20.0, seed=1)
