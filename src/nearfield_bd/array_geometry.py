@@ -4,8 +4,10 @@ Rectangular arrays are n-by-n grids of elements whose width-to-height
 ratio is ``eta``; three sizing modes fix either the element diagonal, the
 total aperture area, or the aperture length (diagonal of the whole array).
 Also provides circular apertures, transmitter placement in azimuth and
-elevation, the characteristic distances of an array, and the projected
-(width-compressed) array seen from a non-broadside direction.
+elevation, and the projected (width-compressed) array seen from a
+non-broadside direction. A rectangular array carries its characteristic
+distances (element and array Fraunhofer distances, boundary distance) as
+properties.
 """
 
 from __future__ import annotations
@@ -109,15 +111,10 @@ class CircArray:
         if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
 
-
-@dataclass(frozen=True)
-class ArrayDistances:
-    """Characteristic distances of an aperture (all in meters)."""
-
-    d_f: float
-    d_fa: float
-    d_b: float
-    bd_limit: float
+    @property
+    def aperture_len(self) -> float:
+        """Diameter of the disk."""
+        return 2.0 * self.radius
 
 
 @dataclass(frozen=True)
@@ -197,16 +194,6 @@ def element_grid(arr: RectArray) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(1, arr.n_per_side + 1, dtype=float)
     offset = (arr.n_per_side + 1) / 2.0
     return (idx - offset) * arr.elem_w, (idx - offset) * arr.elem_h
-
-
-def characteristic_distances(arr: RectArray, a3db: float) -> ArrayDistances:
-    """Fraunhofer distances (element and array), the 2*aperture bound, and
-    the onset range beyond which focusing no longer bounds the beam depth."""
-    if not a3db > 0:
-        raise ValueError(f"a3db must be positive, got {a3db}")
-    bd_limit = arr.d_fa / (4.0 * a3db * (1.0 + arr.eta ** 2))
-    return ArrayDistances(d_f=arr.d_f, d_fa=arr.d_fa, d_b=arr.d_b,
-                          bd_limit=bd_limit)
 
 
 def project_array(arr: RectArray, azimuth: float) -> RectArray:

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .array_geometry import CircArray, RectArray, characteristic_distances
+from .array_geometry import CircArray, RectArray
 from .gain_engine import GainProfile, analytic_gain_circ, analytic_gain_rect
 
 # Half-power width coefficient of sinc^2, kept at the customary printed
@@ -86,7 +86,7 @@ def solve_a3db(eta: float, tol: float = 1e-10) -> float:
     """
     if not (eta > 0 and math.isfinite(eta)):
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     scale = 1.0 + eta ** 2
     try:
@@ -99,9 +99,15 @@ def solve_a3db(eta: float, tol: float = 1e-10) -> float:
     return root
 
 
+def _depth_coeff(arr: RectArray) -> float:
+    """c = 4 a_3dB (1 + eta^2) of the rectangular depth law."""
+    return 4.0 * solve_a3db(arr.eta) * (1.0 + arr.eta ** 2)
+
+
 def finite_bd_limit_rect(arr: RectArray) -> float:
-    """Focal distance beyond which the rectangular-array depth is infinite."""
-    return characteristic_distances(arr, solve_a3db(arr.eta)).bd_limit
+    """Focal distance d_FA/c beyond which the rectangular-array depth is
+    infinite."""
+    return arr.d_fa / _depth_coeff(arr)
 
 
 def _depth_interval(focus: float, k: float, c: float, valid: bool) -> BeamDepthResult:
@@ -125,10 +131,7 @@ def bd_rect(arr: RectArray, focus: float) -> BeamDepthResult:
     with c = 4 a_3dB (1 + eta^2); the depth diverges as F approaches
     d_FA/c and is infinite beyond.
     """
-    a3 = solve_a3db(arr.eta)
-    dists = characteristic_distances(arr, a3)
-    return _depth_interval(focus, dists.d_fa, 4.0 * a3 * (1.0 + arr.eta ** 2),
-                           focus >= dists.d_b)
+    return _depth_interval(focus, arr.d_fa, _depth_coeff(arr), focus >= arr.d_b)
 
 
 def bd_circ(circ: CircArray, focus: float) -> BeamDepthResult:

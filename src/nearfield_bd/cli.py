@@ -39,11 +39,11 @@ from .beam_depth import (
 )
 from .field_model import QuadratureSpec, mean_abs_distance_error
 from .gain_engine import (
-    REACTIVE_LIMIT_FACTOR,
     SweepEvalError,
     exact_array_gain_steered,
     gain_profile,
     projected_gain_approx,
+    radiative_floor,
     run_sweep,
 )
 from .multiplexing import (
@@ -215,12 +215,7 @@ def _profile_rows(ctx, kind):
     grid = _distance_grid(ctx)
     focus = _length(ctx, "focus")
     # quadrature kinds evaluate only beyond the reactive near field
-    floor = 0.0
-    if isinstance(ctx.geometry, CircArray):
-        if kind == "exact":
-            floor = REACTIVE_LIMIT_FACTOR * 2 * ctx.geometry.radius
-    elif kind in ("exact", "steered", "projected"):
-        floor = REACTIVE_LIMIT_FACTOR * ctx.geometry.aperture_len
+    floor = 0.0 if kind == "analytic" else radiative_floor(ctx.geometry)
     pts = grid[grid >= floor]
     if pts.size == 0:
         raise ConfigError(f"sweep range is entirely below the radiative "

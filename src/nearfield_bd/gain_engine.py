@@ -67,6 +67,13 @@ def effective_distance(focus: float, dist: float) -> float:
     return focus * dist / abs(focus - dist)
 
 
+def radiative_floor(geometry) -> float:
+    """Smallest distance at which gains are evaluated: 1.2 x the aperture
+    length (the diameter of a circular aperture); closer lies the reactive
+    near field."""
+    return REACTIVE_LIMIT_FACTOR * geometry.aperture_len
+
+
 def _check_focus(focus: float):
     if not (math.isinf(focus) or focus > 0):
         raise ValueError(f"focal distance must be positive or inf, got {focus}")
@@ -76,7 +83,7 @@ def _aperture_gain(arr: RectArray, tx: TxGeometry, focus: float,
                    quad: QuadratureSpec, phase) -> float:
     """|sum w E e^{j phase}|^2 / (A sum w |E|^2) over the aperture kernel's
     blocks, with the order refined per ``quad``."""
-    limit = REACTIVE_LIMIT_FACTOR * arr.aperture_len
+    limit = radiative_floor(arr)
     if tx.dist < limit:
         raise ValueError(
             f"transmitter at {tx.dist:.6g} m is inside the reactive near-field "
@@ -126,7 +133,7 @@ def analytic_gain_rect(eta: float, a: float) -> float:
     parameter a = d_FA/(4 z_eff (1 + eta^2)); a = 0 is the focused limit."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if a < 0:
+    if not a >= 0:
         raise ValueError(f"a must be non-negative, got {a}")
     if a < 1e-12:
         return 1.0
@@ -144,6 +151,8 @@ def analytic_gain_nonbroadside(eta: float, p: float, q: float, q_tilde: float) -
         raise ValueError(f"eta must be positive, got {eta}")
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
+    if not (math.isfinite(q) and math.isfinite(q_tilde)):
+        raise ValueError(f"q and q_tilde must be finite, got {q}, {q_tilde}")
     c1p, s1p = fresnel_cs(p + q_tilde)
     c1m, s1m = fresnel_cs(p - q_tilde)
     c2p, s2p = fresnel_cs(eta * p + q)
@@ -155,8 +164,8 @@ def analytic_gain_nonbroadside(eta: float, p: float, q: float, q_tilde: float) -
 
 def analytic_gain_circ(l: float) -> float:
     """Closed-form circular-aperture gain sinc^2(pi l), l = R^2/(2 lambda z_eff)."""
-    if l < 0:
-        raise ValueError(f"l must be non-negative, got {l}")
+    if not (l >= 0 and math.isfinite(l)):
+        raise ValueError(f"l must be non-negative and finite, got {l}")
     return sinc(math.pi * l) ** 2
 
 
@@ -206,7 +215,9 @@ def disk_gain_exact(circ: CircArray, z: float, focus: float,
     """Quadrature gain over the continuous disk, broadside transmitter:
     radial Gauss-Legendre times angular trapezoid."""
     _check_focus(focus)
-    limit = REACTIVE_LIMIT_FACTOR * 2.0 * circ.radius
+    if not math.isfinite(z):
+        raise ValueError(f"broadside distance must be finite, got {z}")
+    limit = radiative_floor(circ)
     if z < limit:
         raise ValueError(
             f"broadside distance {z:.6g} m is inside the reactive near-field "
@@ -237,8 +248,8 @@ def disk_gain_fresnel(circ: CircArray, z: float, focus: float,
     radial Gauss-Legendre rule remains. This is the construction the
     sinc^2 closed form summarizes, so it validates that algebra."""
     _check_focus(focus)
-    if not z > 0:
-        raise ValueError(f"z must be positive, got {z}")
+    if not (z > 0 and math.isfinite(z)):
+        raise ValueError(f"z must be positive and finite, got {z}")
     lam = circ.wavelength
     nodes, wts = roots_legendre(n_radial)
     rho = 0.5 * circ.radius * (nodes + 1.0)

@@ -14,10 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .array_geometry import RectArray, TxGeometry, characteristic_distances, element_grid
-from .beam_depth import solve_a3db
+from .array_geometry import RectArray, TxGeometry, element_grid
+from .beam_depth import bd_rect, finite_bd_limit_rect
 from .field_model import QuadratureSpec, _element_channels, fresnel_field_nonbroadside
-from .gain_engine import REACTIVE_LIMIT_FACTOR
+from .gain_engine import radiative_floor
 
 _PLAN_EDGE_RTOL = 1e-9
 
@@ -98,10 +98,11 @@ def plan_focal_points(arr: RectArray, region: tuple,
                       max_users: Optional[int] = None) -> PlacementPlan:
     """Greedy far-to-near tiling of a region with half-power intervals.
 
-    Starting from the far edge e, the focal point F = d_FA e/(d_FA + c e)
-    with c = 4 a_3dB (1 + eta^2) has its interval's upper edge exactly at e;
-    its lower edge becomes the next e.  Stops below the near edge or at
-    max_users.
+    The depth law's lower-edge map x -> d_FA x/(d_FA + c x) also takes an
+    upper edge e to the focal point whose interval ends exactly at e, so
+    starting from the far edge, F = bd_rect(arr, e).z_lo and the interval's
+    lower edge bd_rect(arr, F).z_lo becomes the next e.  Stops below the
+    near edge or at max_users.
     """
     z_min, z_max = region
     if math.isnan(z_min) or math.isnan(z_max):
@@ -110,18 +111,15 @@ def plan_focal_points(arr: RectArray, region: tuple,
         raise ValueError("max_users must be at least 1")
     if z_min >= z_max:
         return PlacementPlan((), ())
-    a3 = solve_a3db(arr.eta)
-    dists = characteristic_distances(arr, a3)
-    c = 4.0 * a3 * (1.0 + arr.eta ** 2)
-    if z_min < dists.d_b * (1 - _PLAN_EDGE_RTOL):
+    if z_min < arr.d_b * (1 - _PLAN_EDGE_RTOL):
         raise ValueError("region starts below the boundary distance")
-    if z_max > dists.d_fa / c * (1 + _PLAN_EDGE_RTOL):
+    if z_max > finite_bd_limit_rect(arr) * (1 + _PLAN_EDGE_RTOL):
         raise ValueError("region extends beyond the finite-depth limit")
     focals, intervals = [], []
     e = z_max
     while e > z_min and (max_users is None or len(focals) < max_users):
-        f = dists.d_fa * e / (dists.d_fa + c * e)
-        z_lo = dists.d_fa * f / (dists.d_fa + c * f)
+        f = bd_rect(arr, e).z_lo
+        z_lo = bd_rect(arr, f).z_lo
         focals.append(f)
         intervals.append((z_lo, e))
         e = z_lo
@@ -132,7 +130,7 @@ def _check_users(arr: RectArray, users: Sequence[TxGeometry]):
     if len(users) < 1:
         raise ValueError("at least one user required")
     for k, tx in enumerate(users):
-        if tx.dist < REACTIVE_LIMIT_FACTOR * arr.aperture_len:
+        if tx.dist < radiative_floor(arr):
             raise ValueError(f"user {k} in the reactive near-field "
                              f"(dist {tx.dist:.4g} m)")
 
@@ -199,8 +197,10 @@ def _signal_table(h: ChannelMatrix, w: Precoder,
         raise ValueError("precoder shape does not match channel")
     cross = np.abs(h.entries.conj().T @ w.entries) ** 2
     sig = p * np.diag(cross)
-    interference = cross @ p - p * np.diag(cross)
-    return sig, interference
+    # sum the off-diagonal terms only: subtracting the signal from a full
+    # row sum cancels catastrophically when interference << signal
+    np.fill_diagonal(cross, 0.0)
+    return sig, cross @ p
 
 
 def user_sinrs(h: ChannelMatrix, w: Precoder,

@@ -15,7 +15,6 @@ from nearfield_bd.array_geometry import (
     FixedApertureLength,
     FixedElementDiagonal,
     TxGeometry,
-    characteristic_distances,
     make_rect_array,
     wavelength_from_carrier,
 )
@@ -63,9 +62,8 @@ def square_array(eta=1.0, n=100):
 
 def test_01_exact_gain_tracks_closed_form_broadside():
     arr = square_array(eta=4.0)
-    d = characteristic_distances(arr, solve_a3db(arr.eta))
     focus = 1000 * D_F
-    zs = np.geomspace(d.d_b, 1e4 * D_F, 200)
+    zs = np.geomspace(arr.d_b, 1e4 * D_F, 200)
     prof = gain_profile("exact", arr, zs, focus,
                         quad=QuadratureSpec(order=8, refinement=0), threads=4)
     closed = np.array([rect_gain_broadside(arr, float(z), focus) for z in zs])
@@ -77,12 +75,12 @@ def test_01_exact_gain_tracks_closed_form_broadside():
 def test_02_half_power_argument_and_depth_limit():
     a3 = solve_a3db(1.0)
     arr = square_array()
-    d = characteristic_distances(arr, a3)
+    d_fa, d_b = arr.d_fa, arr.d_b
     limit = finite_bd_limit_rect(arr)
-    rel_limit = abs(limit - d.d_fa / 10) / (d.d_fa / 10)
+    rel_limit = abs(limit - d_fa / 10) / (d_fa / 10)
     # published eta=1 shorthand rounds the coefficient to 10
-    printed = 20 * d.d_fa * d.d_b ** 2 / (d.d_fa ** 2 - 100 * d.d_b ** 2)
-    depth = bd_rect(arr, d.d_b).depth
+    printed = 20 * d_fa * d_b ** 2 / (d_fa ** 2 - 100 * d_b ** 2)
+    depth = bd_rect(arr, d_b).depth
     rel_printed = abs(depth - printed) / printed
     ok = abs(a3 - 1.25) <= 0.01 and rel_limit <= 0.01 and rel_printed <= 0.02
     _report(2, ok,
@@ -99,10 +97,9 @@ def test_03_depth_vs_aspect_ratio_sweeps():
         out = []
         for eta in etas:
             arr = make_rect_array(100, float(eta), sizing, LAM)
-            d = characteristic_distances(arr, solve_a3db(arr.eta))
-            res = bd_rect(arr, d.d_b)
+            res = bd_rect(arr, arr.d_b)
             assert res.status == STATUS_FINITE
-            out.append(res.depth / d.d_f)
+            out.append(res.depth / arr.d_f)
         return np.array(out)
 
     area = sweep(FixedApertureArea(base.aperture_area))
@@ -124,7 +121,7 @@ def test_03_depth_vs_aspect_ratio_sweeps():
 
 def test_04_distance_error_crossing_and_ordering():
     arr = square_array()
-    d_b = characteristic_distances(arr, 1.25).d_b
+    d_b = arr.d_b
 
     def errs(phi):
         tx = TxGeometry(d_b / math.cos(phi), azimuth=phi)
@@ -145,9 +142,8 @@ def test_04_distance_error_crossing_and_ordering():
 def test_05_slanted_closed_form_consistency():
     arr = square_array()
     focus = 1000 * D_F
-    d = characteristic_distances(arr, 1.25)
     worst = 0.0
-    for z in np.geomspace(d.d_b, d.d_fa, 9):
+    for z in np.geomspace(arr.d_b, arr.d_fa, 9):
         a = rect_gain_slanted(arr, TxGeometry(float(z)), focus)
         b = rect_gain_broadside(arr, float(z), focus)
         worst = max(worst, abs(a - b))
@@ -212,8 +208,7 @@ def test_08_depth_ordering_across_shapes():
 
 def test_09_depth_multiplexing_rates():
     arr = make_rect_array(200, 1.0, FixedElementDiagonal(0.5 * LAM), LAM)
-    d = characteristic_distances(arr, solve_a3db(1.0))
-    region = (d.d_b, d.d_fa / 10)
+    region = (arr.d_b, arr.d_fa / 10)
     plan = plan_focal_points(arr, region)
     users = [TxGeometry(f) for f in plan.focal_points]
     h = build_channel_matrix(arr, users)
@@ -271,10 +266,9 @@ def test_10_property_suite():
     for _ in range(20):
         eta = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
         arr = make_rect_array(200, eta, FixedElementDiagonal(0.5 * LAM), LAM)
-        d = characteristic_distances(arr, solve_a3db(arr.eta))
         limit = finite_bd_limit_rect(arr)
-        hi = float(rng.uniform(2.5 * d.d_b, limit))
-        plan = plan_focal_points(arr, (d.d_b, hi))
+        hi = float(rng.uniform(2.5 * arr.d_b, limit))
+        plan = plan_focal_points(arr, (arr.d_b, hi))
         ivs = sorted(plan.intervals)
         for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
             plan_ok &= hi1 <= lo2 * (1 + 1e-9)
@@ -285,8 +279,7 @@ def test_10_property_suite():
     for _ in range(50):
         eta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         arr = make_rect_array(100, eta, FixedApertureLength(25 * LAM), LAM)
-        d_b = characteristic_distances(arr, 1.25).d_b
-        focus = float(rng.uniform(d_b, 0.9 * finite_bd_limit_rect(arr)))
+        focus = float(rng.uniform(arr.d_b, 0.9 * finite_bd_limit_rect(arr)))
         ref = bd_rect(arr, focus)
         grid = np.unique(np.append(
             np.geomspace(0.5 * ref.z_lo, 2 * ref.z_hi, 96), focus))

@@ -13,13 +13,13 @@ from nearfield_bd.array_geometry import (
     FixedElementDiagonal,
     RectArray,
     TxGeometry,
-    characteristic_distances,
     element_center,
     element_grid,
     make_rect_array,
     project_array,
     wavelength_from_carrier,
 )
+from nearfield_bd.beam_depth import finite_bd_limit_rect
 
 LAM = wavelength_from_carrier(3e9)
 
@@ -35,15 +35,12 @@ def test_wavelength_at_3ghz():
 def test_reference_square_array_distances():
     """100x100 grid of quarter-wavelength elements: the worked example."""
     arr = quarter_wave_square()
-    dists = characteristic_distances(arr, a3db=1.25)
     npt.assert_allclose(arr.aperture_len, 25 * LAM, rtol=1e-12)
-    npt.assert_allclose(dists.d_f, LAM / 8, rtol=1e-12)
-    npt.assert_allclose(dists.d_fa, 1250 * LAM, rtol=1e-12)
-    npt.assert_allclose(dists.d_b, 50 * LAM, rtol=1e-12)
-    npt.assert_allclose(dists.d_b, 400 * dists.d_f, rtol=1e-12)
-    npt.assert_allclose(dists.bd_limit, dists.d_fa / 10, rtol=1e-12)
-    npt.assert_allclose(dists.d_fa, arr.n_elements * dists.d_f, rtol=1e-12)
-    assert (arr.d_f, arr.d_fa, arr.d_b) == (dists.d_f, dists.d_fa, dists.d_b)
+    npt.assert_allclose(arr.d_f, LAM / 8, rtol=1e-12)
+    npt.assert_allclose(arr.d_fa, 1250 * LAM, rtol=1e-12)
+    npt.assert_allclose(arr.d_b, 50 * LAM, rtol=1e-12)
+    npt.assert_allclose(arr.d_b, 400 * arr.d_f, rtol=1e-12)
+    npt.assert_allclose(arr.d_fa, arr.n_elements * arr.d_f, rtol=1e-12)
 
 
 @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0, 2.0, 4.0, 10.0])
@@ -114,12 +111,12 @@ def test_element_center_bounds():
 
 
 def test_bd_limit_scale_invariance():
-    """bd_limit/d_F at fixed grid and eta does not depend on wavelength."""
+    """The finite-depth limit over d_F at fixed grid and eta does not depend
+    on wavelength."""
     ratios = []
     for lam in [0.01, 0.1, 1.0]:
         arr = make_rect_array(50, 2.0, FixedElementDiagonal(lam / 4), lam)
-        d = characteristic_distances(arr, a3db=1.24)
-        ratios.append(d.bd_limit / d.d_f)
+        ratios.append(finite_bd_limit_rect(arr) / arr.d_f)
     npt.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
 

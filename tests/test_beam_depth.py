@@ -11,7 +11,6 @@ from nearfield_bd.array_geometry import (
     FixedApertureArea,
     FixedApertureLength,
     FixedElementDiagonal,
-    characteristic_distances,
     make_rect_array,
     wavelength_from_carrier,
 )
@@ -106,8 +105,9 @@ def test_a3db_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             solve_a3db(bad)
-    with pytest.raises(ValueError):
-        solve_a3db(1.0, tol=-1e-9)
+    for tol in (-1e-9, math.nan):
+        with pytest.raises(ValueError):
+            solve_a3db(1.0, tol=tol)
     # eta = 1e7 puts the whole bracket under analytic_gain_rect's a < 1e-12
     # cut, where the gain reads 1: a numerical failure, not a bad input.
     with pytest.raises(RuntimeError, match="bracketing failure"):
@@ -116,7 +116,7 @@ def test_a3db_validation():
 
 def test_bd_rect_square_preset():
     arr = square_array()
-    d_b = characteristic_distances(arr, 1.25).d_b
+    d_b = arr.d_b
     res = bd_rect(arr, d_b)
     assert res.status == STATUS_FINITE
     assert res.within_validity
@@ -175,15 +175,13 @@ def test_bd_rect_carrier_invariance_in_df_units():
     for fc in (3e9, 28e9):
         lam = wavelength_from_carrier(fc)
         arr = make_rect_array(100, 1.0, FixedElementDiagonal(lam / 4), lam)
-        d = characteristic_distances(arr, 1.25)
-        ratios.append(bd_rect(arr, d.d_b).depth / d.d_f)
+        ratios.append(bd_rect(arr, arr.d_b).depth / arr.d_f)
     npt.assert_allclose(ratios[0], ratios[1], rtol=1e-9)
 
 
 def test_finite_limit_square():
     arr = square_array()
-    d_fa = characteristic_distances(arr, 1.25).d_fa
-    npt.assert_allclose(finite_bd_limit_rect(arr), d_fa / 10, rtol=0.01)
+    npt.assert_allclose(finite_bd_limit_rect(arr), arr.d_fa / 10, rtol=0.01)
 
 
 def test_finite_limit_symmetry_fixed_area():
@@ -210,8 +208,7 @@ def test_fixed_area_depth_ratio():
     rel = {}
     for eta in (1.0, 0.1):
         arr = make_rect_array(100, eta, FixedApertureArea(area), LAM)
-        d = characteristic_distances(arr, 1.25)
-        rel[eta] = bd_rect(arr, d.d_b).depth / d.d_f
+        rel[eta] = bd_rect(arr, arr.d_b).depth / arr.d_f
     ratio = rel[0.1] / rel[1.0]
     assert 1 / 11 < ratio < 1 / 8
 
@@ -276,9 +273,8 @@ def test_numeric_matches_closed_form_random_configs():
     for _ in range(50):
         eta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         arr = make_rect_array(100, eta, FixedApertureLength(25 * LAM), LAM)
-        d_b = characteristic_distances(arr, 1.25).d_b
         limit = finite_bd_limit_rect(arr)
-        focus = float(rng.uniform(d_b, 0.9 * limit))
+        focus = float(rng.uniform(arr.d_b, 0.9 * limit))
         ref = bd_rect(arr, focus)
         grid = np.geomspace(0.5 * ref.z_lo, 2 * ref.z_hi, 96)
         grid = np.unique(np.append(grid, focus))

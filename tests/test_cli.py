@@ -9,7 +9,6 @@ import pytest
 from nearfield_bd import __version__
 from nearfield_bd.array_geometry import (
     FixedElementDiagonal,
-    characteristic_distances,
     make_rect_array,
     wavelength_from_carrier,
 )
@@ -65,7 +64,7 @@ def read_rows(path):
 
 def tiny_d_f():
     arr = make_rect_array(8, 1.0, FixedElementDiagonal(0.025), LAM)
-    return characteristic_distances(arr, 1.25).d_f
+    return arr.d_f
 
 
 def test_presets_command_lists_everything(capsys):
@@ -162,10 +161,19 @@ def test_gain_profile_config_writes_one_file_per_kind(tmp_path):
         assert za == ze
 
 
-def test_gain_profile_clamps_reactive_points(tmp_path, capsys):
+@pytest.mark.parametrize("experiment, geometry, floor, d_f", [
+    ("gain-profile", TINY_GEOM,
+     1.2 * make_rect_array(8, 1.0, FixedElementDiagonal(0.025), LAM).aperture_len,
+     tiny_d_f()),
+    # circular apertures: 1.2 x the diameter; d_F of the default lambda/4
+    # reference element
+    ("circular-gain", CIRC_GEOM, 1.2 * (2 * 0.5), LAM / 8),
+], ids=["gain-profile", "circular-gain"])
+def test_gain_profile_clamps_reactive_points(tmp_path, capsys, experiment,
+                                             geometry, floor, d_f):
     cfg = {
-        "geometry": TINY_GEOM,
-        "experiment": "gain-profile",
+        "geometry": geometry,
+        "experiment": experiment,
         "sweep": {"z_min": "0.1 m", "z_max": "4 m", "n_points": 12,
                   "spacing": "log", "focus": "2 m", "kinds": ["exact"],
                   "quad_order": 4, "refinement": 0},
@@ -174,12 +182,10 @@ def test_gain_profile_clamps_reactive_points(tmp_path, capsys):
     assert run_cli("run", "--config", write_config(tmp_path, cfg),
                    "--out", str(out)) == 0
     _, rows = read_rows(out)
-    floor = 1.2 * make_rect_array(8, 1.0, FixedElementDiagonal(0.025),
-                                  LAM).aperture_len
     assert 0 < len(rows) < 12
-    assert all(float(r[0]) * tiny_d_f() >= floor * (1 - 1e-12) for r in rows)
+    assert all(float(r[0]) * d_f >= floor * (1 - 1e-12) for r in rows)
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"gain-profile: kind 'exact': dropped {12 - len(rows)} of "
+    assert err == [f"{experiment}: kind 'exact': dropped {12 - len(rows)} of "
                    f"12 points below the radiative floor {floor!r} m"]
 
 

@@ -7,7 +7,6 @@ import pytest
 from nearfield_bd.array_geometry import (
     FixedElementDiagonal,
     TxGeometry,
-    characteristic_distances,
     element_center,
     make_rect_array,
     wavelength_from_carrier,
@@ -38,7 +37,7 @@ def reference_array():
 
 
 def d_b(arr):
-    return characteristic_distances(arr, 1.25).d_b
+    return arr.d_b
 
 
 def test_exact_field_on_axis():

@@ -11,7 +11,6 @@ from nearfield_bd.array_geometry import (
     FixedApertureLength,
     FixedElementDiagonal,
     TxGeometry,
-    characteristic_distances,
     make_rect_array,
     wavelength_from_carrier,
 )
@@ -68,6 +67,11 @@ def test_analytic_rect_limits():
         analytic_gain_rect(0.0, 1.0)
     with pytest.raises(ValueError):
         analytic_gain_rect(1.0, -0.5)
+    with pytest.raises(ValueError):
+        analytic_gain_rect(1.0, math.nan)
+    for q, q_tilde in [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)]:
+        with pytest.raises(ValueError):
+            analytic_gain_nonbroadside(1.0, 0.8, q, q_tilde)
 
 
 def test_aspect_ratio_symmetry():
@@ -134,13 +138,14 @@ def test_analytic_circ_values():
         assert abs(analytic_gain_circ(float(k))) < 1e-30
     peak = max(np.linspace(1.0, 2.0, 20001), key=analytic_gain_circ)
     assert abs(peak - 1.4303) < 1e-3
-    with pytest.raises(ValueError):
-        analytic_gain_circ(-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            analytic_gain_circ(bad)
 
 
 def test_exact_gain_perfect_focus():
     arr = square_array()
-    d_b = characteristic_distances(arr, 1.25).d_b
+    d_b = arr.d_b
     g = exact_array_gain(arr, TxGeometry(d_b), d_b, FAST_QUAD)
     assert g >= 0.99
     g_steer = exact_array_gain_steered(arr, TxGeometry(d_b), d_b, FAST_QUAD)
@@ -150,7 +155,7 @@ def test_exact_gain_perfect_focus():
 
 def test_far_field_filter_loses_gain():
     arr = square_array()
-    d_b = characteristic_distances(arr, 1.25).d_b
+    d_b = arr.d_b
     g_far = exact_array_gain(arr, TxGeometry(d_b), math.inf, FAST_QUAD)
     assert g_far < 0.05
 
@@ -199,8 +204,13 @@ def test_reactive_near_field_rejected():
         exact_array_gain_steered(arr, TxGeometry(29 * LAM), 50 * LAM)
     with pytest.raises(ValueError):
         exact_array_gain(arr, TxGeometry(50 * LAM), -2.0)
-    with pytest.raises(ValueError):
-        disk_gain_exact(CircArray(12.5 * LAM, LAM), 29 * LAM, 50 * LAM)
+    circ = CircArray(12.5 * LAM, LAM)
+    for z in (29 * LAM, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            disk_gain_exact(circ, z, 50 * LAM)
+    for z in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            disk_gain_fresnel(circ, z, 50 * LAM)
 
 
 def test_single_element_matches_antenna_gain():
@@ -245,7 +255,7 @@ def test_discrepancy_shrinks_with_distance():
     """|exact - analytic| averaged over the near half of [d_B, 10 d_B]
     dominates the far half."""
     arr = square_array()
-    d_b = characteristic_distances(arr, 1.25).d_b
+    d_b = arr.d_b
     focus = 4 * d_b
     zs = np.geomspace(d_b, 10 * d_b, 16)
     diffs = [abs(exact_array_gain(arr, TxGeometry(z), focus, FAST_QUAD)

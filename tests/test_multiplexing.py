@@ -8,11 +8,10 @@ from nearfield_bd.array_geometry import (
     FixedApertureLength,
     FixedElementDiagonal,
     TxGeometry,
-    characteristic_distances,
     make_rect_array,
     wavelength_from_carrier,
 )
-from nearfield_bd.beam_depth import solve_a3db
+from nearfield_bd.beam_depth import bd_rect, finite_bd_limit_rect
 from nearfield_bd.field_model import QuadratureSpec, element_channel
 from nearfield_bd.multiplexing import (
     ChannelMatrix,
@@ -42,8 +41,7 @@ def wide_array(eta=1.0, sizing=None):
 
 
 def wide_region(arr):
-    d = characteristic_distances(arr, solve_a3db(arr.eta))
-    return (d.d_b, d.d_fa / 10)
+    return (arr.d_b, arr.d_fa / 10)
 
 
 def planned_setup(snr_db=25.0):
@@ -74,7 +72,7 @@ def test_plan_covers_reference_focal_points():
     interval of the greedy plan."""
     arr = wide_array()
     plan = plan_focal_points(arr, wide_region(arr))
-    d_fa = characteristic_distances(arr, 1.25).d_fa
+    d_fa = arr.d_fa
     hits = []
     for f in [d_fa / 20, d_fa / 40, d_fa / 60, d_fa / 80, d_fa / 100]:
         inside = [i for i, (lo, hi) in enumerate(plan.intervals) if lo <= f <= hi]
@@ -88,10 +86,8 @@ def test_plan_disjointness_random_configs():
     for _ in range(20):
         eta = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
         arr = make_rect_array(100, eta, FixedApertureLength(25 * LAM), LAM)
-        d = characteristic_distances(arr, solve_a3db(eta))
-        c = 4 * solve_a3db(eta) * (1 + eta ** 2)
-        limit = d.d_fa / c
-        z_min = float(rng.uniform(d.d_b, 0.3 * limit + 0.7 * d.d_b))
+        limit = finite_bd_limit_rect(arr)
+        z_min = float(rng.uniform(arr.d_b, 0.3 * limit + 0.7 * arr.d_b))
         z_max = float(rng.uniform(z_min * 1.5, 0.95 * limit))
         plan = plan_focal_points(arr, (z_min, z_max))
         assert len(plan) >= 1
@@ -100,6 +96,10 @@ def test_plan_disjointness_random_configs():
             assert hi <= lo * (1 + 1e-9)
         for f, (lo, hi) in zip(plan.focal_points, plan.intervals):
             assert lo < f < hi
+            # each interval is the closed-form depth interval of its focus
+            res = bd_rect(arr, f)
+            assert lo == res.z_lo
+            assert hi == pytest.approx(res.z_hi, rel=1e-12)
 
 
 def test_plan_empty_and_max_users():
