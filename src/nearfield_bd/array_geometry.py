@@ -116,6 +116,10 @@ class CircArray:
         """Diameter of the disk."""
         return 2.0 * self.radius
 
+    @property
+    def aperture_area(self) -> float:
+        return math.pi * self.radius ** 2
+
 
 @dataclass(frozen=True)
 class TxGeometry:

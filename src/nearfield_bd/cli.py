@@ -56,8 +56,8 @@ from .multiplexing import (
 
 DEFAULT_SEED = 12345
 
-_LEN_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(m|dF)\s*$")
-_AREA_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(m2)\s*$")
+_LEN_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(m|dF)\s*$")
+_AREA_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(m2)\s*$")
 
 
 class ConfigError(Exception):
@@ -94,10 +94,24 @@ def _finite(num, value, field):
     return num
 
 
+def _number(value, field, kind=float):
+    """``kind(value)``, which must be a finite number; else a ConfigError."""
+    try:
+        return _finite(kind(value), value, field)
+    except (TypeError, ValueError, OverflowError):
+        return _finite(math.nan, value, field)
+
+
 def _require(cfg, key, section):
     if key not in cfg:
         raise ConfigError(f"missing required field {section}.{key}")
     return cfg[key]
+
+
+def _get(cfg, key, default=None, kind=float, section="sweep"):
+    """Number at ``section.key``, ``default`` if absent (required if None)."""
+    value = _require(cfg, key, section) if default is None else cfg.get(key, default)
+    return _number(value, f"{section}.{key}", kind)
 
 
 def _sizing_from_config(scfg):
@@ -115,34 +129,28 @@ def _sizing_from_config(scfg):
 def build_geometry(gcfg):
     """Returns (geometry object, reference d_F for unit conversion)."""
     kind = gcfg.get("kind", "rect")
-    carrier = _require(gcfg, "carrier_hz", "geometry")
-    lam = wavelength_from_carrier(float(carrier))
-    if kind == "rect":
-        n = int(_require(gcfg, "n_per_side", "geometry"))
-        eta = float(_require(gcfg, "eta", "geometry"))
-        sizing = _sizing_from_config(_require(gcfg, "sizing", "geometry"))
-        try:
-            arr = make_rect_array(n, eta, sizing, lam)
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"geometry: {err}") from err
-        return arr, arr.d_f
-    if kind == "circ":
+    if kind not in ("rect", "circ"):
+        raise ConfigError(f"unknown geometry kind {kind!r}")
+    try:
+        lam = wavelength_from_carrier(_get(gcfg, "carrier_hz", section="geometry"))
+        if kind == "rect":
+            sizing = _sizing_from_config(_require(gcfg, "sizing", "geometry"))
+            arr = make_rect_array(_get(gcfg, "n_per_side", None, int, "geometry"),
+                                  _get(gcfg, "eta", section="geometry"), sizing, lam)
+            return arr, arr.d_f
         radius = parse_length(_require(gcfg, "radius", "geometry"), math.nan,
                               "geometry.radius")
         ref_diag = gcfg.get("ref_elem_diag")
         diag = (parse_length(ref_diag, math.nan, "geometry.ref_elem_diag")
                 if ref_diag is not None else lam / 4)
-        try:
-            circ = CircArray(radius, lam)
-        except ValueError as err:
-            raise ConfigError(f"geometry: {err}") from err
-        return circ, 2.0 * diag ** 2 / lam
-    raise ConfigError(f"unknown geometry kind {kind!r}")
+        return CircArray(radius, lam), 2.0 * diag ** 2 / lam
+    except ValueError as err:
+        raise ConfigError(f"geometry: {err}") from err
 
 
 def _count(sweep, key, default=None):
     """Positive integer sweep field; required when no default is given."""
-    n = int(_require(sweep, key, "sweep") if default is None else sweep.get(key, default))
+    n = _get(sweep, key, default, int)
     if n < 1:
         raise ConfigError(f"sweep.{key} must be at least 1")
     return n
@@ -171,18 +179,17 @@ def _log_spacing(sweep):
 def _scalar_grid(sweep, lo_key, hi_key, values_key):
     """Listed values, else n_points evenly spaced from lo to hi."""
     if values_key in sweep:
-        vals = [float(v) for v in sweep[values_key]]
-        if not vals:
-            raise ConfigError(f"sweep.{values_key} is empty")
-        return np.asarray(vals)
-    lo = float(_require(sweep, lo_key, "sweep"))
-    hi = float(_require(sweep, hi_key, "sweep"))
+        vals = sweep[values_key]
+        if not isinstance(vals, list) or not vals:
+            raise ConfigError(f"sweep.{values_key} must be a non-empty list")
+        return np.array([_number(v, f"sweep.{values_key}") for v in vals])
+    lo, hi = _get(sweep, lo_key), _get(sweep, hi_key)
     return np.linspace(lo, hi, _count(sweep, "n_points"))
 
 
 def _eta_grid(sweep):
     etas = _scalar_grid(sweep, "eta_min", "eta_max", "eta_values")
-    if np.any(etas <= 0):
+    if not np.all(etas > 0):
         raise ConfigError("eta values must be positive")
     if _log_spacing(sweep) and "eta_values" not in sweep:
         etas = np.geomspace(etas.min(), etas.max(), len(etas))
@@ -207,8 +214,8 @@ def write_csv(path, experiment, preset, header, rows):
 
 
 def _quad(ctx):
-    return QuadratureSpec(order=int(ctx.sweep.get("quad_order", 8)),
-                          refinement=int(ctx.sweep.get("refinement", 1)))
+    return QuadratureSpec(order=_get(ctx.sweep, "quad_order", 8, int),
+                          refinement=_get(ctx.sweep, "refinement", 1, int))
 
 
 def _profile_rows(ctx, kind):
@@ -225,8 +232,8 @@ def _profile_rows(ctx, kind):
               f"{grid.size} points below the radiative floor {floor!r} m",
               file=sys.stderr)
     prof = gain_profile(kind, ctx.geometry, pts, focus,
-                        azimuth=float(ctx.sweep.get("azimuth", 0.0)),
-                        elevation=float(ctx.sweep.get("elevation", 0.0)),
+                        azimuth=_get(ctx.sweep, "azimuth", 0.0),
+                        elevation=_get(ctx.sweep, "elevation", 0.0),
                         quad=_quad(ctx), threads=ctx.threads)
     return [(z / ctx.d_f, g) for z, g in zip(prof.distances, prof.gains)]
 
@@ -330,8 +337,8 @@ def _region(ctx):
 
 def _plan_rows(ctx, _):
     max_users = ctx.sweep.get("max_users")
-    plan = plan_focal_points(ctx.geometry, _region(ctx),
-                             None if max_users is None else int(max_users))
+    plan = plan_focal_points(ctx.geometry, _region(ctx), None if max_users is None
+                             else _number(max_users, "sweep.max_users", int))
     return [(k + 1, f / ctx.d_f, lo / ctx.d_f, hi / ctx.d_f)
             for k, (f, (lo, hi)) in enumerate(zip(plan.focal_points,
                                                   plan.intervals))]
@@ -362,10 +369,10 @@ def _rate_snr_rows(ctx, _):
 
 
 def _rate_users_rows(ctx, _):
-    k_lo, k_hi = int(ctx.sweep.get("k_min", 1)), int(ctx.sweep.get("k_max", 8))
+    k_lo, k_hi = _get(ctx.sweep, "k_min", 1, int), _get(ctx.sweep, "k_max", 8, int)
     if not 1 <= k_lo <= k_hi:
         raise ConfigError("sweep requires 1 <= k_min <= k_max")
-    snr = float(ctx.sweep.get("snr_db", 25.0))
+    snr = _get(ctx.sweep, "snr_db", 25.0)
     n_trials = _count(ctx.sweep, "n_trials", 500)
     region = _region(ctx)
 
@@ -377,7 +384,7 @@ def _rate_users_rows(ctx, _):
 
 
 def _rate_eta_rows(ctx, _):
-    snr = float(ctx.sweep.get("snr_db", 25.0))
+    snr = _get(ctx.sweep, "snr_db", 25.0)
     mode = ctx.sweep.get("sizing_mode", "aperture-length")
     region = _region(ctx)
 
@@ -399,11 +406,11 @@ def _rate_eta_rows(ctx, _):
 
 def _rate_phi_rows(ctx, _):
     phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "phi_values")
-    snr = float(ctx.sweep.get("snr_db", 25.0))
+    snr = _get(ctx.sweep, "snr_db", 25.0)
     region = _region(ctx)
     k_users = ctx.sweep.get("k_users")
-    plan = plan_focal_points(ctx.geometry, region,
-                             max_users=None if k_users is None else int(k_users))
+    plan = plan_focal_points(ctx.geometry, region, max_users=None if k_users is None
+                             else _number(k_users, "sweep.k_users", int))
 
     def one(phi):
         phi = float(phi)
@@ -615,11 +622,8 @@ def resolve_threads(args, cfg):
         return args.threads
     env = os.environ.get("NEARFIELD_BD_THREADS")
     if env:
-        try:
-            return int(env)
-        except ValueError as err:
-            raise ConfigError(f"NEARFIELD_BD_THREADS: {err}") from err
-    return int(cfg.get("threads", 1))
+        return _number(env, "NEARFIELD_BD_THREADS", int)
+    return _number(cfg.get("threads", 1), "threads", int)
 
 
 def cmd_run(args):
@@ -634,8 +638,8 @@ def cmd_run(args):
     sweep = cfg.get("sweep", {})
     if not isinstance(sweep, dict):
         raise ConfigError("sweep must be an object")
-    seed = int(args.seed if args.seed is not None
-               else cfg.get("seed", DEFAULT_SEED))
+    seed = _number(args.seed if args.seed is not None
+                   else cfg.get("seed", DEFAULT_SEED), "seed", int)
     out = args.out or cfg.get("output") or f"{args.preset or experiment}.csv"
     ctx = SimpleNamespace(geometry=geometry, d_f=d_f, sweep=sweep, experiment=experiment,
                           preset=args.preset or "custom", seed=seed,

@@ -4,8 +4,8 @@ The exact spherical-wave field, its Fresnel (quadratic-phase)
 approximations for broadside and slanted transmitters, the matched-filter
 phase used to focus the aperture, per-element channel responses, and the
 Taylor distance-approximation error diagnostics used to compare the direct
-and indirect expansions.  Exact gains and channels all reduce over the
-blocks of one aperture kernel, ``_aperture_blocks``.
+and indirect expansions.  Exact gains and channels reduce over the node blocks
+of ``_aperture_blocks`` or ``_disk_blocks``, which share ``_spherical_wave``.
 
 Fields are only ever used in ratios, so the source amplitude is fixed at 1;
 the 1/sqrt(4*pi) prefactor is kept so values match the underlying spherical
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from .array_geometry import RectArray, TxGeometry, element_center, element_grid
+from .array_geometry import CircArray, RectArray, TxGeometry, element_center, element_grid
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
@@ -32,8 +32,8 @@ _BLOCK_NODES = 1 << 18
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Per-element tensor Gauss-Legendre rule of 2*order points per side, and
-    how many more times the order may double until two successive results agree."""
+    """Exact-field rules (``_aperture_blocks``, ``_disk_blocks``) evaluated at 2*order,
+    and how many more times the order may double until two successive results agree."""
 
     order: int = 8
     refinement: int = 1
@@ -45,15 +45,19 @@ class QuadratureSpec:
             raise ValueError(f"refinement must be >= 0, got {self.refinement}")
 
 
-def _spherical_wave(tx: TxGeometry, x, y, wavelength: float):
-    """Amplitude and phase of the exact field at aperture points (x, y, 0)."""
+def _spherical_wave(tx: TxGeometry, x, y, wavelength: float, focus_phase=None):
+    """Exact-field amplitude at (x, y, 0), and the field times e^{j focus_phase(x, y)}."""
     dx2 = (x - tx.x) ** 2
     z = tx.z
     r2 = dx2 + (y - tx.y) ** 2 + z * z
     if np.any(r2 == 0.0):
         raise ValueError("transmitter lies in the aperture plane at this point")
     amp = np.sqrt(z * (dx2 + z * z)) / (SQRT_4PI * r2 ** 1.25)
-    return amp, -2.0 * np.pi / wavelength * np.sqrt(r2)
+    phase = -2.0 * np.pi / wavelength * np.sqrt(r2)
+    del r2  # one grid-sized array fewer alive next to the complex ones below
+    if focus_phase is not None:
+        phase += focus_phase(x, y)
+    return amp, amp * np.exp(1j * phase)
 
 
 def exact_field(tx: TxGeometry, x, y, wavelength: float):
@@ -62,29 +66,21 @@ def exact_field(tx: TxGeometry, x, y, wavelength: float):
     Amplitude sqrt(z*((x-x_t)^2 + z^2)) / (sqrt(4 pi) * rho^(5/2)) with rho
     the Euclidean distance; the phase is exactly -(2 pi / lambda) * rho.
     """
-    amp, phase = _spherical_wave(tx, np.asarray(x, dtype=float),
-                                 np.asarray(y, dtype=float), wavelength)
-    return amp * np.exp(1j * phase)
+    return _spherical_wave(tx, np.asarray(x, dtype=float),
+                           np.asarray(y, dtype=float), wavelength)[1]
 
 
 def fresnel_field_broadside(z: float, x, y, wavelength: float):
     """Quadratic-phase approximation for a transmitter at (0, 0, z):
     constant amplitude 1/(sqrt(4 pi) z), phase -(2 pi/lambda)(z + (x^2+y^2)/2z)."""
-    if not z > 0:
-        raise ValueError(f"z must be positive, got {z}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    phase = z + (x * x + y * y) / (2.0 * z)
-    return np.exp(-2j * np.pi / wavelength * phase) / (SQRT_4PI * z)
+    return fresnel_field_nonbroadside(TxGeometry(z), x, y, wavelength)
 
 
 def fresnel_field_nonbroadside(tx: TxGeometry, x, y, wavelength: float):
     """Quadratic-phase approximation for a slanted transmitter: phase from
     d + (x^2 + y^2 - 2(x x_t + y y_t))/(2d), amplitude 1/(sqrt(4 pi) z)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = tx.dist
-    phase = d + (x * x + y * y - 2.0 * (x * tx.x + y * tx.y)) / (2.0 * d)
+    phase = _TAYLOR["indirect"](np.asarray(x, dtype=float),
+                                np.asarray(y, dtype=float), tx)
     return np.exp(-2j * np.pi / wavelength * phase) / (SQRT_4PI * tx.z)
 
 
@@ -98,9 +94,15 @@ def matched_filter_phase(focus: float, x, y, wavelength: float):
         return np.ones(shape) if shape else 1.0 + 0.0j
     if not focus > 0:
         raise ValueError(f"focal distance must be positive, got {focus}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.exp(2j * np.pi / wavelength * (x * x + y * y) / (2.0 * focus))
+    phase = _broadside_focus(wavelength, focus)
+    return np.exp(1j * phase(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+
+
+def _broadside_focus(wavelength: float, focus: float):
+    """Focusing phase (x, y) -> (2 pi/lambda)(x^2+y^2)/(2F); None when F = inf."""
+    if math.isinf(focus):
+        return None
+    return lambda x, y: np.pi / wavelength * (x * x + y * y) / focus
 
 
 def _aperture_blocks(arr: RectArray, xc, yc, tx: TxGeometry, order: int,
@@ -108,20 +110,28 @@ def _aperture_blocks(arr: RectArray, xc, yc, tx: TxGeometry, order: int,
     """Exact field on the per-element Gauss-Legendre grid of the elements
     centred at xc (rows) by yc (columns), in blocks of whole element rows.
 
-    Yields the block's row and column node weights, the field amplitude and
-    the field times e^{j focus_phase(gx, gy)} on its node grid; the focusing
-    phase is added before the one complex exponential."""
+    Yields the block's row and column node weights and ``_spherical_wave``'s
+    amplitude and focused field on its node grid."""
     nodes, wts = roots_legendre(order)
     gy = (yc[:, None] + 0.5 * arr.elem_h * nodes).ravel()
     wy = np.tile(0.5 * arr.elem_h * wts, len(yc))
     rows = max(1, _BLOCK_NODES // (order * gy.size))
     for i in range(0, len(xc), rows):
         gx = (xc[i:i + rows, None] + 0.5 * arr.elem_w * nodes).ravel()
-        amp, phase = _spherical_wave(tx, gx[:, None], gy, arr.wavelength)
-        if focus_phase is not None:
-            phase += focus_phase(gx, gy)
         wx = np.tile(0.5 * arr.elem_w * wts, gx.size // order)
-        yield wx, wy, amp, amp * np.exp(1j * phase)
+        yield (wx, wy, *_spherical_wave(tx, gx[:, None], gy, arr.wavelength,
+                                        focus_phase))
+
+
+def _disk_blocks(circ: CircArray, tx: TxGeometry, order: int, focus_phase):
+    """One polar block over the disk, yielded as by ``_aperture_blocks``: 6*order
+    Gauss-Legendre radii (weights carry the rho Jacobian) by order trapezoid angles."""
+    nodes, wts = roots_legendre(6 * order)
+    rho = 0.5 * circ.radius * (nodes + 1.0)
+    theta = np.linspace(0.0, 2.0 * np.pi, order, endpoint=False)
+    x, y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
+    yield (0.5 * circ.radius * wts * rho, np.full(order, 2.0 * np.pi / order),
+           *_spherical_wave(tx, x, y, circ.wavelength, focus_phase))
 
 
 def _refined(evaluate, quad: QuadratureSpec, agree):

@@ -1,19 +1,19 @@
 """Normalized array gain in the radiative near-field.
 
-Exact gains reduce the spherical-wave field over the aperture, times a
-focusing filter, over the blocks of ``field_model``'s aperture kernel;
-closed-form gains evaluate the Fresnel-integral expressions for
-rectangular apertures (broadside and slanted transmitters) and the sinc^2
-expression for circular apertures. ``run_sweep`` evaluates any sweep point
-by point, optionally threaded, and aggregates per-point failures;
-``gain_profile`` uses it over distance grids.
+Exact gains, rectangular or disk, reduce the spherical-wave field over the
+aperture, times a focusing filter, over ``field_model``'s node blocks in one
+kernel with one convergence check; closed-form gains evaluate the
+Fresnel-integral expressions for rectangular apertures (broadside and
+slanted transmitters) and the sinc^2 expression for circular apertures.
+``run_sweep`` evaluates any sweep point by point, optionally threaded, and
+aggregates per-point failures; ``gain_profile`` uses it over distance grids.
 
-Two focusing conventions are provided. ``exact_array_gain`` injects the
-broadside quadratic phase e^{+j(2 pi/lambda)(x^2+y^2)/(2F)}, which is what
-the closed forms approximate. ``exact_array_gain_steered`` conjugates the
-true propagation phase toward the point at range F along the transmitter
-ray, which is the natural reference when the array steers at a slanted
-user; the projected-array approximation targets this quantity.
+Two focusing conventions are provided. ``exact_array_gain`` and
+``disk_gain_exact`` inject the broadside quadratic phase
+e^{+j(2 pi/lambda)(x^2+y^2)/(2F)} that the closed forms approximate;
+``exact_array_gain_steered`` conjugates the true propagation phase toward
+the point at range F along the transmitter ray, the natural reference when
+the array steers at a slanted user, which the projected array approximates.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .array_geometry import (
     element_grid,
     project_array,
 )
-from .field_model import SQRT_4PI, QuadratureSpec, _aperture_blocks, _refined
+from .field_model import (QuadratureSpec, _aperture_blocks, _broadside_focus,
+                          _disk_blocks, _refined)
 from .fresnel_core import fresnel_cs, sinc
 
 REACTIVE_LIMIT_FACTOR = 1.2
@@ -79,36 +80,38 @@ def _check_focus(focus: float):
         raise ValueError(f"focal distance must be positive or inf, got {focus}")
 
 
-def _aperture_gain(arr: RectArray, tx: TxGeometry, focus: float,
-                   quad: QuadratureSpec, phase) -> float:
-    """|sum w E e^{j phase}|^2 / (A sum w |E|^2) over the aperture kernel's
-    blocks, with the order refined per ``quad``."""
-    limit = radiative_floor(arr)
+def _aperture_gain(geometry, tx: TxGeometry, focus: float,
+                   quad: QuadratureSpec, blocks) -> float:
+    """|sum w E e^{j phase}|^2 / (A sum w |E|^2) over the node blocks that
+    ``blocks(order)`` yields, with the order refined per ``quad``."""
+    limit = radiative_floor(geometry)
     if tx.dist < limit:
         raise ValueError(
             f"transmitter at {tx.dist:.6g} m is inside the reactive near-field "
             f"boundary {limit:.6g} m (1.2 x aperture length)")
     _check_focus(focus)
-    xc, yc = element_grid(arr)
 
     def gain(order):
         num = den = 0.0
-        for wx, wy, amp, field in _aperture_blocks(arr, xc, yc, tx, order, phase):
+        for wx, wy, amp, field in blocks(order):
             num += wx @ field @ wy
             den += wx @ (amp * amp) @ wy
-        return abs(num) ** 2 / (arr.aperture_area * den)
+        return abs(num) ** 2 / (geometry.aperture_area * den)
 
     return float(_refined(gain, quad, lambda g, g2: abs(g2 - g) <= _GAIN_REFINE_ATOL))
+
+
+def _rect_gain(arr: RectArray, tx: TxGeometry, focus: float,
+               quad: QuadratureSpec, phase) -> float:
+    xc, yc = element_grid(arr)
+    return _aperture_gain(arr, tx, focus, quad,
+                          lambda order: _aperture_blocks(arr, xc, yc, tx, order, phase))
 
 
 def exact_array_gain(arr: RectArray, tx: TxGeometry, focus: float,
                      quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Gain with the broadside quadratic focusing phase toward (0, 0, F)."""
-    def focus_phase(gx, gy):
-        return np.pi / arr.wavelength * ((gx * gx)[:, None] + gy * gy) / focus
-
-    return _aperture_gain(arr, tx, focus, quad,
-                          None if math.isinf(focus) else focus_phase)
+    return _rect_gain(arr, tx, focus, quad, _broadside_focus(arr.wavelength, focus))
 
 
 def exact_array_gain_steered(arr: RectArray, tx: TxGeometry, focus: float,
@@ -117,15 +120,15 @@ def exact_array_gain_steered(arr: RectArray, tx: TxGeometry, focus: float,
     range F along the transmitter ray (steered focusing)."""
     ux, uy, uz = tx.x / tx.dist, tx.y / tx.dist, tx.z / tx.dist
 
-    def focus_phase(gx, gy):
+    def focus_phase(x, y):
         if math.isinf(focus):
             # plane wave arriving from the ray direction
-            return -(2.0 * np.pi / arr.wavelength) * ((gx * ux)[:, None] + gy * uy)
+            return -(2.0 * np.pi / arr.wavelength) * (x * ux + y * uy)
         fx, fy, fz = focus * ux, focus * uy, focus * uz
-        rho = np.sqrt(((gx - fx) ** 2)[:, None] + (gy - fy) ** 2 + fz * fz)
+        rho = np.sqrt((x - fx) ** 2 + (y - fy) ** 2 + fz * fz)
         return (2.0 * np.pi / arr.wavelength) * rho
 
-    return _aperture_gain(arr, tx, focus, quad, focus_phase)
+    return _rect_gain(arr, tx, focus, quad, focus_phase)
 
 
 def analytic_gain_rect(eta: float, a: float) -> float:
@@ -211,37 +214,16 @@ def circ_gain_broadside(circ: CircArray, z: float, focus: float) -> float:
 
 
 def disk_gain_exact(circ: CircArray, z: float, focus: float,
-                    n_radial: int = 96, n_angular: int = 64) -> float:
-    """Quadrature gain over the continuous disk, broadside transmitter:
-    radial Gauss-Legendre times angular trapezoid."""
-    _check_focus(focus)
-    if not math.isfinite(z):
-        raise ValueError(f"broadside distance must be finite, got {z}")
-    limit = radiative_floor(circ)
-    if z < limit:
-        raise ValueError(
-            f"broadside distance {z:.6g} m is inside the reactive near-field "
-            f"boundary {limit:.6g} m (1.2 x aperture diameter)")
-    lam = circ.wavelength
-    nodes, wts = roots_legendre(n_radial)
-    rho = 0.5 * circ.radius * (nodes + 1.0)
-    w_rad = 0.5 * circ.radius * wts * rho
-    theta = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
-    w_ang = 2.0 * np.pi / n_angular
-    r2 = rho * rho + z * z
-    amp = np.sqrt(z * (np.outer(rho * rho, np.cos(theta) ** 2) + z * z)) \
-        / (SQRT_4PI * r2[:, None] ** 1.25)
-    phase = -2.0 * np.pi / lam * np.sqrt(r2)
-    if not math.isinf(focus):
-        phase = phase + 2.0 * np.pi / lam * rho * rho / (2.0 * focus)
-    num = np.abs(np.sum(w_rad * np.exp(1j * phase) * (w_ang * amp.sum(axis=1)))) ** 2
-    den = np.sum(w_rad * (w_ang * (amp * amp).sum(axis=1)))
-    area = np.pi * circ.radius ** 2
-    return float(num / (area * den))
+                    quad: QuadratureSpec = QuadratureSpec()) -> float:
+    """Gain over the continuous disk, broadside transmitter at distance z,
+    with the broadside quadratic focusing phase toward (0, 0, F)."""
+    tx = TxGeometry(z)
+    phase = _broadside_focus(circ.wavelength, focus)
+    return _aperture_gain(circ, tx, focus, quad,
+                          lambda order: _disk_blocks(circ, tx, order, phase))
 
 
-def disk_gain_fresnel(circ: CircArray, z: float, focus: float,
-                      n_radial: int = 96) -> float:
+def disk_gain_fresnel(circ: CircArray, z: float, focus: float) -> float:
     """Polar quadrature of the gain with the Fresnel-approximated field
     (flat amplitude, quadratic phase) over the disk. The integrand is
     rotationally symmetric, so the angular factor is exact and only the
@@ -251,16 +233,15 @@ def disk_gain_fresnel(circ: CircArray, z: float, focus: float,
     if not (z > 0 and math.isfinite(z)):
         raise ValueError(f"z must be positive and finite, got {z}")
     lam = circ.wavelength
-    nodes, wts = roots_legendre(n_radial)
+    nodes, wts = roots_legendre(96)
     rho = 0.5 * circ.radius * (nodes + 1.0)
     w_rad = 0.5 * circ.radius * wts * rho * 2.0 * np.pi
     phase = -2.0 * np.pi / lam * (z + rho * rho / (2.0 * z))
     if not math.isinf(focus):
         phase = phase + 2.0 * np.pi / lam * rho * rho / (2.0 * focus)
     num = np.abs(np.sum(w_rad * np.exp(1j * phase))) ** 2
-    area = np.pi * circ.radius ** 2
     # flat amplitude cancels: denominator reduces to area^2
-    return float(num / area ** 2)
+    return float(num / circ.aperture_area ** 2)
 
 
 def projected_gain_approx(arr: RectArray, tx: TxGeometry, focus: float,
@@ -323,7 +304,7 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
         if isinstance(geometry, CircArray):
             if kind == "analytic":
                 return circ_gain_broadside(geometry, dist, focus)
-            return disk_gain_exact(geometry, dist, focus)
+            return disk_gain_exact(geometry, dist, focus, quad)
         tx = TxGeometry(dist, azimuth=azimuth, elevation=elevation)
         if kind == "analytic":
             if azimuth == 0.0 and elevation == 0.0:

@@ -186,8 +186,17 @@ def mmse_precoder(h: ChannelMatrix) -> Precoder:
     return Precoder(alpha * unnorm, alpha)
 
 
-def _signal_table(h: ChannelMatrix, w: Precoder,
-                  powers: Sequence[float]) -> tuple:
+def _signal_table(table: np.ndarray, p: np.ndarray) -> tuple:
+    """Signal p_k t_kk and interference sum_{j != k} p_j t_kj of the table
+    t_kj = |h_k^H w_j|^2. It zeroes t's diagonal and sums what is left:
+    subtracting the signal from a full row sum cancels when it dominates."""
+    sig = p * np.diag(table)
+    np.fill_diagonal(table, 0.0)
+    return sig, table @ p
+
+
+def user_sinrs(h: ChannelMatrix, w: Precoder,
+               powers: Sequence[float]) -> np.ndarray:
     p = np.asarray(powers, dtype=float)
     if p.ndim != 1 or p.shape[0] != h.n_users:
         raise ValueError("one power per user required")
@@ -195,24 +204,13 @@ def _signal_table(h: ChannelMatrix, w: Precoder,
         raise ValueError("powers must be non-negative")
     if w.entries.shape != h.entries.shape:
         raise ValueError("precoder shape does not match channel")
-    cross = np.abs(h.entries.conj().T @ w.entries) ** 2
-    sig = p * np.diag(cross)
-    # sum the off-diagonal terms only: subtracting the signal from a full
-    # row sum cancels catastrophically when interference << signal
-    np.fill_diagonal(cross, 0.0)
-    return sig, cross @ p
-
-
-def user_sinrs(h: ChannelMatrix, w: Precoder,
-               powers: Sequence[float]) -> np.ndarray:
-    sig, interference = _signal_table(h, w, powers)
+    sig, interference = _signal_table(np.abs(h.entries.conj().T @ w.entries) ** 2, p)
     return sig / (interference + 1.0)
 
 
 def sum_rate(h: ChannelMatrix, w: Precoder, powers: Sequence[float]) -> float:
     """Achievable rate sum over users, treating interference as noise."""
-    sig, interference = _signal_table(h, w, powers)
-    return float(np.sum(np.log2(1.0 + sig / (interference + 1.0))))
+    return float(np.sum(np.log2(1.0 + user_sinrs(h, w, powers))))
 
 
 def _phase_gram(arr: RectArray, dists: np.ndarray) -> np.ndarray:
@@ -232,14 +230,17 @@ def _phase_gram(arr: RectArray, dists: np.ndarray) -> np.ndarray:
     return lead * sx * sy
 
 
-def _rates_from_gram(gram: np.ndarray, power: float) -> float:
+def _gram_signal_table(gram: np.ndarray, power: float) -> tuple:
+    """``_signal_table`` of the MMSE precoder of the channel with K x K Gram
+    matrix ``gram``, every user at ``power``: H^H W = alpha G (G + I)^{-1}."""
     k = gram.shape[0]
     inv = np.linalg.solve(gram + np.eye(k), np.eye(k))
-    cross = gram @ inv
     alpha_sq = 1.0 / np.trace(inv.conj().T @ gram @ inv).real
-    table = np.abs(cross) ** 2 * alpha_sq
-    sig = power * np.diag(table)
-    interference = power * (table.sum(axis=1) - np.diag(table))
+    return _signal_table(np.abs(gram @ inv) ** 2 * alpha_sq, np.full(k, power))
+
+
+def _rates_from_gram(gram: np.ndarray, power: float) -> float:
+    sig, interference = _gram_signal_table(gram, power)
     return float(np.sum(np.log2(1.0 + sig / (interference + 1.0))))
 
 

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
+import nearfield_bd
 from nearfield_bd import __version__
 from nearfield_bd.array_geometry import (
     FixedElementDiagonal,
@@ -189,6 +192,35 @@ def test_gain_profile_clamps_reactive_points(tmp_path, capsys, experiment,
                    f"12 points below the radiative floor {floor!r} m"]
 
 
+def test_circular_gain_honours_quadrature_keys(tmp_path, capsys):
+    """The disk's exact kind integrates at the configured order: a coarse
+    rule writes other gains, (8, 0) the default's order-16 gains, and a rule
+    whose doublings still disagree at 31 wavelengths fails numerically."""
+    cfg = {
+        "geometry": {"kind": "circ", "radius": f"{12.5 * LAM} m", "carrier_hz": 3e9},
+        "experiment": "circular-gain",
+        "sweep": {"z_min": f"{31 * LAM} m", "z_max": f"{400 * LAM} m", "n_points": 5,
+                  "focus": f"{50 * LAM} m", "kinds": ["exact"]},
+    }
+
+    def gains(name, **quad):
+        cfg["sweep"].update(quad)
+        out = tmp_path / f"{name}.csv"
+        assert run_cli("run", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                       "--out", str(out)) == 0
+        return np.array([float(r[1]) for r in read_rows(out)[1]])
+
+    default = gains("default")
+    coarse = gains("coarse", quad_order=2, refinement=0)
+    assert 0 < np.max(np.abs(coarse - default)) < 1e-3
+    npt.assert_array_equal(gains("fixed", quad_order=8, refinement=0), default)
+    cfg["sweep"].update(quad_order=2, refinement=1)
+    assert run_cli("run", "--config", write_config(tmp_path, cfg, "fail.json"),
+                   "--out", str(tmp_path / "fail.csv")) == 3
+    err = capsys.readouterr().err
+    assert "sweep index 0: aperture quadrature did not converge" in err
+
+
 def test_unit_suffixes_are_equivalent(tmp_path):
     d_f = tiny_d_f()
     base = {
@@ -240,6 +272,31 @@ def test_bare_number_distance_rejected(tmp_path, capsys):
      "sizing.value: '1e999 m' is not a finite number"),
     ({"geometry": dict(TINY_GEOM, sizing={"mode": "aperture-area", "value": "1e999 m2"})},
      "sizing.value: '1e999 m2' is not a finite number"),
+    # malformed numbers name their field instead of escaping as a traceback
+    ({"geometry": dict(CIRC_GEOM, radius="1e m")}, "geometry.radius: cannot parse"),
+    ({"geometry": dict(TINY_GEOM, n_per_side="abc")},
+     "geometry.n_per_side: 'abc' is not a finite number"),
+    ({"geometry": dict(TINY_GEOM, carrier_hz="x")},
+     "geometry.carrier_hz: 'x' is not a finite number"),
+    ({"geometry": dict(TINY_GEOM, sizing={"mode": "element-diag", "value": "- m"})},
+     "sizing.value: cannot parse"),
+    ({"sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": None}},
+     "sweep.n_points: None is not a finite number"),
+    ({"experiment": "gain-profile",
+      "sweep": {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m",
+                "kinds": ["analytic"], "azimuth": [1]}},
+     "sweep.azimuth: [1] is not a finite number"),
+    # non-finite sweep values are config errors, not numerical failures
+    ({"experiment": "bd-vs-eta", "sweep": {"eta_values": [math.nan]}},
+     "sweep.eta_values: nan is not a finite number"),
+    ({"experiment": "bd-vs-phi", "sweep": {"phi_values": [math.nan], "focus": "4 m"}},
+     "sweep.phi_values: nan is not a finite number"),
+    ({"experiment": "sum-rate-vs-users", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"k_max": 2, "n_trials": 3, "snr_db": math.nan}},
+     "sweep.snr_db: nan is not a finite number"),
+    ({"experiment": "sum-rate-vs-snr", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"snr_values_db": [math.nan], "k_users": 2, "n_trials": 3}},
+     "sweep.snr_values_db: nan is not a finite number"),
 ])
 def test_config_validation_failures(tmp_path, capsys, patch, fragment):
     cfg = {
@@ -453,7 +510,11 @@ def test_bd_vs_eta_dual_sizing_files(tmp_path):
 
 
 def test_module_entrypoint_runs():
-    proc = subprocess.run([sys.executable, "-m", "nearfield_bd.cli",
-                           "presets"], capture_output=True, text=True)
+    # the child imports the same package as this test, also under a bare pytest
+    src = os.path.dirname(os.path.dirname(nearfield_bd.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "nearfield_bd.cli", "presets"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "fig2" in proc.stdout

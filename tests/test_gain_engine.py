@@ -287,6 +287,19 @@ def test_disk_exact_agreement_band():
     assert far <= 0.01
 
 
+def test_disk_gain_refines_order_until_gains_agree():
+    """Just above the radiative floor the disk gains at orders 4 and 8 are
+    1.7e-6 apart, so (2, 1) fails; (2, 2) goes on to agree at orders 8 and 16
+    and returns the order-16 gain that the default (8, 1) returns."""
+    circ = CircArray(12.5 * LAM, LAM)
+    z, focus = 31 * LAM, 50 * LAM
+    with pytest.raises(RuntimeError, match="orders 4 and 8"):
+        disk_gain_exact(circ, z, focus, QuadratureSpec(order=2, refinement=1))
+    assert (disk_gain_exact(circ, z, focus, QuadratureSpec(order=2, refinement=2))
+            == disk_gain_exact(circ, z, focus)
+            == disk_gain_exact(circ, z, focus, QuadratureSpec(order=8, refinement=0)))
+
+
 def test_projected_equals_exact_at_broadside():
     arr = square_array()
     tx = TxGeometry(1000 * D_F)
