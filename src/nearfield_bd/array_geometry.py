@@ -13,6 +13,7 @@ properties.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,32 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0
 
 
+def _real(name, value, low=0.0, *, strict=True, inf=False) -> float:
+    """``value`` as a float above ``low`` (at least ``low`` unless ``strict``) and
+    finite unless ``inf``; anything else, None, strings, sequences and bools
+    included, raises ValueError naming ``name``."""
+    # float and int first: they skip the slower numbers.Real check
+    if (isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real))
+            or math.isnan(value) or (math.isinf(value) and not inf)):
+        raise ValueError(f"{name}: {value!r} is not a {'' if inf else 'finite '}number")
+    if value < low or (strict and value == low):
+        raise ValueError(
+            f"{name} must be {'>' if strict else '>='} {low:g}, got {value!r}")
+    return float(value)
+
+
+def _integer(name, value, low=1) -> int:
+    """``value`` as an int of at least ``low``: an integral number such as 3 or
+    3.0, not a bool; anything else raises ValueError naming ``name``."""
+    if not _real(name, value, -math.inf, strict=False).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if int(value) < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    return int(value)
+
+
 def wavelength_from_carrier(carrier_hz: float) -> float:
-    if not (carrier_hz > 0 and math.isfinite(carrier_hz)):
-        raise ValueError(f"carrier frequency must be positive, got {carrier_hz}")
-    return SPEED_OF_LIGHT / carrier_hz
+    return SPEED_OF_LIGHT / _real("carrier frequency", carrier_hz)
 
 
 @dataclass(frozen=True)
@@ -106,10 +129,8 @@ class CircArray:
     wavelength: float
 
     def __post_init__(self):
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        _real("radius", self.radius)
+        _real("wavelength", self.wavelength)
 
     @property
     def aperture_len(self) -> float:
@@ -130,8 +151,7 @@ class TxGeometry:
     elevation: float = 0.0
 
     def __post_init__(self):
-        if not (self.dist > 0 and math.isfinite(self.dist)):
-            raise ValueError(f"dist must be positive, got {self.dist}")
+        _real("dist", self.dist)
         if not abs(self.azimuth) < math.pi / 2:
             raise ValueError(f"azimuth must lie in (-pi/2, pi/2), got {self.azimuth}")
         if not abs(self.elevation) < math.pi / 2:
@@ -154,34 +174,25 @@ class TxGeometry:
         return (self.x, self.y, self.z)
 
 
-def _check_positive(name, value):
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def make_rect_array(n_per_side: int, eta: float, sizing, wavelength: float) -> RectArray:
     """Build a rectangular array under one of the three sizing modes."""
-    if int(n_per_side) != n_per_side or n_per_side < 1:
-        raise ValueError(f"n_per_side must be a positive integer, got {n_per_side}")
-    n_per_side = int(n_per_side)
-    _check_positive("eta", eta)
-    _check_positive("wavelength", wavelength)
+    n_per_side = _integer("n_per_side", n_per_side)
+    eta = _real("eta", eta)
+    wavelength = _real("wavelength", wavelength)
     n_total = n_per_side * n_per_side
     if isinstance(sizing, FixedElementDiagonal):
-        _check_positive("element diagonal", sizing.diag)
-        diag = float(sizing.diag)
+        diag = _real("element diagonal", sizing.diag)
     elif isinstance(sizing, FixedApertureArea):
-        _check_positive("aperture area", sizing.area)
-        diag = math.sqrt(sizing.area * (1.0 + eta * eta) / (n_total * eta))
+        area = _real("aperture area", sizing.area)
+        diag = math.sqrt(area * (1.0 + eta * eta) / (n_total * eta))
     elif isinstance(sizing, FixedApertureLength):
-        _check_positive("aperture length", sizing.length)
-        diag = sizing.length / n_per_side
+        diag = _real("aperture length", sizing.length) / n_per_side
     else:
         raise TypeError(f"unknown sizing mode: {sizing!r}")
     elem_h = diag / math.sqrt(1.0 + eta * eta)
     elem_w = eta * elem_h
-    return RectArray(n_per_side=n_per_side, eta=float(eta), elem_diag=diag,
-                     elem_h=elem_h, elem_w=elem_w, wavelength=float(wavelength))
+    return RectArray(n_per_side=n_per_side, eta=eta, elem_diag=diag,
+                     elem_h=elem_h, elem_w=elem_w, wavelength=wavelength)
 
 
 def element_center(arr: RectArray, n: int, m: int) -> tuple[float, float, float]:

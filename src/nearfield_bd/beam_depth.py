@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .array_geometry import CircArray, RectArray
+from .array_geometry import CircArray, RectArray, _integer, _real
 from .gain_engine import GainProfile, analytic_gain_circ, analytic_gain_rect
 
 # Half-power width coefficient of sinc^2, kept at the customary printed
@@ -84,10 +84,8 @@ def solve_a3db(eta: float, tol: float = 1e-10) -> float:
     [1.738, 2.485] for eta from 1e-6 to 1e6, so the scale-free bracket
     [1, 3]/(1 + eta^2) holds the mainlobe crossing and no sidelobe one.
     """
-    if not (eta > 0 and math.isfinite(eta)):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _real("eta", eta)
+    _real("tol", tol)
     scale = 1.0 + eta ** 2
     try:
         root = brentq(lambda a: analytic_gain_rect(eta, a) - 0.5,
@@ -113,8 +111,7 @@ def finite_bd_limit_rect(arr: RectArray) -> float:
 def _depth_interval(focus: float, k: float, c: float, valid: bool) -> BeamDepthResult:
     """Interval z = kF/(k + cF) .. kF/(k - cF) around the focus F, finite
     below F = k/c and infinite from there on."""
-    if not focus > 0:
-        raise ValueError(f"focus must be positive, got {focus}")
+    _real("focus", focus, inf=True)
     limit = k / c
     z_lo = k * focus / (k + c * focus) if math.isfinite(focus) else limit
     if focus >= limit:
@@ -170,6 +167,7 @@ def numeric_bd(profile: GainProfile,
     falls to half beyond the peak, the result is INFINITE if the grid extends
     past 100x a supplied ``finite_limit`` and undetermined otherwise.
     """
+    _real("rel_tol", rel_tol)
     z = profile.distances
     g = profile.gains
     peak_idx = int(np.argmax(g))
@@ -228,10 +226,8 @@ def circ_lobe_catalog(circ: CircArray, focus: float, k_max: int) -> list[LobeEnt
     one above it.  Peak locations between consecutive nulls are found
     numerically and their gains reported in dB.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if not focus > 0:
-        raise ValueError(f"focus must be positive, got {focus}")
+    k_max = _integer("k_max", k_max)
+    _real("focus", focus, inf=True)
     r_sq = circ.radius ** 2
     entries: list[LobeEntry] = []
     for k in range(1, k_max + 1):

@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,8 @@ from .array_geometry import (
     FixedApertureLength,
     FixedElementDiagonal,
     TxGeometry,
+    _integer,
+    _real,
     make_rect_array,
     project_array,
     wavelength_from_carrier,
@@ -47,6 +50,7 @@ from .gain_engine import (
     run_sweep,
 )
 from .multiplexing import (
+    _snr_power,
     build_channel_matrix,
     mmse_precoder,
     monte_carlo_sum_rate,
@@ -89,17 +93,22 @@ def parse_area(value, field):
 
 
 def _finite(num, value, field):
+    """``num``, parsed from the unit string ``value``, if it is finite."""
     if not math.isfinite(num):
         raise ConfigError(f"{field}: {value!r} is not a finite number")
     return num
 
 
-def _number(value, field, kind=float):
-    """``kind(value)``, which must be a finite number; else a ConfigError."""
-    try:
-        return _finite(kind(value), value, field)
-    except (TypeError, ValueError, OverflowError):
-        return _finite(math.nan, value, field)
+# Config numbers pass the library's input rules, checks (field, value) -> number
+# whose ValueError main reports as a config error.
+_FINITE = partial(_real, low=-math.inf, strict=False)
+_NATURAL = partial(_integer, low=0)
+
+
+def _snr_db(field, value):
+    """An SNR in dB whose linear power is finite."""
+    _snr_power(value, field)
+    return float(value)
 
 
 def _require(cfg, key, section):
@@ -108,13 +117,29 @@ def _require(cfg, key, section):
     return cfg[key]
 
 
-def _get(cfg, key, default=None, kind=float, section="sweep"):
-    """Number at ``section.key``, ``default`` if absent (required if None)."""
+def _object(value, field):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field} must be an object, got {value!r}")
+    return value
+
+
+def _list(sweep, key, default=None):
+    """Non-empty list at ``sweep.key``, ``default`` if absent."""
+    values = sweep.get(key, default)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep.{key} must be a non-empty list")
+    return values
+
+
+def _get(cfg, key, default=None, check=_FINITE, section="sweep"):
+    """Number at ``section.key`` that passes ``check``, ``default`` if absent
+    (required if None)."""
     value = _require(cfg, key, section) if default is None else cfg.get(key, default)
-    return _number(value, f"{section}.{key}", kind)
+    return check(f"{section}.{key}", value)
 
 
 def _sizing_from_config(scfg):
+    scfg = _object(scfg, "geometry.sizing")
     mode = _require(scfg, "mode", "geometry.sizing")
     value = _require(scfg, "value", "geometry.sizing")
     if mode == "element-diag":
@@ -128,32 +153,21 @@ def _sizing_from_config(scfg):
 
 def build_geometry(gcfg):
     """Returns (geometry object, reference d_F for unit conversion)."""
-    kind = gcfg.get("kind", "rect")
+    kind = _object(gcfg, "geometry").get("kind", "rect")
     if kind not in ("rect", "circ"):
         raise ConfigError(f"unknown geometry kind {kind!r}")
-    try:
-        lam = wavelength_from_carrier(_get(gcfg, "carrier_hz", section="geometry"))
-        if kind == "rect":
-            sizing = _sizing_from_config(_require(gcfg, "sizing", "geometry"))
-            arr = make_rect_array(_get(gcfg, "n_per_side", None, int, "geometry"),
-                                  _get(gcfg, "eta", section="geometry"), sizing, lam)
-            return arr, arr.d_f
-        radius = parse_length(_require(gcfg, "radius", "geometry"), math.nan,
-                              "geometry.radius")
-        ref_diag = gcfg.get("ref_elem_diag")
-        diag = (parse_length(ref_diag, math.nan, "geometry.ref_elem_diag")
-                if ref_diag is not None else lam / 4)
-        return CircArray(radius, lam), 2.0 * diag ** 2 / lam
-    except ValueError as err:
-        raise ConfigError(f"geometry: {err}") from err
-
-
-def _count(sweep, key, default=None):
-    """Positive integer sweep field; required when no default is given."""
-    n = _get(sweep, key, default, int)
-    if n < 1:
-        raise ConfigError(f"sweep.{key} must be at least 1")
-    return n
+    lam = wavelength_from_carrier(_get(gcfg, "carrier_hz", None, _real, "geometry"))
+    if kind == "rect":
+        sizing = _sizing_from_config(_require(gcfg, "sizing", "geometry"))
+        arr = make_rect_array(_get(gcfg, "n_per_side", None, _integer, "geometry"),
+                              _get(gcfg, "eta", None, _real, "geometry"), sizing, lam)
+        return arr, arr.d_f
+    radius = parse_length(_require(gcfg, "radius", "geometry"), math.nan,
+                          "geometry.radius")
+    ref_diag = gcfg.get("ref_elem_diag")
+    diag = (parse_length(ref_diag, math.nan, "geometry.ref_elem_diag")
+            if ref_diag is not None else lam / 4)
+    return CircArray(radius, lam), 2.0 * diag ** 2 / lam
 
 
 def _length(ctx, key):
@@ -162,7 +176,7 @@ def _length(ctx, key):
 
 def _distance_grid(ctx):
     z_min, z_max = _length(ctx, "z_min"), _length(ctx, "z_max")
-    n = _count(ctx.sweep, "n_points")
+    n = _get(ctx.sweep, "n_points", check=_integer)
     if not 0 < z_min < z_max:
         raise ConfigError("sweep requires 0 < z_min < z_max")
     return (np.geomspace if _log_spacing(ctx.sweep) else np.linspace)(z_min, z_max, n)
@@ -176,21 +190,17 @@ def _log_spacing(sweep):
     return spacing == "log"
 
 
-def _scalar_grid(sweep, lo_key, hi_key, values_key):
+def _scalar_grid(sweep, lo_key, hi_key, values_key, check=_FINITE):
     """Listed values, else n_points evenly spaced from lo to hi."""
     if values_key in sweep:
-        vals = sweep[values_key]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(f"sweep.{values_key} must be a non-empty list")
-        return np.array([_number(v, f"sweep.{values_key}") for v in vals])
-    lo, hi = _get(sweep, lo_key), _get(sweep, hi_key)
-    return np.linspace(lo, hi, _count(sweep, "n_points"))
+        return np.array([check(f"sweep.{values_key}", v)
+                         for v in _list(sweep, values_key)])
+    lo, hi = _get(sweep, lo_key, check=check), _get(sweep, hi_key, check=check)
+    return np.linspace(lo, hi, _get(sweep, "n_points", check=_integer))
 
 
 def _eta_grid(sweep):
-    etas = _scalar_grid(sweep, "eta_min", "eta_max", "eta_values")
-    if not np.all(etas > 0):
-        raise ConfigError("eta values must be positive")
+    etas = _scalar_grid(sweep, "eta_min", "eta_max", "eta_values", _real)
     if _log_spacing(sweep) and "eta_values" not in sweep:
         etas = np.geomspace(etas.min(), etas.max(), len(etas))
     return etas
@@ -214,8 +224,8 @@ def write_csv(path, experiment, preset, header, rows):
 
 
 def _quad(ctx):
-    return QuadratureSpec(order=_get(ctx.sweep, "quad_order", 8, int),
-                          refinement=_get(ctx.sweep, "refinement", 1, int))
+    return QuadratureSpec(order=_get(ctx.sweep, "quad_order", 8, _NATURAL),
+                          refinement=_get(ctx.sweep, "refinement", 1, _NATURAL))
 
 
 def _profile_rows(ctx, kind):
@@ -293,7 +303,7 @@ def _finite_limit_rows(ctx, _):
 
 def _lobe_rows(ctx, _):
     entries = circ_lobe_catalog(ctx.geometry, _length(ctx, "focus"),
-                                _count(ctx.sweep, "k_max"))
+                                _get(ctx.sweep, "k_max", check=_integer))
     return [(e.index, e.kind, e.l_value, e.z_value / ctx.d_f, e.gain_db) for e in entries]
 
 
@@ -338,24 +348,24 @@ def _region(ctx):
 def _plan_rows(ctx, _):
     max_users = ctx.sweep.get("max_users")
     plan = plan_focal_points(ctx.geometry, _region(ctx), None if max_users is None
-                             else _number(max_users, "sweep.max_users", int))
+                             else _integer("sweep.max_users", max_users))
     return [(k + 1, f / ctx.d_f, lo / ctx.d_f, hi / ctx.d_f)
             for k, (f, (lo, hi)) in enumerate(zip(plan.focal_points,
                                                   plan.intervals))]
 
 
-def _planned_row(ctx, arr, plan, snr, azimuth=0.0):
-    """Rate row of users at the planned focal points, all at one azimuth."""
-    users = [TxGeometry(float(f), azimuth=azimuth) for f in plan.focal_points]
+def _planned_row(ctx, arr, plan, snr):
+    """Rate row of broadside users of ``arr`` at the planned focal points."""
+    users = [TxGeometry(float(f)) for f in plan.focal_points]
     h = build_channel_matrix(arr, users)
-    rate = sum_rate(h, mmse_precoder(h), [10 ** (snr / 10)] * len(plan))
+    rate = sum_rate(h, mmse_precoder(h), [_snr_power(snr)] * len(plan))
     return (snr, len(plan), "planned", rate, 0.0, 1, ctx.seed)
 
 
 def _rate_snr_rows(ctx, _):
-    snrs = _scalar_grid(ctx.sweep, "snr_min_db", "snr_max_db", "snr_values_db")
-    k_users = _count(ctx.sweep, "k_users", 5)
-    n_trials = _count(ctx.sweep, "n_trials", 200)
+    snrs = _scalar_grid(ctx.sweep, "snr_min_db", "snr_max_db", "snr_values_db", _snr_db)
+    k_users = _get(ctx.sweep, "k_users", 5, _integer)
+    n_trials = _get(ctx.sweep, "n_trials", 200, _integer)
     region = _region(ctx)
     plan = plan_focal_points(ctx.geometry, region, max_users=k_users)
 
@@ -369,11 +379,12 @@ def _rate_snr_rows(ctx, _):
 
 
 def _rate_users_rows(ctx, _):
-    k_lo, k_hi = _get(ctx.sweep, "k_min", 1, int), _get(ctx.sweep, "k_max", 8, int)
-    if not 1 <= k_lo <= k_hi:
+    k_lo = _get(ctx.sweep, "k_min", 1, _integer)
+    k_hi = _get(ctx.sweep, "k_max", 8, _integer)
+    if not k_lo <= k_hi:
         raise ConfigError("sweep requires 1 <= k_min <= k_max")
-    snr = _get(ctx.sweep, "snr_db", 25.0)
-    n_trials = _count(ctx.sweep, "n_trials", 500)
+    snr = _get(ctx.sweep, "snr_db", 25.0, _snr_db)
+    n_trials = _get(ctx.sweep, "n_trials", 500, _integer)
     region = _region(ctx)
 
     def one(k):
@@ -384,7 +395,7 @@ def _rate_users_rows(ctx, _):
 
 
 def _rate_eta_rows(ctx, _):
-    snr = _get(ctx.sweep, "snr_db", 25.0)
+    snr = _get(ctx.sweep, "snr_db", 25.0, _snr_db)
     mode = ctx.sweep.get("sizing_mode", "aperture-length")
     region = _region(ctx)
 
@@ -406,15 +417,17 @@ def _rate_eta_rows(ctx, _):
 
 def _rate_phi_rows(ctx, _):
     phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "phi_values")
-    snr = _get(ctx.sweep, "snr_db", 25.0)
+    snr = _get(ctx.sweep, "snr_db", 25.0, _snr_db)
     region = _region(ctx)
     k_users = ctx.sweep.get("k_users")
     plan = plan_focal_points(ctx.geometry, region, max_users=None if k_users is None
-                             else _number(k_users, "sweep.k_users", int))
+                             else _integer("sweep.k_users", k_users))
 
     def one(phi):
+        # the users' common linear phase cancels in the Gram matrix; what
+        # the azimuth changes is the aperture the users see
         phi = float(phi)
-        return (phi,) + _planned_row(ctx, ctx.geometry, plan, snr, phi)
+        return (phi,) + _planned_row(ctx, project_array(ctx.geometry, phi), plan, snr)
 
     return run_sweep(one, phis, ctx.threads)
 
@@ -619,11 +632,15 @@ def load_config(args):
 
 def resolve_threads(args, cfg):
     if args.threads is not None:
-        return args.threads
+        return _integer("--threads", args.threads)
     env = os.environ.get("NEARFIELD_BD_THREADS")
     if env:
-        return _number(env, "NEARFIELD_BD_THREADS", int)
-    return _number(cfg.get("threads", 1), "threads", int)
+        try:
+            env = float(env)
+        except ValueError:
+            pass  # no number: the count check names the variable
+        return _integer("NEARFIELD_BD_THREADS", env)
+    return _integer("threads", cfg.get("threads", 1))
 
 
 def cmd_run(args):
@@ -635,21 +652,14 @@ def cmd_run(args):
     geometry, d_f = build_geometry(_require(cfg, "geometry", "config"))
     if need not in (None, "circ" if isinstance(geometry, CircArray) else "rect"):
         raise ConfigError(f"{experiment} requires a {need} geometry")
-    sweep = cfg.get("sweep", {})
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep must be an object")
-    seed = _number(args.seed if args.seed is not None
-                   else cfg.get("seed", DEFAULT_SEED), "seed", int)
+    sweep = _object(cfg.get("sweep", {}), "sweep")
+    seed = _NATURAL("seed", args.seed if args.seed is not None
+                    else cfg.get("seed", DEFAULT_SEED))
     out = args.out or cfg.get("output") or f"{args.preset or experiment}.csv"
     ctx = SimpleNamespace(geometry=geometry, d_f=d_f, sweep=sweep, experiment=experiment,
                           preset=args.preset or "custom", seed=seed,
                           threads=resolve_threads(args, cfg))
-    entries = [None]
-    if files:
-        key, default = files
-        entries = sweep.get(key, default)
-        if not entries:
-            raise ConfigError(f"sweep.{key} is empty")
+    entries = _list(sweep, *files) if files else [None]
     root, ext = os.path.splitext(out)
     paths = []
     try:
@@ -659,8 +669,6 @@ def cmd_run(args):
                                    rows(ctx, entry)))
     except OSError as err:
         raise ConfigError(f"cannot write output: {err}") from err
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
     for p in paths:
         print(p)
     return 0
@@ -693,7 +701,8 @@ def main(argv=None):
         if args.command == "presets":
             return cmd_presets(args)
         return cmd_run(args)
-    except ConfigError as err:
+    except (ConfigError, ValueError) as err:
+        # a point's numerical ValueError arrives inside a SweepEvalError
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except SweepEvalError as err:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from .array_geometry import CircArray, RectArray, TxGeometry, element_center, element_grid
+from .array_geometry import (CircArray, RectArray, TxGeometry, _integer, _real,
+                             element_center, element_grid)
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
@@ -39,10 +40,8 @@ class QuadratureSpec:
     refinement: int = 1
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"quadrature order must be >= 2, got {self.order}")
-        if self.refinement < 0:
-            raise ValueError(f"refinement must be >= 0, got {self.refinement}")
+        object.__setattr__(self, "order", _integer("quadrature order", self.order, 2))
+        object.__setattr__(self, "refinement", _integer("refinement", self.refinement, 0))
 
 
 def _spherical_wave(tx: TxGeometry, x, y, wavelength: float, focus_phase=None):
@@ -89,11 +88,9 @@ def matched_filter_phase(focus: float, x, y, wavelength: float):
 
     focus = inf selects the far-field (plane-wave) filter, identically 1.
     """
-    if math.isinf(focus):
+    if math.isinf(_real("focal distance", focus, inf=True)):
         shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
         return np.ones(shape) if shape else 1.0 + 0.0j
-    if not focus > 0:
-        raise ValueError(f"focal distance must be positive, got {focus}")
     phase = _broadside_focus(wavelength, focus)
     return np.exp(1j * phase(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
 

@@ -29,6 +29,7 @@ from .array_geometry import (
     CircArray,
     RectArray,
     TxGeometry,
+    _real,
     element_grid,
     project_array,
 )
@@ -57,12 +58,9 @@ class SweepEvalError(RuntimeError):
 
 def effective_distance(focus: float, dist: float) -> float:
     """F*d/|F - d|: infinite at perfect focus, d under the far-field filter."""
-    if not dist > 0:
-        raise ValueError(f"distance must be positive, got {dist}")
-    if math.isinf(focus):
+    _real("distance", dist)
+    if math.isinf(_real("focal distance", focus, inf=True)):
         return dist
-    if not focus > 0:
-        raise ValueError(f"focal distance must be positive, got {focus}")
     if focus == dist:
         return math.inf
     return focus * dist / abs(focus - dist)
@@ -75,11 +73,6 @@ def radiative_floor(geometry) -> float:
     return REACTIVE_LIMIT_FACTOR * geometry.aperture_len
 
 
-def _check_focus(focus: float):
-    if not (math.isinf(focus) or focus > 0):
-        raise ValueError(f"focal distance must be positive or inf, got {focus}")
-
-
 def _aperture_gain(geometry, tx: TxGeometry, focus: float,
                    quad: QuadratureSpec, blocks) -> float:
     """|sum w E e^{j phase}|^2 / (A sum w |E|^2) over the node blocks that
@@ -89,7 +82,7 @@ def _aperture_gain(geometry, tx: TxGeometry, focus: float,
         raise ValueError(
             f"transmitter at {tx.dist:.6g} m is inside the reactive near-field "
             f"boundary {limit:.6g} m (1.2 x aperture length)")
-    _check_focus(focus)
+    _real("focal distance", focus, inf=True)
 
     def gain(order):
         num = den = 0.0
@@ -134,11 +127,8 @@ def exact_array_gain_steered(arr: RectArray, tx: TxGeometry, focus: float,
 def analytic_gain_rect(eta: float, a: float) -> float:
     """Closed-form broadside gain as a function of the aperture phase
     parameter a = d_FA/(4 z_eff (1 + eta^2)); a = 0 is the focused limit."""
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not a >= 0:
-        raise ValueError(f"a must be non-negative, got {a}")
-    if a < 1e-12:
+    _real("eta", eta)
+    if _real("a", a, strict=False) < 1e-12:
         return 1.0
     root = math.sqrt(a)
     c1, s1 = fresnel_cs(eta * root)
@@ -150,12 +140,10 @@ def analytic_gain_nonbroadside(eta: float, p: float, q: float, q_tilde: float) -
     """Closed-form slanted-transmitter gain with p = (1/2)sqrt(d_FA/(d_eff(1+eta^2)))
     and angular offsets q (azimuth axis) and q_tilde (elevation axis) in
     Fresnel-integral units."""
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
-    if not (math.isfinite(q) and math.isfinite(q_tilde)):
-        raise ValueError(f"q and q_tilde must be finite, got {q}, {q_tilde}")
+    _real("eta", eta)
+    _real("p", p)
+    _real("q", q, -math.inf, strict=False)
+    _real("q_tilde", q_tilde, -math.inf, strict=False)
     c1p, s1p = fresnel_cs(p + q_tilde)
     c1m, s1m = fresnel_cs(p - q_tilde)
     c2p, s2p = fresnel_cs(eta * p + q)
@@ -167,14 +155,12 @@ def analytic_gain_nonbroadside(eta: float, p: float, q: float, q_tilde: float) -
 
 def analytic_gain_circ(l: float) -> float:
     """Closed-form circular-aperture gain sinc^2(pi l), l = R^2/(2 lambda z_eff)."""
-    if not (l >= 0 and math.isfinite(l)):
-        raise ValueError(f"l must be non-negative and finite, got {l}")
+    _real("l", l, strict=False)
     return sinc(math.pi * l) ** 2
 
 
 def rect_gain_broadside(arr: RectArray, z: float, focus: float) -> float:
     """Closed-form gain for a broadside transmitter at distance z."""
-    _check_focus(focus)
     z_eff = effective_distance(focus, z)
     if math.isinf(z_eff):
         return 1.0
@@ -185,7 +171,6 @@ def rect_gain_broadside(arr: RectArray, z: float, focus: float) -> float:
 def rect_gain_slanted(arr: RectArray, tx: TxGeometry, focus: float) -> float:
     """Closed-form gain for a slanted transmitter at range d == tx.dist,
     focusing filter toward (0, 0, F)."""
-    _check_focus(focus)
     d = tx.dist
     eta = arr.eta
     lam = arr.wavelength
@@ -206,7 +191,6 @@ def rect_gain_slanted(arr: RectArray, tx: TxGeometry, focus: float) -> float:
 
 def circ_gain_broadside(circ: CircArray, z: float, focus: float) -> float:
     """Closed-form gain for a circular aperture, broadside transmitter."""
-    _check_focus(focus)
     z_eff = effective_distance(focus, z)
     if math.isinf(z_eff):
         return 1.0
@@ -229,9 +213,8 @@ def disk_gain_fresnel(circ: CircArray, z: float, focus: float) -> float:
     rotationally symmetric, so the angular factor is exact and only the
     radial Gauss-Legendre rule remains. This is the construction the
     sinc^2 closed form summarizes, so it validates that algebra."""
-    _check_focus(focus)
-    if not (z > 0 and math.isfinite(z)):
-        raise ValueError(f"z must be positive and finite, got {z}")
+    _real("z", z)
+    _real("focal distance", focus, inf=True)
     lam = circ.wavelength
     nodes, wts = roots_legendre(96)
     rho = 0.5 * circ.radius * (nodes + 1.0)
@@ -268,7 +251,7 @@ class GainProfile:
             raise ValueError("distances and gains must be 1-D arrays of equal length")
         if not np.all(np.diff(d) > 0):
             raise ValueError("distances must be strictly increasing")
-        if np.any(g < 0) or np.max(g, initial=0.0) > 1.0 + 1e-6:
+        if not np.all((g >= 0) & (g <= 1.0 + 1e-6)):
             raise ValueError("gains must lie in [0, 1 + 1e-6]")
         object.__setattr__(self, "distances", d)
         object.__setattr__(self, "gains", g)

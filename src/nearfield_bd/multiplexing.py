@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .array_geometry import RectArray, TxGeometry, element_grid
+from .array_geometry import RectArray, TxGeometry, _integer, _real, element_grid
 from .beam_depth import bd_rect, finite_bd_limit_rect
 from .field_model import QuadratureSpec, _element_channels, fresnel_field_nonbroadside
 from .gain_engine import radiative_floor
@@ -83,8 +83,7 @@ class Precoder:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive and finite")
+        _real("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,10 @@ def plan_focal_points(arr: RectArray, region: tuple,
     lower edge bd_rect(arr, F).z_lo becomes the next e.  Stops below the
     near edge or at max_users.
     """
-    z_min, z_max = region
-    if math.isnan(z_min) or math.isnan(z_max):
-        raise ValueError(f"region bounds must be numbers, got {region}")
-    if max_users is not None and max_users < 1:
-        raise ValueError("max_users must be at least 1")
+    z_min, z_max = (_real("region bound", z, -math.inf, strict=False, inf=True)
+                    for z in region)
+    if max_users is not None:
+        max_users = _integer("max_users", max_users)
     if z_min >= z_max:
         return PlacementPlan((), ())
     if z_min < arr.d_b * (1 - _PLAN_EDGE_RTOL):
@@ -198,10 +196,10 @@ def _signal_table(table: np.ndarray, p: np.ndarray) -> tuple:
 def user_sinrs(h: ChannelMatrix, w: Precoder,
                powers: Sequence[float]) -> np.ndarray:
     p = np.asarray(powers, dtype=float)
-    if p.ndim != 1 or p.shape[0] != h.n_users:
+    if p.shape != (h.n_users,):
         raise ValueError("one power per user required")
-    if np.any(p < 0):
-        raise ValueError("powers must be non-negative")
+    for x in p.tolist():
+        _real("power", x, strict=False)
     if w.entries.shape != h.entries.shape:
         raise ValueError("precoder shape does not match channel")
     sig, interference = _signal_table(np.abs(h.entries.conj().T @ w.entries) ** 2, p)
@@ -239,6 +237,15 @@ def _gram_signal_table(gram: np.ndarray, power: float) -> tuple:
     return _signal_table(np.abs(gram @ inv) ** 2 * alpha_sq, np.full(k, power))
 
 
+def _snr_power(snr_db: float, name: str = "snr_db") -> float:
+    """Linear power 10^(snr_db/10); ValueError naming ``name`` unless finite."""
+    try:
+        return 10 ** (_real(name, snr_db, -math.inf, strict=False) / 10)
+    except OverflowError:
+        raise ValueError(f"{name} must give a finite power 10^({name}/10), "
+                         f"got {snr_db!r}") from None
+
+
 def _rates_from_gram(gram: np.ndarray, power: float) -> float:
     sig, interference = _gram_signal_table(gram, power)
     return float(np.sum(np.log2(1.0 + sig / (interference + 1.0))))
@@ -254,18 +261,14 @@ def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
     broadside, with a PCG64 generator seeded for reproducibility.  Trials
     are reduced in trial order.
     """
-    if k_users < 1:
-        raise ValueError("k_users must be at least 1")
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    k_users = _integer("k_users", k_users)
+    n_trials = _integer("n_trials", n_trials)
     z_min, z_max = region
     if not (math.isfinite(z_min) and math.isfinite(z_max)):
         raise ValueError(f"region bounds must be finite, got {region}")
     if not 0 < z_min < z_max:
         raise ValueError("region must satisfy 0 < z_min < z_max")
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db}")
-    power = 10.0 ** (snr_db / 10.0)
+    power = _snr_power(snr_db)
     rng = np.random.default_rng(seed)
     draws = 1.0 / rng.uniform(1.0 / z_max, 1.0 / z_min, size=(n_trials, k_users))
     rates = np.empty(n_trials)

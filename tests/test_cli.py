@@ -297,6 +297,32 @@ def test_bare_number_distance_rejected(tmp_path, capsys):
     ({"experiment": "sum-rate-vs-snr", "geometry": SMALL_WIDE_GEOM,
       "sweep": {"snr_values_db": [math.nan], "k_users": 2, "n_trials": 3}},
      "sweep.snr_values_db: nan is not a finite number"),
+    # config values of the wrong shape name their field instead of crashing
+    ({"geometry": 5}, "geometry must be an object, got 5"),
+    ({"geometry": dict(TINY_GEOM, sizing=5)}, "geometry.sizing must be an object, got 5"),
+    ({"experiment": "gain-profile",
+      "sweep": {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m",
+                "kinds": "exact"}},
+     "sweep.kinds must be a non-empty list"),
+    # integer fields refuse fractions instead of truncating them
+    ({"sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 2.7}},
+     "sweep.n_points must be an integer, got 2.7"),
+    ({"geometry": dict(TINY_GEOM, n_per_side=4.5)},
+     "geometry.n_per_side must be an integer, got 4.5"),
+    ({"experiment": "lobe-catalog", "geometry": CIRC_GEOM,
+      "sweep": {"k_max": 2.5, "focus": "4 m"}},
+     "sweep.k_max must be an integer, got 2.5"),
+    ({"experiment": "gain-profile",
+      "sweep": {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m",
+                "kinds": ["exact"], "quad_order": 2.5}},
+     "sweep.quad_order must be an integer, got 2.5"),
+    # an SNR whose linear power overflows is a config error, not a traceback
+    ({"experiment": "sum-rate-vs-users", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"k_max": 2, "n_trials": 3, "snr_db": 4000}},
+     "sweep.snr_db must give a finite power"),
+    ({"experiment": "sum-rate-vs-snr", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"snr_values_db": [10.0, 4000], "k_users": 2, "n_trials": 3}},
+     "sweep.snr_values_db must give a finite power"),
 ])
 def test_config_validation_failures(tmp_path, capsys, patch, fragment):
     cfg = {
@@ -468,6 +494,45 @@ def test_bad_threads_env(tmp_path, monkeypatch, capsys):
     assert run_cli("run", "--preset", "fig10",
                    "--out", str(tmp_path / "x.csv")) == 2
     assert "NEARFIELD_BD_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, env, cfg_threads, fragment", [
+    (["--threads", "0"], None, 1, "--threads must be at least 1, got 0"),
+    ([], "-2", 1, "NEARFIELD_BD_THREADS must be at least 1"),
+    ([], "2.5", 1, "NEARFIELD_BD_THREADS must be an integer"),
+    ([], None, 2.5, "threads must be an integer, got 2.5"),
+], ids=["flag", "env-negative", "env-fraction", "config"])
+def test_thread_count_must_be_a_positive_integer(tmp_path, monkeypatch, capsys, argv,
+                                                 env, cfg_threads, fragment):
+    monkeypatch.delenv("NEARFIELD_BD_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("NEARFIELD_BD_THREADS", env)
+    cfg = {"geometry": TINY_GEOM, "experiment": "a3db-curve", "threads": cfg_threads,
+           "sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 3}}
+    assert run_cli("run", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "x.csv"), *argv) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_sum_rate_falls_with_common_azimuth(tmp_path):
+    """Planned users at one azimuth see the projected aperture: the common
+    linear phase cancels, the compressed width does not, so the rate falls."""
+    phis = [0.0, 0.3, 0.6, 1.0, 1.3]
+    cfg = {
+        "geometry": dict(SMALL_WIDE_GEOM, n_per_side=60),
+        "experiment": "sum-rate-vs-phi",
+        "sweep": {"phi_values": phis},
+    }
+    out = tmp_path / "phi.csv"
+    assert run_cli("run", "--config", write_config(tmp_path, cfg),
+                   "--out", str(out)) == 0
+    _, rows = read_rows(out)
+    assert [float(r[0]) for r in rows] == phis
+    assert all(r[2] == "2" for r in rows)
+    rates = [float(r[4]) for r in rows]
+    assert all(a > b for a, b in zip(rates, rates[1:]))
+    npt.assert_allclose(rates, [38.0703, 38.0205, 37.8494, 37.5368, 37.4439],
+                        rtol=0, atol=1e-4)
 
 
 def test_distance_error_config(tmp_path):

@@ -1,0 +1,183 @@
+"""One input contract for the public API: every numeric argument outside its
+domain (NaN, +-inf, zero, negative, and for counts fractions and bools)
+raises ValueError naming that argument, and no RuntimeWarning escapes."""
+
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from nearfield_bd.array_geometry import (
+    CircArray,
+    FixedApertureArea,
+    FixedApertureLength,
+    FixedElementDiagonal,
+    TxGeometry,
+    make_rect_array,
+    wavelength_from_carrier,
+)
+from nearfield_bd.beam_depth import (
+    bd_circ,
+    bd_rect,
+    circ_lobe_catalog,
+    finite_bd_limit_rect,
+    numeric_bd,
+    solve_a3db,
+)
+from nearfield_bd.field_model import QuadratureSpec, matched_filter_phase
+from nearfield_bd.gain_engine import (
+    GainProfile,
+    analytic_gain_circ,
+    analytic_gain_nonbroadside,
+    analytic_gain_rect,
+    circ_gain_broadside,
+    disk_gain_exact,
+    disk_gain_fresnel,
+    effective_distance,
+    exact_array_gain,
+    exact_array_gain_steered,
+    projected_gain_approx,
+    rect_gain_broadside,
+    rect_gain_slanted,
+)
+from nearfield_bd.multiplexing import (
+    ChannelMatrix,
+    mmse_precoder,
+    monte_carlo_sum_rate,
+    plan_focal_points,
+    sum_rate,
+    user_sinrs,
+)
+
+LAM = wavelength_from_carrier(3e9)
+NAN, INF = math.nan, math.inf
+
+# values outside the domain of each kind of argument
+POSITIVE = (NAN, INF, -INF, 0.0, -1.0)
+COUNT = POSITIVE + (2.5, True)
+NON_NEGATIVE_COUNT = (NAN, INF, -INF, -1.0, 2.5, True)
+FOCUS = (NAN, -INF, 0.0, -1.0)  # +inf selects the far-field filter
+NON_NEGATIVE = (NAN, INF, -INF, -1.0)
+FINITE = (NAN, INF, -INF)
+
+ARR = make_rect_array(20, 1.0, FixedElementDiagonal(0.5 * LAM), LAM)
+CIRC = CircArray(2.0 * LAM, LAM)
+FAR = 10.0 * ARR.d_b
+TX = TxGeometry(FAR, azimuth=0.2)
+REGION = (ARR.d_b, finite_bd_limit_rect(ARR))
+H = ChannelMatrix(np.eye(4, 2, dtype=complex))
+W = mmse_precoder(H)
+PEAKED = GainProfile(1.0, np.array([1.0, 2.0, 3.0]), np.array([0.2, 1.0, 0.2]))
+
+# (entry point and argument, name the error starts with, call, bad values)
+CONTRACT = [
+    ("wavelength_from_carrier", "carrier frequency", wavelength_from_carrier, POSITIVE),
+    ("CircArray.radius", "radius", lambda v: CircArray(v, LAM), POSITIVE),
+    ("CircArray.wavelength", "wavelength", lambda v: CircArray(1.0, v), POSITIVE),
+    ("TxGeometry.dist", "dist", TxGeometry, POSITIVE),
+    ("make_rect_array.n_per_side", "n_per_side",
+     lambda v: make_rect_array(v, 1.0, FixedElementDiagonal(0.01), LAM), COUNT),
+    ("make_rect_array.eta", "eta",
+     lambda v: make_rect_array(4, v, FixedElementDiagonal(0.01), LAM), POSITIVE),
+    ("make_rect_array.wavelength", "wavelength",
+     lambda v: make_rect_array(4, 1.0, FixedElementDiagonal(0.01), v), POSITIVE),
+    ("make_rect_array.diag", "element diagonal",
+     lambda v: make_rect_array(4, 1.0, FixedElementDiagonal(v), LAM), POSITIVE),
+    ("make_rect_array.area", "aperture area",
+     lambda v: make_rect_array(4, 1.0, FixedApertureArea(v), LAM), POSITIVE),
+    ("make_rect_array.length", "aperture length",
+     lambda v: make_rect_array(4, 1.0, FixedApertureLength(v), LAM), POSITIVE),
+    ("QuadratureSpec.order", "quadrature order", QuadratureSpec, COUNT),
+    ("QuadratureSpec.refinement", "refinement", lambda v: QuadratureSpec(8, v),
+     NON_NEGATIVE_COUNT),
+    ("matched_filter_phase.focus", "focal distance",
+     lambda v: matched_filter_phase(v, 0.1, 0.1, LAM), FOCUS),
+    ("effective_distance.focus", "focal distance",
+     lambda v: effective_distance(v, 1.0), FOCUS),
+    ("effective_distance.dist", "distance", lambda v: effective_distance(2.0, v),
+     POSITIVE),
+    ("analytic_gain_rect.eta", "eta", lambda v: analytic_gain_rect(v, 1.0), POSITIVE),
+    ("analytic_gain_rect.a", "a", lambda v: analytic_gain_rect(1.0, v), NON_NEGATIVE),
+    ("analytic_gain_nonbroadside.eta", "eta",
+     lambda v: analytic_gain_nonbroadside(v, 0.8, 0.0, 0.0), POSITIVE),
+    ("analytic_gain_nonbroadside.p", "p",
+     lambda v: analytic_gain_nonbroadside(1.0, v, 0.0, 0.0), POSITIVE),
+    ("analytic_gain_nonbroadside.q", "q",
+     lambda v: analytic_gain_nonbroadside(1.0, 0.8, v, 0.0), FINITE),
+    ("analytic_gain_nonbroadside.q_tilde", "q_tilde",
+     lambda v: analytic_gain_nonbroadside(1.0, 0.8, 0.0, v), FINITE),
+    ("analytic_gain_circ", "l", analytic_gain_circ, NON_NEGATIVE),
+    ("rect_gain_broadside.z", "distance", lambda v: rect_gain_broadside(ARR, v, FAR),
+     POSITIVE),
+    ("rect_gain_broadside.focus", "focal distance",
+     lambda v: rect_gain_broadside(ARR, FAR, v), FOCUS),
+    ("rect_gain_slanted.focus", "focal distance",
+     lambda v: rect_gain_slanted(ARR, TX, v), FOCUS),
+    ("circ_gain_broadside.z", "distance", lambda v: circ_gain_broadside(CIRC, v, FAR),
+     POSITIVE),
+    ("circ_gain_broadside.focus", "focal distance",
+     lambda v: circ_gain_broadside(CIRC, FAR, v), FOCUS),
+    ("disk_gain_exact.z", "dist", lambda v: disk_gain_exact(CIRC, v, FAR), POSITIVE),
+    ("disk_gain_exact.focus", "focal distance",
+     lambda v: disk_gain_exact(CIRC, FAR, v), FOCUS),
+    ("disk_gain_fresnel.z", "z", lambda v: disk_gain_fresnel(CIRC, v, FAR), POSITIVE),
+    ("disk_gain_fresnel.focus", "focal distance",
+     lambda v: disk_gain_fresnel(CIRC, FAR, v), FOCUS),
+    ("exact_array_gain.focus", "focal distance",
+     lambda v: exact_array_gain(ARR, TX, v), FOCUS),
+    ("exact_array_gain_steered.focus", "focal distance",
+     lambda v: exact_array_gain_steered(ARR, TX, v), FOCUS),
+    ("projected_gain_approx.focus", "focal distance",
+     lambda v: projected_gain_approx(ARR, TX, v), FOCUS),
+    ("GainProfile.gains", "gains",
+     lambda v: GainProfile(1.0, np.array([1.0, 2.0]), np.array([0.5, v])),
+     NON_NEGATIVE),
+    ("solve_a3db.eta", "eta", solve_a3db, POSITIVE),
+    ("solve_a3db.tol", "tol", lambda v: solve_a3db(1.0, v), POSITIVE),
+    ("bd_rect.focus", "focus", lambda v: bd_rect(ARR, v), FOCUS),
+    ("bd_circ.focus", "focus", lambda v: bd_circ(CIRC, v), FOCUS),
+    ("circ_lobe_catalog.focus", "focus", lambda v: circ_lobe_catalog(CIRC, v, 2),
+     FOCUS),
+    ("circ_lobe_catalog.k_max", "k_max", lambda v: circ_lobe_catalog(CIRC, FAR, v),
+     COUNT),
+    ("numeric_bd.rel_tol", "rel_tol", lambda v: numeric_bd(PEAKED, rel_tol=v),
+     POSITIVE),
+    ("plan_focal_points.max_users", "max_users",
+     lambda v: plan_focal_points(ARR, REGION, max_users=v), COUNT),
+    ("user_sinrs.powers", "power", lambda v: user_sinrs(H, W, [1.0, v]), NON_NEGATIVE),
+    ("sum_rate.powers", "power", lambda v: sum_rate(H, W, [1.0, v]), NON_NEGATIVE),
+    ("monte_carlo_sum_rate.k_users", "k_users",
+     lambda v: monte_carlo_sum_rate(ARR, v, REGION, 2, 10.0, seed=1), COUNT),
+    ("monte_carlo_sum_rate.n_trials", "n_trials",
+     lambda v: monte_carlo_sum_rate(ARR, 2, REGION, v, 10.0, seed=1), COUNT),
+    # 4000 dB is finite but its linear power is not
+    ("monte_carlo_sum_rate.snr_db", "snr_db",
+     lambda v: monte_carlo_sum_rate(ARR, 2, REGION, 2, v, seed=1), FINITE + (4000.0,)),
+]
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{label}={value!r}")
+    for label, name, call, bad in CONTRACT for value in bad
+])
+def test_out_of_domain_argument_raises_value_error(name, call, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}[: ]"):
+            call(value)
+
+
+@pytest.mark.parametrize("value", [None, "1.0", [1.0], np.array([1.0]), True])
+def test_non_numbers_raise_value_error(value):
+    with pytest.raises(ValueError, match="^eta: "):
+        make_rect_array(4, value, FixedElementDiagonal(0.01), LAM)
+    with pytest.raises(ValueError, match="^k_max: "):
+        circ_lobe_catalog(CIRC, FAR, value)
+
+
+def test_integral_floats_are_counts():
+    assert make_rect_array(4.0, 1.0, FixedElementDiagonal(0.01), LAM).n_per_side == 4
+    quad = QuadratureSpec(np.float64(4.0), 1.0)
+    assert (type(quad.order), type(quad.refinement)) == (int, int)
