@@ -75,7 +75,6 @@ class LobeEntry:
     gain_db: float
 
 
-@lru_cache(maxsize=256)
 def solve_a3db(eta: float, tol: float = 1e-10) -> float:
     """Smallest positive half-power argument of the broadside gain curve.
 
@@ -83,9 +82,14 @@ def solve_a3db(eta: float, tol: float = 1e-10) -> float:
     root scales as 1/(1 + eta^2): the product a_3dB (1 + eta^2) stays within
     [1.738, 2.485] for eta from 1e-6 to 1e6, so the scale-free bracket
     [1, 3]/(1 + eta^2) holds the mainlobe crossing and no sidelobe one.
+    Roots are cached per validated (eta, tol); ``cache_info`` and
+    ``cache_clear`` reach that cache.
     """
-    _real("eta", eta)
-    _real("tol", tol)
+    return _solve_a3db(_real("eta", eta), _real("tol", tol))
+
+
+@lru_cache(maxsize=256)
+def _solve_a3db(eta: float, tol: float) -> float:
     scale = 1.0 + eta ** 2
     try:
         root = brentq(lambda a: analytic_gain_rect(eta, a) - 0.5,
@@ -95,6 +99,10 @@ def solve_a3db(eta: float, tol: float = 1e-10) -> float:
     if abs(analytic_gain_rect(eta, root) - 0.5) > tol:
         raise RuntimeError("bracketing failure in solve_a3db")
     return root
+
+
+solve_a3db.cache_info = _solve_a3db.cache_info
+solve_a3db.cache_clear = _solve_a3db.cache_clear
 
 
 def _depth_coeff(arr: RectArray) -> float:

@@ -27,8 +27,15 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 _REFINE_RTOL = 1e-8
 
-# Grid nodes per kernel block, unless one element row (order**2 * n) holds more.
+# Grid nodes per kernel block, unless one panel row (order**2 * panels) holds more.
 _BLOCK_NODES = 1 << 18
+
+# Most radians of residual phase a gain panel spans along a side: one turn,
+# which order-8 Gauss-Legendre integrates to 1e-10 and order 16 to rounding.
+_PANEL_PHASE = 2.0 * np.pi
+
+# Probe-grid intervals per side that bound the residual-phase gradient.
+_PROBES = 32
 
 
 @dataclass(frozen=True)
@@ -102,22 +109,62 @@ def _broadside_focus(wavelength: float, focus: float):
     return lambda x, y: np.pi / wavelength * (x * x + y * y) / focus
 
 
-def _aperture_blocks(arr: RectArray, xc, yc, tx: TxGeometry, order: int,
+def _panels(edges, n: int, size: float):
+    """Centres and half-widths of the panels between element-boundary indices
+    ``edges`` (0 .. n) along a side of n elements of width ``size``."""
+    edges = np.asarray(edges, dtype=float)
+    return 0.5 * (edges[:-1] + edges[1:] - n) * size, 0.5 * np.diff(edges) * size
+
+
+def _aperture_blocks(arr: RectArray, bx, by, tx: TxGeometry, order: int,
                      focus_phase=None):
-    """Exact field on the per-element Gauss-Legendre grid of the elements
-    centred at xc (rows) by yc (columns), in blocks of whole element rows.
+    """Exact field on the composite Gauss-Legendre grid, order nodes per panel
+    side, of the panels between element-boundary indices bx (rows, along the
+    width) and by (columns, along the height), in blocks of whole panel rows.
 
     Yields the block's row and column node weights and ``_spherical_wave``'s
     amplitude and focused field on its node grid."""
     nodes, wts = roots_legendre(order)
-    gy = (yc[:, None] + 0.5 * arr.elem_h * nodes).ravel()
-    wy = np.tile(0.5 * arr.elem_h * wts, len(yc))
+    cx, hx = _panels(bx, arr.n_per_side, arr.elem_w)
+    cy, hy = _panels(by, arr.n_per_side, arr.elem_h)
+    gy = (cy[:, None] + hy[:, None] * nodes).ravel()
+    wy = (hy[:, None] * wts).ravel()
     rows = max(1, _BLOCK_NODES // (order * gy.size))
-    for i in range(0, len(xc), rows):
-        gx = (xc[i:i + rows, None] + 0.5 * arr.elem_w * nodes).ravel()
-        wx = np.tile(0.5 * arr.elem_w * wts, gx.size // order)
+    for i in range(0, len(cx), rows):
+        gx = (cx[i:i + rows, None] + hx[i:i + rows, None] * nodes).ravel()
+        wx = (hx[i:i + rows, None] * wts).ravel()
         yield (wx, wy, *_spherical_wave(tx, gx[:, None], gy, arr.wavelength,
                                         focus_phase))
+
+
+def _panel_edges(arr: RectArray, tx: TxGeometry, focus_phase, focus_depth: float):
+    """Element-boundary indices of the panels a gain integrates over: g whole
+    elements per panel side (a shorter last panel where g does not divide n),
+    with g the most elements whose residual phase, focus_phase - k r, turns by
+    at most _PANEL_PHASE across a panel, and at least 1.
+
+    The gradient bound per axis is the largest secant slope of the residual
+    phase between neighbouring points of a _PROBES-interval probe grid over
+    the aperture, plus what its second derivatives can add within a probe
+    cell: each is at most k/tx.z for -k r and k/focus_depth for a focusing
+    phase centred at that depth.  The probe grid does not grow with n."""
+    k = 2.0 * np.pi / arr.wavelength
+    px = np.linspace(-0.5 * arr.aperture_w, 0.5 * arr.aperture_w, _PROBES + 1)
+    py = np.linspace(-0.5 * arr.aperture_h, 0.5 * arr.aperture_h, _PROBES + 1)
+    residual = -k * _distance(px[:, None], py, tx)
+    if focus_phase is not None:
+        residual += focus_phase(px[:, None], py)
+    curvature = k * (1.0 / tx.z + 1.0 / focus_depth)
+    hx, hy = px[1] - px[0], py[1] - py[0]
+    grad_x = np.abs(np.diff(residual, axis=0)).max() / hx + curvature * (hx + 0.5 * hy)
+    grad_y = np.abs(np.diff(residual, axis=1)).max() / hy + curvature * (hy + 0.5 * hx)
+    return (_edges(arr.n_per_side, _PANEL_PHASE / (grad_x * arr.elem_w)),
+            _edges(arr.n_per_side, _PANEL_PHASE / (grad_y * arr.elem_h)))
+
+
+def _edges(n: int, elements: float) -> np.ndarray:
+    """Boundary indices 0, g, 2g, ..., n with g = floor(elements) in [1, n]."""
+    return np.append(np.arange(0, n, int(min(n, max(1.0, elements)))), n)
 
 
 def _disk_blocks(circ: CircArray, tx: TxGeometry, order: int, focus_phase):
@@ -151,15 +198,16 @@ def _refined(evaluate, quad: QuadratureSpec, agree):
         f"and {quad.order << k} differ by {gap:.3e}")
 
 
-def _element_channels(arr: RectArray, xc, yc, tx: TxGeometry,
+def _element_channels(arr: RectArray, bx, by, tx: TxGeometry,
                       quad: QuadratureSpec) -> np.ndarray:
-    """Channels of the elements centred at xc by yc, shape (len(xc), len(yc)):
-    (1/sqrt(A)) times the integral of the exact field over each element."""
+    """Channels of the elements between consecutive boundary indices bx by by,
+    shape (len(bx) - 1, len(by) - 1): (1/sqrt(A)) times the integral of the
+    exact field over each element."""
     def channels(order):
         return np.concatenate([
             np.einsum("ai,bj,aibj->ab", wx.reshape(-1, order), wy.reshape(-1, order),
-                      field.reshape(-1, order, len(yc), order))
-            for wx, wy, _, field in _aperture_blocks(arr, xc, yc, tx, order)
+                      field.reshape(-1, order, len(by) - 1, order))
+            for wx, wy, _, field in _aperture_blocks(arr, bx, by, tx, order)
         ]) / math.sqrt(arr.elem_area)
 
     return _refined(channels, quad, lambda h, h2: np.abs(h2 - h) <= _REFINE_RTOL
@@ -170,9 +218,8 @@ def element_channel(arr: RectArray, n: int, m: int, tx: TxGeometry,
                     quad: QuadratureSpec = QuadratureSpec()) -> complex:
     """Channel of element (n, m): (1/sqrt(A)) * integral of the exact field
     over the element area."""
-    xc, yc, _ = element_center(arr, n, m)
-    return complex(_element_channels(arr, np.array([xc]), np.array([yc]), tx,
-                                     quad)[0, 0])
+    element_center(arr, n, m)  # IndexError outside the grid
+    return complex(_element_channels(arr, [n - 1, n], [m - 1, m], tx, quad)[0, 0])
 
 
 def _distance(x, y, tx: TxGeometry):

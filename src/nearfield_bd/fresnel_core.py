@@ -22,9 +22,18 @@ from scipy.special import fresnel
 
 def fresnel_cs(x):
     """Evaluate (C(x), S(x)) elementwise for scalar or array input."""
-    ss, cc = fresnel(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    ss, cc = fresnel(x)
+    # scipy returns NaN for finite |x| past about 1.3e154, where both integrals
+    # lie within 1/(pi |x|) of their limit sign(x)/2
     if cc.ndim == 0:
+        if math.isnan(cc) and math.isfinite(x):
+            cc = ss = math.copysign(0.5, x)
         return float(cc), float(ss)
+    far = np.isnan(cc) & np.isfinite(x)
+    if far.any():
+        limit = np.copysign(0.5, x)
+        cc, ss = np.where(far, limit, cc), np.where(far, limit, ss)
     return cc, ss
 
 

@@ -2,7 +2,8 @@
 
 Exact gains, rectangular or disk, reduce the spherical-wave field over the
 aperture, times a focusing filter, over ``field_model``'s node blocks in one
-kernel with one convergence check; closed-form gains evaluate the
+kernel with one convergence check (rectangular apertures on a panel grid
+sized by the residual phase); closed-form gains evaluate the
 Fresnel-integral expressions for rectangular apertures (broadside and
 slanted transmitters) and the sinc^2 expression for circular apertures.
 ``run_sweep`` evaluates any sweep point by point, optionally threaded, and
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -30,11 +32,10 @@ from .array_geometry import (
     RectArray,
     TxGeometry,
     _real,
-    element_grid,
     project_array,
 )
 from .field_model import (QuadratureSpec, _aperture_blocks, _broadside_focus,
-                          _disk_blocks, _refined)
+                          _disk_blocks, _panel_edges, _refined)
 from .fresnel_core import fresnel_cs, sinc
 
 REACTIVE_LIMIT_FACTOR = 1.2
@@ -74,15 +75,17 @@ def radiative_floor(geometry) -> float:
 
 
 def _aperture_gain(geometry, tx: TxGeometry, focus: float,
-                   quad: QuadratureSpec, blocks) -> float:
+                   quad: QuadratureSpec, rule) -> float:
     """|sum w E e^{j phase}|^2 / (A sum w |E|^2) over the node blocks that
-    ``blocks(order)`` yields, with the order refined per ``quad``."""
+    ``blocks(order)`` yields, with the order refined per ``quad``; ``rule()``
+    builds ``blocks`` once the transmitter and focus have been checked."""
     limit = radiative_floor(geometry)
     if tx.dist < limit:
         raise ValueError(
             f"transmitter at {tx.dist:.6g} m is inside the reactive near-field "
             f"boundary {limit:.6g} m (1.2 x aperture length)")
     _real("focal distance", focus, inf=True)
+    blocks = rule()
 
     def gain(order):
         num = den = 0.0
@@ -95,16 +98,21 @@ def _aperture_gain(geometry, tx: TxGeometry, focus: float,
 
 
 def _rect_gain(arr: RectArray, tx: TxGeometry, focus: float,
-               quad: QuadratureSpec, phase) -> float:
-    xc, yc = element_grid(arr)
-    return _aperture_gain(arr, tx, focus, quad,
-                          lambda order: _aperture_blocks(arr, xc, yc, tx, order, phase))
+               quad: QuadratureSpec, phase, focus_depth: float) -> float:
+    """Gain over the panels ``_panel_edges`` sizes for the focusing ``phase``,
+    whose centre lies at depth ``focus_depth`` in front of the aperture."""
+    def rule():
+        bx, by = _panel_edges(arr, tx, phase, focus_depth)
+        return partial(_aperture_blocks, arr, bx, by, tx, focus_phase=phase)
+
+    return _aperture_gain(arr, tx, focus, quad, rule)
 
 
 def exact_array_gain(arr: RectArray, tx: TxGeometry, focus: float,
                      quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Gain with the broadside quadratic focusing phase toward (0, 0, F)."""
-    return _rect_gain(arr, tx, focus, quad, _broadside_focus(arr.wavelength, focus))
+    return _rect_gain(arr, tx, focus, quad, _broadside_focus(arr.wavelength, focus),
+                      focus)
 
 
 def exact_array_gain_steered(arr: RectArray, tx: TxGeometry, focus: float,
@@ -121,36 +129,46 @@ def exact_array_gain_steered(arr: RectArray, tx: TxGeometry, focus: float,
         rho = np.sqrt((x - fx) ** 2 + (y - fy) ** 2 + fz * fz)
         return (2.0 * np.pi / arr.wavelength) * rho
 
-    return _rect_gain(arr, tx, focus, quad, focus_phase)
+    return _rect_gain(arr, tx, focus, quad, focus_phase, focus * uz)
 
 
 def analytic_gain_rect(eta: float, a: float) -> float:
     """Closed-form broadside gain as a function of the aperture phase
     parameter a = d_FA/(4 z_eff (1 + eta^2)); a = 0 is the focused limit."""
-    _real("eta", eta)
-    if _real("a", a, strict=False) < 1e-12:
+    eta = _real("eta", eta)
+    a = _real("a", a, strict=False)
+    if a < 1e-12:
         return 1.0
     root = math.sqrt(a)
     c1, s1 = fresnel_cs(eta * root)
     c2, s2 = fresnel_cs(root)
-    return (c1 * c1 + s1 * s1) * (c2 * c2 + s2 * s2) / (eta * a) ** 2
+    return _over_square(c1 * c1 + s1 * s1, c2 * c2 + s2 * s2, eta * a)
+
+
+def _over_square(br1: float, br2: float, scale: float) -> float:
+    """br1 * br2 / scale^2; past the range where scale^2 overflows, each bracket
+    is divided by scale on its own and the product underflows toward 0."""
+    try:
+        return br1 * br2 / scale ** 2
+    except OverflowError:
+        return (br1 / scale) * (br2 / scale)
 
 
 def analytic_gain_nonbroadside(eta: float, p: float, q: float, q_tilde: float) -> float:
     """Closed-form slanted-transmitter gain with p = (1/2)sqrt(d_FA/(d_eff(1+eta^2)))
     and angular offsets q (azimuth axis) and q_tilde (elevation axis) in
     Fresnel-integral units."""
-    _real("eta", eta)
-    _real("p", p)
-    _real("q", q, -math.inf, strict=False)
-    _real("q_tilde", q_tilde, -math.inf, strict=False)
+    eta = _real("eta", eta)
+    p = _real("p", p)
+    q = _real("q", q, -math.inf, strict=False)
+    q_tilde = _real("q_tilde", q_tilde, -math.inf, strict=False)
     c1p, s1p = fresnel_cs(p + q_tilde)
     c1m, s1m = fresnel_cs(p - q_tilde)
     c2p, s2p = fresnel_cs(eta * p + q)
     c2m, s2m = fresnel_cs(eta * p - q)
     br1 = (c1p + c1m) ** 2 + (s1p + s1m) ** 2
     br2 = (c2p + c2m) ** 2 + (s2p + s2m) ** 2
-    return br1 * br2 / (4.0 * eta * p * p) ** 2
+    return _over_square(br1, br2, 4.0 * eta * p * p)
 
 
 def analytic_gain_circ(l: float) -> float:
@@ -204,7 +222,7 @@ def disk_gain_exact(circ: CircArray, z: float, focus: float,
     tx = TxGeometry(z)
     phase = _broadside_focus(circ.wavelength, focus)
     return _aperture_gain(circ, tx, focus, quad,
-                          lambda order: _disk_blocks(circ, tx, order, phase))
+                          lambda: partial(_disk_blocks, circ, tx, focus_phase=phase))
 
 
 def disk_gain_fresnel(circ: CircArray, z: float, focus: float) -> float:

@@ -148,11 +148,12 @@ def build_channel_matrix(arr: RectArray, users: Sequence[TxGeometry],
     if model not in ("phase", "fresnel", "exact"):
         raise ValueError(f"unknown channel model {model!r}")
     xc, yc = element_grid(arr)
+    edges = np.arange(arr.n_per_side + 1)
     cols = []
     for k, tx in enumerate(users):
         try:
             if model == "exact":
-                cols.append(_element_channels(arr, xc, yc, tx,
+                cols.append(_element_channels(arr, edges, edges, tx,
                                               quad or QuadratureSpec()).ravel())
             else:
                 vals = fresnel_field_nonbroadside(tx, xc[:, None], yc[None, :],
@@ -264,8 +265,11 @@ def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
     k_users = _integer("k_users", k_users)
     n_trials = _integer("n_trials", n_trials)
     z_min, z_max = region
-    if not (math.isfinite(z_min) and math.isfinite(z_max)):
-        raise ValueError(f"region bounds must be finite, got {region}")
+    try:
+        z_min, z_max = (_real("region bound", z, -math.inf, strict=False)
+                        for z in (z_min, z_max))
+    except ValueError as err:
+        raise ValueError(f"region bounds must be finite numbers, got {region}") from err
     if not 0 < z_min < z_max:
         raise ValueError("region must satisfy 0 < z_min < z_max")
     power = _snr_power(snr_db)

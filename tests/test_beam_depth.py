@@ -11,6 +11,7 @@ from nearfield_bd.array_geometry import (
     FixedApertureArea,
     FixedApertureLength,
     FixedElementDiagonal,
+    TxGeometry,
     make_rect_array,
     wavelength_from_carrier,
 )
@@ -33,6 +34,7 @@ from nearfield_bd.gain_engine import (
     analytic_gain_rect,
     circ_gain_broadside,
     effective_distance,
+    exact_array_gain,
     gain_profile,
     rect_gain_broadside,
 )
@@ -282,6 +284,37 @@ def test_numeric_matches_closed_form_random_configs():
         res = numeric_bd(prof, gain_fn=lambda z: rect_gain_broadside(arr, z, focus))
         assert res.status == STATUS_FINITE
         npt.assert_allclose(res.depth, ref.depth, rtol=0.01)
+
+
+@given(st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=64, max_value=200),
+       st.floats(min_value=0.32, max_value=0.7))
+@settings(max_examples=25, deadline=None)
+def test_exact_depth_matches_closed_form(log_eta, n, ratio):
+    """The half-power interval of the exact gain matches bd_rect's.
+
+    The closed form keeps the Fresnel phase z + rho^2/(2z) of the distance
+    r = sqrt(z^2 + rho^2).  As r - z = rho^2/(r + z), the exact phase at every
+    aperture point (rho <= L/2) is the Fresnel phase of a distance between z
+    and z(1 + L^2/(16 z^2)), so each exact crossing lies within that relative
+    stretch of the closed form's.  The tolerance doubles the stretch for the
+    amplitude taper, of the same order in L/z, that the closed form also
+    drops, and adds the crossing search's rel_tol.
+
+    With n >= 64 half-wavelength elements and F between 0.32 and 0.7 of the
+    finite-depth limit, F >= d_B (2c/n <= 0.31 for c <= 9.94), and the grid
+    starts above the radiative floor (0.8 z_lo >= 1.25 L)."""
+    eta = 10.0 ** log_eta
+    arr = make_rect_array(n, eta, FixedElementDiagonal(LAM / 2), LAM)
+    focus = ratio * finite_bd_limit_rect(arr)
+    ref = bd_rect(arr, focus)
+    assert ref.within_validity
+    grid = np.unique(np.append(np.geomspace(0.8 * ref.z_lo, 1.25 * ref.z_hi, 13), focus))
+    prof = gain_profile("exact", arr, grid, focus)
+    res = numeric_bd(prof, gain_fn=lambda z: exact_array_gain(arr, TxGeometry(z), focus),
+                     rel_tol=1e-7)
+    for z, z_ref in ((res.z_lo, ref.z_lo), (res.z_hi, ref.z_hi)):
+        stretch = arr.aperture_len ** 2 / (16.0 * z_ref ** 2)
+        assert abs(z / z_ref - 1.0) <= 2.0 * stretch + 1e-6
 
 
 def test_numeric_matches_closed_form_circular():

@@ -12,8 +12,11 @@ from nearfield_bd.array_geometry import (
     wavelength_from_carrier,
 )
 from nearfield_bd.field_model import (
+    _PANEL_PHASE,
     QuadratureSpec,
     SQRT_4PI,
+    _broadside_focus,
+    _panel_edges,
     distance_exact,
     distance_taylor_direct,
     distance_taylor_indirect,
@@ -216,6 +219,42 @@ def test_whole_aperture_integral_geometric_decay():
     # subdivision rescues a too-coarse base rule
     h_refined = element_channel(big, 1, 1, tx, QuadratureSpec(order=2, refinement=4))
     assert abs(h_refined - ref) < 1e-6 * abs(ref)
+
+
+@pytest.mark.parametrize("n, diag, tx_at, focus_at, panels", [
+    (40, 0.5, (1.5, 0.0, 0.0), 3.0, "coarser"),
+    (40, 0.5, (2.0, 0.5, 0.3), math.inf, "coarser"),
+    (40, 1.0, (1.3, -0.9, 0.2), 1.4, "any"),
+    (6, 8.0, (1.3, 0.0, 0.0), math.inf, "elements"),
+])
+def test_panels_bound_the_residual_phase(n, diag, tx_at, focus_at, panels):
+    """Across every panel of several elements, the residual phase (broadside
+    focusing phase minus k r) turns by at most _PANEL_PHASE along either side,
+    sampled 8 times per element; panels hold whole elements, and large
+    elements get one each.
+    Transmitter range and focus in aperture lengths."""
+    arr = make_rect_array(n, 1.5, FixedElementDiagonal(diag * LAM), LAM)
+    dist, azimuth, elevation = tx_at
+    tx = TxGeometry(dist * arr.aperture_len, azimuth=azimuth, elevation=elevation)
+    focus = focus_at * arr.aperture_len
+    phase = _broadside_focus(LAM, focus)
+    edges = _panel_edges(arr, tx, phase, focus)
+    steps = np.arange(8 * n + 1) / 8.0 - 0.5 * n
+    x, y = steps[:, None] * arr.elem_w, steps * arr.elem_h
+    residual = -2.0 * np.pi / LAM * np.sqrt((x - tx.x) ** 2 + (y - tx.y) ** 2 + tx.z ** 2)
+    if phase is not None:
+        residual = residual + phase(x, y)
+    for axis, b in enumerate(edges):
+        assert b[0] == 0 and b[-1] == n and np.all(np.diff(b) >= 1)
+        assert np.all(np.diff(b)[:-1] == b[1] - b[0])  # only the last may be shorter
+        for lo, hi in zip(b[:-1], b[1:]):
+            if hi - lo > 1:  # a single element is today's rule, whatever it spans
+                part = np.take(residual, np.arange(8 * lo, 8 * hi + 1), axis=axis)
+                assert np.ptp(part, axis=axis).max() <= _PANEL_PHASE
+        if panels == "coarser":
+            assert len(b) - 1 < n
+        if panels == "elements":
+            assert len(b) - 1 == n
 
 
 def test_channel_additivity_under_subdivision():

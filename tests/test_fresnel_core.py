@@ -86,6 +86,14 @@ def test_bounded_by_08():
 def test_large_argument_limit():
     assert abs(fresnel_s(50.0) - 0.5) <= 1e-2
     assert abs(fresnel_c(50.0) - 0.5) <= 1e-2
+    # past |x| = 1.3e154 x^2 overflows; the integrals stay at their limits
+    xs = np.array([1e154, 2e154, 1e300, np.inf, -1e200, -np.inf])
+    half = 0.5 * np.sign(xs)
+    cc, ss = fresnel_cs(xs)
+    npt.assert_array_equal(cc, half)
+    npt.assert_array_equal(ss, half)
+    for x, h in zip(xs.tolist(), half.tolist()):
+        assert fresnel_cs(x) == (h, h)
 
 
 @pytest.mark.parametrize("x", [0.3, 0.9, 1.3, 1.8, 2.7, 4.1, 7.9])

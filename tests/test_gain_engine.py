@@ -72,6 +72,11 @@ def test_analytic_rect_limits():
     for q, q_tilde in [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)]:
         with pytest.raises(ValueError):
             analytic_gain_nonbroadside(1.0, 0.8, q, q_tilde)
+    # far past the mainlobe the gain underflows toward 0 instead of overflowing
+    for eta, a in [(1.0, 1e300), (1e-300, 1e300), (1e300, 1e300), (1.0, 1e160)]:
+        assert 0.0 <= analytic_gain_rect(eta, a) <= 1e-150
+    for eta, p, q in [(1.0, 1e100, 0.0), (1e300, 1e200, 3.0), (1.0, 1e160, -1e150)]:
+        assert 0.0 <= analytic_gain_nonbroadside(eta, p, q, q) <= 1e-150
 
 
 def test_aspect_ratio_symmetry():
@@ -182,18 +187,43 @@ def test_refinement_doubles_until_gains_agree():
 
 
 def test_exact_gain_memory_bounded():
-    """The n=200 aperture grid holds 1.02e7 nodes at order 16; blocks of
-    whole element rows keep the traced peak far below the full grid."""
-    arr = make_rect_array(200, 1.0, FixedElementDiagonal(LAM / 2), LAM)
-    tx = TxGeometry(2 * arr.aperture_len)
-    tracemalloc.start()
-    try:
-        g = exact_array_gain(arr, tx, tx.dist, FAST_QUAD)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0.9 < g <= 1.0 + 1e-6
-    assert peak < 32 * 2 ** 20
+    """Element grids of n^2 * 256 nodes at order 16 (1.02e7 at n=200, 5.8e8
+    at n=1500): the gain needs neither that grid nor any n x n array, so the
+    traced peak stays far below it."""
+    # a 750-wavelength aperture focused at 2 aperture lengths keeps a quartic
+    # phase error of about k L / 128 = 37 rad at its corners
+    for n, low in [(200, 0.9), (1500, 0.5)]:
+        arr = make_rect_array(n, 1.0, FixedElementDiagonal(LAM / 2), LAM)
+        tx = TxGeometry(2 * arr.aperture_len)
+        tracemalloc.start()
+        try:
+            g = exact_array_gain(arr, tx, tx.dist, FAST_QUAD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert low < g <= 1.0 + 1e-6
+        assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("tx_at, focus_at", [
+    ((2.0, 0.0, 0.0), 3.0),
+    ((3.0, 0.4, -0.25), 2.5),
+    ((4.0, 0.0, 0.0), math.inf),
+    ((1.5, -0.6, 0.3), math.inf),
+])
+def test_gain_independent_of_element_count(tx_at, focus_at):
+    """Elements tile the aperture without gaps, so the same 25-wavelength
+    aperture tiled as 100x100, 20x20 or 4x4 elements has the same exact gains
+    (transmitter range and focus in aperture lengths)."""
+    length = 25 * LAM
+    arrays = [make_rect_array(n, 2.0, FixedApertureLength(length), LAM)
+              for n in (100, 20, 4)]
+    dist, azimuth, elevation = tx_at
+    tx = TxGeometry(dist * length, azimuth=azimuth, elevation=elevation)
+    for gain in (exact_array_gain, exact_array_gain_steered):
+        ref, *others = (gain(arr, tx, focus_at * length) for arr in arrays)
+        for g in others:
+            assert abs(g - ref) <= 1e-12
 
 
 def test_reactive_near_field_rejected():

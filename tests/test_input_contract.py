@@ -181,3 +181,21 @@ def test_integral_floats_are_counts():
     assert make_rect_array(4.0, 1.0, FixedElementDiagonal(0.01), LAM).n_per_side == 4
     quad = QuadratureSpec(np.float64(4.0), 1.0)
     assert (type(quad.order), type(quad.refinement)) == (int, int)
+
+
+def test_solve_a3db_validates_before_its_cache():
+    """The cache key treats True, 1 and 1.0 alike and cannot hash a list, so
+    the arguments are checked before the cache is consulted."""
+    root = solve_a3db(1.0)
+    for value in (True, [1.0]):
+        with pytest.raises(ValueError, match="^eta: "):
+            solve_a3db(value)
+    hits = solve_a3db.cache_info().hits
+    assert solve_a3db(1) == root
+    assert solve_a3db.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("region", [("1", 2.0), (1.0, None), (NAN, 2.0), (1.0, INF)])
+def test_monte_carlo_region_bounds_are_finite_numbers(region):
+    with pytest.raises(ValueError, match="^region bounds must be finite"):
+        monte_carlo_sum_rate(ARR, 2, region, 2, 10.0, seed=1)
