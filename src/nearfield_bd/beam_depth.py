@@ -80,17 +80,18 @@ def solve_a3db(eta: float, tol: float = 1e-10) -> float:
 
     Solves analytic_gain_rect(eta, a) = 0.5 for a with Brent's method.  The
     root scales as 1/(1 + eta^2): the product a_3dB (1 + eta^2) stays within
-    [1.738, 2.485] for eta from 1e-6 to 1e6, so the scale-free bracket
-    [1, 3]/(1 + eta^2) holds the mainlobe crossing and no sidelobe one.
-    Roots are cached per validated (eta, tol); ``cache_info`` and
-    ``cache_clear`` reach that cache.
+    [1.738, 2.485] for every eta, so the scale-free bracket [1, 3]/(1 + eta^2)
+    holds the mainlobe crossing and no sidelobe one.  Past eta ~ 1.3e154,
+    where 1 + eta^2 overflows, the bracket collapses to 0 and the call raises
+    RuntimeError.  Roots are cached per validated (eta, tol); ``cache_info``
+    and ``cache_clear`` reach that cache.
     """
     return _solve_a3db(_real("eta", eta), _real("tol", tol))
 
 
 @lru_cache(maxsize=256)
 def _solve_a3db(eta: float, tol: float) -> float:
-    scale = 1.0 + eta ** 2
+    scale = 1.0 + eta * eta
     try:
         root = brentq(lambda a: analytic_gain_rect(eta, a) - 0.5,
                       1.0 / scale, 3.0 / scale, xtol=1e-14 / scale, rtol=1e-14)

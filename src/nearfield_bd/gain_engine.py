@@ -136,13 +136,17 @@ def analytic_gain_rect(eta: float, a: float) -> float:
     """Closed-form broadside gain as a function of the aperture phase
     parameter a = d_FA/(4 z_eff (1 + eta^2)); a = 0 is the focused limit."""
     eta = _real("eta", eta)
-    a = _real("a", a, strict=False)
-    if a < 1e-12:
+    root = math.sqrt(_real("a", a, strict=False))
+    return _fresnel_bracket(eta * root) * _fresnel_bracket(root)
+
+
+def _fresnel_bracket(x: float) -> float:
+    """(C(x)/x)^2 + (S(x)/x)^2, which tends to 1 as x -> 0; dividing before
+    squaring neither underflows at tiny x nor overflows at huge x."""
+    if x == 0.0:
         return 1.0
-    root = math.sqrt(a)
-    c1, s1 = fresnel_cs(eta * root)
-    c2, s2 = fresnel_cs(root)
-    return _over_square(c1 * c1 + s1 * s1, c2 * c2 + s2 * s2, eta * a)
+    c, s = fresnel_cs(x)
+    return (c / x) ** 2 + (s / x) ** 2
 
 
 def _over_square(br1: float, br2: float, scale: float) -> float:

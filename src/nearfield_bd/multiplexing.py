@@ -21,6 +21,11 @@ from .gain_engine import radiative_floor
 
 _PLAN_EDGE_RTOL = 1e-9
 
+# Monte Carlo trials are evaluated in blocks of at most this many complex
+# phase values (trials x user pairs x half the elements per side), so memory
+# stays bounded for any user count and array size.
+_GRAM_BLOCK_VALUES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class PlacementPlan:
@@ -187,10 +192,12 @@ def mmse_precoder(h: ChannelMatrix) -> Precoder:
 
 def _signal_table(table: np.ndarray, p: np.ndarray) -> tuple:
     """Signal p_k t_kk and interference sum_{j != k} p_j t_kj of the table
-    t_kj = |h_k^H w_j|^2. It zeroes t's diagonal and sums what is left:
-    subtracting the signal from a full row sum cancels when it dominates."""
-    sig = p * np.diag(table)
-    np.fill_diagonal(table, 0.0)
+    t_kj = |h_k^H w_j|^2, or of each table in a (..., K, K) stack. It zeroes
+    t's diagonal and sums what is left: subtracting the signal from a full row
+    sum cancels when it dominates."""
+    diag = np.arange(table.shape[-1])
+    sig = p * table[..., diag, diag]
+    table[..., diag, diag] = 0.0
     return sig, table @ p
 
 
@@ -213,29 +220,58 @@ def sum_rate(h: ChannelMatrix, w: Precoder, powers: Sequence[float]) -> float:
 
 
 def _phase_gram(arr: RectArray, dists: np.ndarray) -> np.ndarray:
-    """Gram matrix of broadside phase-model columns without forming them.
+    """Gram matrices of broadside phase-model columns without forming them.
 
-    conj(h_i)^T h_j separates into x and y sums of quadratic phases, so the
-    K x K Gram costs O(K^2 n_per_side) instead of O(K^2 N).
+    ``dists`` holds K user distances, or a (..., K) stack of them; the result
+    is (..., K, K).  conj(h_i)^T h_j separates into x and y sums of quadratic
+    phases, so a K x K Gram costs O(K^2 n_per_side) instead of O(K^2 N).
+    Only the strict upper triangle is summed, each pair from its curvature
+    difference 1/d_i - 1/d_j (exact for users within a factor 2 of each
+    other); the lower triangle is its conjugate and the diagonal is exactly
+    N.  Each axis sums over the mirror half of the element grid.
     """
-    xc, yc = element_grid(arr)
+    dists = np.asarray(dists, dtype=float)
+    k = dists.shape[-1]
+    i, j = np.triu_indices(k, 1)
     inv = 1.0 / dists
-    curvature = np.subtract.outer(inv, inv)
-    sx = np.exp(1j * np.pi / arr.wavelength
-                * curvature[:, :, None] * xc[None, None, :] ** 2).sum(axis=2)
-    sy = np.exp(1j * np.pi / arr.wavelength
-                * curvature[:, :, None] * yc[None, None, :] ** 2).sum(axis=2)
-    lead = np.exp(2j * np.pi / arr.wavelength * np.subtract.outer(dists, dists))
-    return lead * sx * sy
+    curvature = inv[..., i] - inv[..., j]
+    upper = (np.exp(2j * np.pi / arr.wavelength * (dists[..., i] - dists[..., j]))
+             * _folded_sum(arr, curvature, 0) * _folded_sum(arr, curvature, 1))
+    gram = np.empty(dists.shape + (k,), dtype=complex)
+    gram[..., i, j] = upper
+    gram[..., j, i] = upper.conj()
+    diag = np.arange(k)
+    gram[..., diag, diag] = arr.n_per_side ** 2
+    return gram
+
+
+def _folded_sum(arr: RectArray, curvature: np.ndarray, axis: int) -> np.ndarray:
+    """sum over one axis's element coordinates u of exp(i theta), theta =
+    pi/lambda c u^2, for every curvature c.  Mirror pairs +-u add 2 cos theta
+    = 2 - 4 sin^2(theta/2) and the centre (odd n) adds 1, so the sum is
+    n - 4 sum sin^2(theta/2) + 2i sum sin theta over the u > 0 half.  The
+    sin^2 form keeps the 1 - cos theta of near-collinear users, which a
+    rounded cos theta loses."""
+    half = element_grid(arr)[axis]
+    half = half[half > 0]
+    phase = np.pi / arr.wavelength * curvature[..., None] * half ** 2
+    imag = np.sin(phase).sum(axis=-1)
+    half_sin = np.sin(np.multiply(phase, 0.5, out=phase), out=phase)
+    deficit = np.square(half_sin, out=half_sin).sum(axis=-1)
+    return arr.n_per_side - 4.0 * deficit + 2j * imag
 
 
 def _gram_signal_table(gram: np.ndarray, power: float) -> tuple:
     """``_signal_table`` of the MMSE precoder of the channel with K x K Gram
-    matrix ``gram``, every user at ``power``: H^H W = alpha G (G + I)^{-1}."""
-    k = gram.shape[0]
-    inv = np.linalg.solve(gram + np.eye(k), np.eye(k))
-    alpha_sq = 1.0 / np.trace(inv.conj().T @ gram @ inv).real
-    return _signal_table(np.abs(gram @ inv) ** 2 * alpha_sq, np.full(k, power))
+    matrix ``gram`` (or each of a (..., K, K) stack), every user at
+    ``power``: H^H W = alpha G (G + I)^{-1}."""
+    k = gram.shape[-1]
+    eye = np.broadcast_to(np.eye(k), gram.shape)
+    inv = np.linalg.solve(gram + eye, eye)
+    alpha_sq = 1.0 / np.trace(inv.conj().swapaxes(-1, -2) @ gram @ inv,
+                              axis1=-2, axis2=-1).real
+    return _signal_table(np.abs(gram @ inv) ** 2 * alpha_sq[..., None, None],
+                         np.full(k, power))
 
 
 def _snr_power(snr_db: float, name: str = "snr_db") -> float:
@@ -247,9 +283,10 @@ def _snr_power(snr_db: float, name: str = "snr_db") -> float:
                          f"got {snr_db!r}") from None
 
 
-def _rates_from_gram(gram: np.ndarray, power: float) -> float:
+def _rates_from_gram(gram: np.ndarray, power: float):
+    """Sum rate of the Gram matrix ``gram``, or of each of a (..., K, K) stack."""
     sig, interference = _gram_signal_table(gram, power)
-    return float(np.sum(np.log2(1.0 + sig / (interference + 1.0))))
+    return np.sum(np.log2(1.0 + sig / (interference + 1.0)), axis=-1)
 
 
 def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
@@ -260,7 +297,8 @@ def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
     Distances are drawn uniformly in reciprocal distance over the region
     (matching the roughly curvature-uniform spacing of depth intervals),
     broadside, with a PCG64 generator seeded for reproducibility.  Trials
-    are reduced in trial order.
+    are evaluated in blocks of at most ``_GRAM_BLOCK_VALUES`` phase values
+    and reduced in trial order.
     """
     k_users = _integer("k_users", k_users)
     n_trials = _integer("n_trials", n_trials)
@@ -272,12 +310,19 @@ def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
         raise ValueError(f"region bounds must be finite numbers, got {region}") from err
     if not 0 < z_min < z_max:
         raise ValueError("region must satisfy 0 < z_min < z_max")
+    floor = radiative_floor(arr)
+    if z_min < floor:
+        raise ValueError(f"region starts in the reactive near-field "
+                         f"(z_min {z_min:.4g} m < {floor:.4g} m)")
     power = _snr_power(snr_db)
     rng = np.random.default_rng(seed)
     draws = 1.0 / rng.uniform(1.0 / z_max, 1.0 / z_min, size=(n_trials, k_users))
+    per_trial = k_users * (k_users - 1) // 2 * ((arr.n_per_side + 1) // 2)
+    block = max(1, _GRAM_BLOCK_VALUES // max(1, per_trial))
     rates = np.empty(n_trials)
-    for t in range(n_trials):
-        rates[t] = _rates_from_gram(_phase_gram(arr, draws[t]), power)
+    for start in range(0, n_trials, block):
+        rates[start:start + block] = _rates_from_gram(
+            _phase_gram(arr, draws[start:start + block]), power)
     mean = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
     return MonteCarloResult(mean, stderr, n_trials)

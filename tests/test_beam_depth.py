@@ -74,11 +74,15 @@ def test_a3db_aspect_symmetry():
 
 def test_a3db_large_eta_product_converges():
     """The root falls below the old fixed bracket start for eta >~ 1.3e3;
-    the (1 + eta^2) product still tends to its strip limit, up to the edges
-    eta = 1e6 and (by aspect symmetry) 1e-6 of the scale-free bracket."""
+    the (1 + eta^2) product still tends to its strip limit, at eta = 1e6 and
+    (by aspect symmetry) 1e-6, and on to eta = 1e154, just short of where
+    1 + eta^2 overflows."""
     ref = solve_a3db(1e3) * (1 + 1e3 ** 2)
     for eta in (1e4, 1e5, 1e6, 1e-6):
         assert solve_a3db(eta) * (1 + eta ** 2) == pytest.approx(ref, rel=1e-6)
+    for eta in (1e7, 1e10, 1e20, 1e100, 1e154):
+        assert solve_a3db(eta) * (1 + eta ** 2) == pytest.approx(
+            1.7379732118867, rel=1e-12)
 
 
 @given(st.floats(min_value=-6.0, max_value=6.0))
@@ -110,10 +114,11 @@ def test_a3db_validation():
     for tol in (-1e-9, math.nan):
         with pytest.raises(ValueError):
             solve_a3db(1.0, tol=tol)
-    # eta = 1e7 puts the whole bracket under analytic_gain_rect's a < 1e-12
-    # cut, where the gain reads 1: a numerical failure, not a bad input.
-    with pytest.raises(RuntimeError, match="bracketing failure"):
-        solve_a3db(1e7)
+    # past eta ~ 1.3e154, 1 + eta^2 overflows and the bracket collapses to 0,
+    # where the gain reads 1: a numerical failure, not a bad input.
+    for eta in (1.4e154, 1e200):
+        with pytest.raises(RuntimeError, match="bracketing failure"):
+            solve_a3db(eta)
 
 
 def test_bd_rect_square_preset():

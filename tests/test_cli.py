@@ -401,11 +401,12 @@ def test_numerical_failure_reports_sweep_indices(tmp_path, capsys):
 
 
 def test_planning_failure_reports_sweep_index(tmp_path, capsys):
-    """solve_a3db cannot bracket eta = 1e7: a numerical fault, not a config one."""
+    """solve_a3db cannot bracket eta = 1e200, where 1 + eta^2 overflows: a
+    numerical fault, not a config one."""
     cfg = {
         "geometry": SMALL_WIDE_GEOM,
         "experiment": "sum-rate-vs-eta",
-        "sweep": {"eta_values": [1.0, 1e7], "z_min": "40.05 dF",
+        "sweep": {"eta_values": [1.0, 1e200], "z_min": "40.05 dF",
                   "z_max": "40.2 dF"},
     }
     assert run_cli("run", "--config", write_config(tmp_path, cfg),
@@ -583,3 +584,21 @@ def test_module_entrypoint_runs():
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "fig2" in proc.stdout
+
+
+def test_monte_carlo_rows_independent_of_blas_threads(tmp_path):
+    """fig5 (Monte Carlo rows only) writes the same bytes with BLAS pinned to
+    one and to two threads."""
+    src = os.path.dirname(os.path.dirname(nearfield_bd.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fig5-{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "nearfield_bd.cli", "run",
+                               "--preset", "fig5", "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -58,6 +58,10 @@ def test_effective_distance():
 def test_analytic_rect_limits():
     assert analytic_gain_rect(1.0, 0.0) == 1.0
     assert analytic_gain_rect(3.0, 1e-15) == 1.0
+    # no cut below a = 0: tiny a keeps the half-power crossing of large eta
+    for eta, a in [(1.0, 1e-300), (1e-300, 1e-300), (1.0, 5e-324)]:
+        assert analytic_gain_rect(eta, a) == 1.0
+    assert analytic_gain_rect(1e7, 1.7379732118867e-14) == pytest.approx(0.5, abs=1e-12)
     val = analytic_gain_rect(1.0, 1.25)
     assert abs(val - 0.5) < 0.01
     for eta, a in [(0.3, 0.7), (2.0, 4.4), (1.0, 9.0)]:

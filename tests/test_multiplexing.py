@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -8,11 +9,13 @@ from nearfield_bd.array_geometry import (
     FixedApertureLength,
     FixedElementDiagonal,
     TxGeometry,
+    element_grid,
     make_rect_array,
     wavelength_from_carrier,
 )
 from nearfield_bd.beam_depth import bd_rect, finite_bd_limit_rect
 from nearfield_bd.field_model import QuadratureSpec, element_channel
+from nearfield_bd import multiplexing
 from nearfield_bd.multiplexing import (
     ChannelMatrix,
     PlacementPlan,
@@ -295,6 +298,38 @@ def test_gram_fast_path_matches_explicit():
     npt.assert_allclose(fast, explicit, rtol=1e-10)
 
 
+def _pairwise_gram(arr, dists):
+    """K x K double loop over the full element grid: lead phase times
+    sum_x sum_y exp(i pi/lambda (1/d_i - 1/d_j)(x^2 + y^2))."""
+    xc, yc = element_grid(arr)
+    k = len(dists)
+    gram = np.empty((k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            c = np.pi / arr.wavelength * (1 / dists[i] - 1 / dists[j])
+            field = np.exp(1j * c * (xc[:, None] ** 2 + yc[None, :] ** 2))
+            gram[i, j] = (np.exp(2j * np.pi / arr.wavelength * (dists[i] - dists[j]))
+                          * field.sum())
+    return gram
+
+
+@pytest.mark.parametrize("n, eta", [(50, 1.0), (51, 1.0), (40, 0.3), (33, 2.5)])
+def test_phase_gram_matches_pairwise_definition(n, eta):
+    arr = make_rect_array(n, eta, FixedElementDiagonal(LAM / 2), LAM)
+    rng = np.random.default_rng(n)
+    stack = 1.0 / rng.uniform(1 / (arr.d_fa / 10), 1 / arr.d_b, size=(3, 4))
+    stack[0, 1] = stack[0, 0] * (1 + 1e-9)     # a near-collinear pair
+    batched = _phase_gram(arr, stack)
+    assert batched.shape == (3, 4, 4)
+    for dists, gram in zip(stack, batched):
+        npt.assert_allclose(gram, _pairwise_gram(arr, dists), rtol=0, atol=1e-14 * n * n)
+        npt.assert_array_equal(np.diag(gram), np.full(4, float(n * n)))
+        npt.assert_array_equal(gram, gram.conj().T)
+        npt.assert_array_equal(_phase_gram(arr, dists), gram)
+    single = _phase_gram(arr, stack[0, :1])
+    assert single.shape == (1, 1) and single[0, 0] == n * n
+
+
 def test_gram_interference_matches_explicit():
     """The Monte Carlo path's per-user interference, as small as 1e-7 of the
     signal here, equals the explicit channel's off-diagonal sum; subtracting
@@ -321,6 +356,28 @@ def test_monte_carlo_reproducible():
     single = monte_carlo_sum_rate(arr, 3, region, 1, 25.0, seed=9)
     assert single.stderr == 0.0
     assert single.n_trials == 1
+
+
+def test_monte_carlo_blocks_do_not_couple_trials(monkeypatch):
+    """A block of one trial gives the default run's bits, and the memory a
+    call takes does not grow with its trial count."""
+    arr = wide_array()
+    region = wide_region(arr)
+    n_trials = 301        # not a multiple of the default block (23 trials here)
+    default = monte_carlo_sum_rate(arr, 8, region, n_trials, 25.0, seed=5)
+    monkeypatch.setattr(multiplexing, "_GRAM_BLOCK_VALUES", 1)
+    assert monte_carlo_sum_rate(arr, 8, region, n_trials, 25.0, seed=5) == default
+    monkeypatch.undo()
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            monte_carlo_sum_rate(arr, 8, region, trials, 25.0, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3000) <= 1.5 * peak(300)
 
 
 def test_monte_carlo_k_sweep_peaks_at_five():
@@ -385,3 +442,6 @@ def test_monte_carlo_validation():
             monte_carlo_sum_rate(arr, 2, region, 10, snr_db, seed=1)
     with pytest.raises(ValueError, match="region bounds must be finite"):
         monte_carlo_sum_rate(arr, 3, (arr.d_b, math.inf), 20, 20.0, seed=1)
+    # build_channel_matrix refuses these users, so the rate path does too
+    with pytest.raises(ValueError, match="reactive near-field"):
+        monte_carlo_sum_rate(arr, 3, (0.12, 6.0), 5, 20.0, seed=1)
