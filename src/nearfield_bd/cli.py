@@ -50,12 +50,12 @@ from .gain_engine import (
     run_sweep,
 )
 from .multiplexing import (
+    _channel_gram,
+    _rates_from_gram,
     _snr_power,
     build_channel_matrix,
-    mmse_precoder,
     monte_carlo_sum_rate,
     plan_focal_points,
-    sum_rate,
 )
 
 DEFAULT_SEED = 12345
@@ -190,20 +190,18 @@ def _log_spacing(sweep):
     return spacing == "log"
 
 
-def _scalar_grid(sweep, lo_key, hi_key, values_key, check=_FINITE):
-    """Listed values, else n_points evenly spaced from lo to hi."""
+def _scalar_grid(sweep, lo_key, hi_key, values_key, check=_FINITE, space=np.linspace):
+    """Listed values, else n_points from lo to hi spaced by ``space``."""
     if values_key in sweep:
         return np.array([check(f"sweep.{values_key}", v)
                          for v in _list(sweep, values_key)])
     lo, hi = _get(sweep, lo_key, check=check), _get(sweep, hi_key, check=check)
-    return np.linspace(lo, hi, _get(sweep, "n_points", check=_integer))
+    return space(lo, hi, _get(sweep, "n_points", check=_integer))
 
 
 def _eta_grid(sweep):
-    etas = _scalar_grid(sweep, "eta_min", "eta_max", "eta_values", _real)
-    if _log_spacing(sweep) and "eta_values" not in sweep:
-        etas = np.geomspace(etas.min(), etas.max(), len(etas))
-    return etas
+    space = np.geomspace if _log_spacing(sweep) else np.linspace
+    return _scalar_grid(sweep, "eta_min", "eta_max", "eta_values", _real, space)
 
 
 def _fmt(x):
@@ -354,12 +352,16 @@ def _plan_rows(ctx, _):
                                                   plan.intervals))]
 
 
-def _planned_row(ctx, arr, plan, snr):
-    """Rate row of broadside users of ``arr`` at the planned focal points."""
+def _planned_gram(arr, plan):
+    """Channel Gram of broadside users of ``arr`` at the planned focal points."""
     users = [TxGeometry(float(f)) for f in plan.focal_points]
-    h = build_channel_matrix(arr, users)
-    rate = sum_rate(h, mmse_precoder(h), [_snr_power(snr)] * len(plan))
-    return (snr, len(plan), "planned", rate, 0.0, 1, ctx.seed)
+    return _channel_gram(build_channel_matrix(arr, users))
+
+
+def _planned_row(ctx, gram, snr):
+    """Rate row of the planned users with channel Gram ``gram``."""
+    return (snr, len(gram), "planned", _rates_from_gram(gram, _snr_power(snr)),
+            0.0, 1, ctx.seed)
 
 
 def _rate_snr_rows(ctx, _):
@@ -367,12 +369,13 @@ def _rate_snr_rows(ctx, _):
     k_users = _get(ctx.sweep, "k_users", 5, _integer)
     n_trials = _get(ctx.sweep, "n_trials", 200, _integer)
     region = _region(ctx)
-    plan = plan_focal_points(ctx.geometry, region, max_users=k_users)
+    gram = _planned_gram(ctx.geometry,
+                         plan_focal_points(ctx.geometry, region, max_users=k_users))
 
     def one(snr):
         snr = float(snr)
         mc = monte_carlo_sum_rate(ctx.geometry, k_users, region, n_trials, snr, ctx.seed)
-        return (_planned_row(ctx, ctx.geometry, plan, snr),
+        return (_planned_row(ctx, gram, snr),
                 (snr, k_users, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed))
 
     return [row for pair in run_sweep(one, snrs, ctx.threads) for row in pair]
@@ -409,7 +412,7 @@ def _rate_eta_rows(ctx, _):
 
     def one(planned):
         eta, arr, plan = planned
-        return (eta,) + _planned_row(ctx, arr, plan, snr)
+        return (eta,) + _planned_row(ctx, _planned_gram(arr, plan), snr)
 
     return run_sweep(one, run_sweep(plan_eta, _eta_grid(ctx.sweep), ctx.threads),
                      ctx.threads)
@@ -427,7 +430,8 @@ def _rate_phi_rows(ctx, _):
         # the users' common linear phase cancels in the Gram matrix; what
         # the azimuth changes is the aperture the users see
         phi = float(phi)
-        return (phi,) + _planned_row(ctx, project_array(ctx.geometry, phi), plan, snr)
+        gram = _planned_gram(project_array(ctx.geometry, phi), plan)
+        return (phi,) + _planned_row(ctx, gram, snr)
 
     return run_sweep(one, phis, ctx.threads)
 

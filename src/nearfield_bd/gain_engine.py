@@ -137,25 +137,18 @@ def analytic_gain_rect(eta: float, a: float) -> float:
     parameter a = d_FA/(4 z_eff (1 + eta^2)); a = 0 is the focused limit."""
     eta = _real("eta", eta)
     root = math.sqrt(_real("a", a, strict=False))
-    return _fresnel_bracket(eta * root) * _fresnel_bracket(root)
+    return _bracket(eta * root, 0.0) * _bracket(root, 0.0)
 
 
-def _fresnel_bracket(x: float) -> float:
-    """(C(x)/x)^2 + (S(x)/x)^2, which tends to 1 as x -> 0; dividing before
-    squaring neither underflows at tiny x nor overflows at huge x."""
+def _bracket(x: float, v: float) -> float:
+    """((C(x+v) + C(x-v))/2x)^2 + ((S(x+v) + S(x-v))/2x)^2, which tends to 1
+    as x -> 0, from one Fresnel call at v = 0; dividing before squaring
+    neither underflows at tiny x nor overflows at huge x."""
     if x == 0.0:
         return 1.0
-    c, s = fresnel_cs(x)
-    return (c / x) ** 2 + (s / x) ** 2
-
-
-def _over_square(br1: float, br2: float, scale: float) -> float:
-    """br1 * br2 / scale^2; past the range where scale^2 overflows, each bracket
-    is divided by scale on its own and the product underflows toward 0."""
-    try:
-        return br1 * br2 / scale ** 2
-    except OverflowError:
-        return (br1 / scale) * (br2 / scale)
+    cp, sp = fresnel_cs(x + v)
+    cm, sm = (cp, sp) if v == 0.0 else fresnel_cs(x - v)
+    return ((cp + cm) / (2.0 * x)) ** 2 + ((sp + sm) / (2.0 * x)) ** 2
 
 
 def analytic_gain_nonbroadside(eta: float, p: float, q: float, q_tilde: float) -> float:
@@ -166,13 +159,7 @@ def analytic_gain_nonbroadside(eta: float, p: float, q: float, q_tilde: float) -
     p = _real("p", p)
     q = _real("q", q, -math.inf, strict=False)
     q_tilde = _real("q_tilde", q_tilde, -math.inf, strict=False)
-    c1p, s1p = fresnel_cs(p + q_tilde)
-    c1m, s1m = fresnel_cs(p - q_tilde)
-    c2p, s2p = fresnel_cs(eta * p + q)
-    c2m, s2m = fresnel_cs(eta * p - q)
-    br1 = (c1p + c1m) ** 2 + (s1p + s1m) ** 2
-    br2 = (c2p + c2m) ** 2 + (s2p + s2m) ** 2
-    return _over_square(br1, br2, 4.0 * eta * p * p)
+    return _bracket(eta * p, q) * _bracket(p, q_tilde)
 
 
 def analytic_gain_circ(l: float) -> float:

@@ -106,7 +106,7 @@ def plan_focal_points(arr: RectArray, region: tuple,
     upper edge e to the focal point whose interval ends exactly at e, so
     starting from the far edge, F = bd_rect(arr, e).z_lo and the interval's
     lower edge bd_rect(arr, F).z_lo becomes the next e.  Stops below the
-    near edge or at max_users.
+    near edge or at max_users; a focus in the reactive near field raises.
     """
     z_min, z_max = (_real("region bound", z, -math.inf, strict=False, inf=True)
                     for z in region)
@@ -118,10 +118,13 @@ def plan_focal_points(arr: RectArray, region: tuple,
         raise ValueError("region starts below the boundary distance")
     if z_max > finite_bd_limit_rect(arr) * (1 + _PLAN_EDGE_RTOL):
         raise ValueError("region extends beyond the finite-depth limit")
+    floor = radiative_floor(arr)
     focals, intervals = [], []
     e = z_max
     while e > z_min and (max_users is None or len(focals) < max_users):
         f = bd_rect(arr, e).z_lo
+        if f < floor:
+            raise ValueError(f"focus {f:.4g} m below the radiative floor {floor:.4g} m")
         z_lo = bd_rect(arr, f).z_lo
         focals.append(f)
         intervals.append((z_lo, e))
@@ -188,6 +191,16 @@ def mmse_precoder(h: ChannelMatrix) -> Precoder:
     if not math.isfinite(alpha):
         raise ValueError("non-finite precoder normalization")
     return Precoder(alpha * unnorm, alpha)
+
+
+def _channel_gram(h: ChannelMatrix) -> np.ndarray:
+    """H^H H from numpy's pairwise sums along the contiguous element axis, so
+    its bits do not depend on the BLAS thread count, averaged with its
+    conjugate transpose: a fused complex product need not make conj(a) b the
+    exact conjugate of conj(b) a."""
+    cols = np.ascontiguousarray(h.entries.T)
+    gram = np.stack([(col.conj() * cols).sum(-1) for col in cols])
+    return (gram + gram.conj().T) / 2
 
 
 def _signal_table(table: np.ndarray, p: np.ndarray) -> tuple:

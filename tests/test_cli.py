@@ -402,18 +402,35 @@ def test_numerical_failure_reports_sweep_indices(tmp_path, capsys):
 
 def test_planning_failure_reports_sweep_index(tmp_path, capsys):
     """solve_a3db cannot bracket eta = 1e200, where 1 + eta^2 overflows: a
-    numerical fault, not a config one."""
+    numerical fault, not a config one.  The array is 100x100 because on
+    20x20 every region between d_B and the finite-depth limit puts a focus
+    in the reactive near field."""
     cfg = {
-        "geometry": SMALL_WIDE_GEOM,
+        "geometry": dict(SMALL_WIDE_GEOM, n_per_side=100),
         "experiment": "sum-rate-vs-eta",
-        "sweep": {"eta_values": [1.0, 1e200], "z_min": "40.05 dF",
-                  "z_max": "40.2 dF"},
+        "sweep": {"eta_values": [1.0, 1e200], "z_min": "200.5 dF",
+                  "z_max": "202 dF"},
     }
     assert run_cli("run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "x.csv")) == 3
     err = capsys.readouterr().err
     assert "sweep index 1: bracketing failure" in err
     assert "sweep index 0" not in err
+
+
+@pytest.mark.parametrize("experiment", ["multiplex-plan", "sum-rate-vs-eta"])
+def test_reactive_plan_is_a_config_error(tmp_path, capsys, experiment):
+    """On a 20x20 half-wavelength array this region plans a focus at 1.005 m,
+    inside the 1.2 m radiative floor."""
+    sweep = {"z_min": "40.05 dF", "z_max": "40.2 dF"}
+    if experiment == "sum-rate-vs-eta":
+        sweep["eta_values"] = [1.0, 2.0]
+    cfg = {"geometry": SMALL_WIDE_GEOM, "experiment": experiment, "sweep": sweep}
+    assert run_cli("run", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "x.csv")) == 2
+    err = capsys.readouterr().err
+    assert "below the radiative floor" in err
+    assert "sweep index" not in err
 
 
 def test_config_merges_over_preset(tmp_path):
@@ -426,6 +443,15 @@ def test_config_merges_over_preset(tmp_path):
     assert len(rows) == 5
     assert float(rows[0][0]) == pytest.approx(0.1)
     assert float(rows[-1][0]) == pytest.approx(10.0)
+    # a descending range keeps its order under either spacing
+    for spacing, middle in (("log", 1.0), ("linear", 5.05)):
+        override = {"sweep": {"eta_min": 10.0, "eta_max": 0.1, "n_points": 3,
+                              "spacing": spacing}}
+        assert run_cli("run", "--preset", "fig10",
+                       "--config", write_config(tmp_path, override),
+                       "--out", str(out)) == 0
+        _, rows = read_rows(out)
+        assert [float(r[0]) for r in rows] == pytest.approx([10.0, middle, 0.1])
 
 
 def test_default_output_name(tmp_path, monkeypatch):
@@ -586,18 +612,20 @@ def test_module_entrypoint_runs():
     assert "fig2" in proc.stdout
 
 
-def test_monte_carlo_rows_independent_of_blas_threads(tmp_path):
-    """fig5 (Monte Carlo rows only) writes the same bytes with BLAS pinned to
-    one and to two threads."""
+@pytest.mark.parametrize("preset", ["fig4", "fig5", "fig13"])
+def test_rate_rows_independent_of_blas_threads(tmp_path, preset):
+    """Sum-rate presets (planned rows in fig4 and fig13, Monte Carlo rows in
+    fig4 and fig5) write the same bytes with BLAS pinned to one and to two
+    threads."""
     src = os.path.dirname(os.path.dirname(nearfield_bd.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"fig5-{threads}.csv"
+        out = tmp_path / f"{preset}-{threads}.csv"
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-m", "nearfield_bd.cli", "run",
-                               "--preset", "fig5", "--out", str(out)],
+                               "--preset", preset, "--out", str(out)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())

@@ -25,6 +25,7 @@ from nearfield_bd.multiplexing import (
     plan_focal_points,
     sum_rate,
     user_sinrs,
+    _channel_gram,
     _gram_signal_table,
     _phase_gram,
     _rates_from_gram,
@@ -131,6 +132,10 @@ def test_plan_validation():
     for region in ((math.nan, z_max), (z_min, math.nan)):
         with pytest.raises(ValueError, match="region"):
             plan_focal_points(arr, region)
+    # on 20x20 this region's first focus, 1.005 m, is inside the 1.2 m floor
+    small = make_rect_array(20, 1.0, FixedElementDiagonal(LAM / 2), LAM)
+    with pytest.raises(ValueError, match="focus 1.005 m below the radiative floor 1.199 m"):
+        plan_focal_points(small, (40.05 * small.d_f, 40.2 * small.d_f))
     with pytest.raises(ValueError):
         PlacementPlan((1.0,), ((2.0, 3.0),))
     with pytest.raises(ValueError):
@@ -287,15 +292,20 @@ def test_sinr_scale_identity():
     npt.assert_allclose(np.linalg.norm(w_scaled.entries), 1.0, rtol=1e-12)
 
 
-def test_gram_fast_path_matches_explicit():
+@pytest.mark.parametrize("snr_db", [0.0, 25.0, 30.0])
+def test_gram_fast_path_matches_explicit(snr_db):
+    """Both Gram builders, the analytic phase Gram and the BLAS-free
+    channel Gram, give the explicit channel's MMSE sum rate."""
     arr = make_rect_array(50, 1.0, FixedElementDiagonal(LAM / 2), LAM)
     dists = np.array([200.0, 310.0, 555.0]) * LAM
     h = build_channel_matrix(arr, [TxGeometry(float(d)) for d in dists])
-    w = mmse_precoder(h)
-    p = 10 ** 2.5
-    explicit = sum_rate(h, w, [p] * 3)
-    fast = _rates_from_gram(_phase_gram(arr, dists), p)
-    npt.assert_allclose(fast, explicit, rtol=1e-10)
+    p = 10 ** (snr_db / 10)
+    explicit = sum_rate(h, mmse_precoder(h), [p] * 3)
+    channel_gram = _channel_gram(h)
+    npt.assert_array_equal(channel_gram, channel_gram.conj().T)
+    assert not channel_gram.diagonal().imag.any()
+    for gram in (_phase_gram(arr, dists), channel_gram):
+        npt.assert_allclose(_rates_from_gram(gram, p), explicit, rtol=1e-10)
 
 
 def _pairwise_gram(arr, dists):
