@@ -191,6 +191,8 @@ def make_rect_array(n_per_side: int, eta: float, sizing, wavelength: float) -> R
         raise TypeError(f"unknown sizing mode: {sizing!r}")
     elem_h = diag / math.sqrt(1.0 + eta * eta)
     elem_w = eta * elem_h
+    for side in (elem_w, elem_h):   # extreme eta overflows 1 + eta^2 or the area's diag
+        _real(f"eta {eta!r}: element side", side)
     return RectArray(n_per_side=n_per_side, eta=eta, elem_diag=diag,
                      elem_h=elem_h, elem_w=elem_w, wavelength=wavelength)
 

@@ -55,6 +55,7 @@ from .multiplexing import (
     _snr_power,
     build_channel_matrix,
     monte_carlo_sum_rate,
+    monte_carlo_sum_rates,
     plan_focal_points,
 )
 
@@ -371,14 +372,11 @@ def _rate_snr_rows(ctx, _):
     region = _region(ctx)
     gram = _planned_gram(ctx.geometry,
                          plan_focal_points(ctx.geometry, region, max_users=k_users))
-
-    def one(snr):
-        snr = float(snr)
-        mc = monte_carlo_sum_rate(ctx.geometry, k_users, region, n_trials, snr, ctx.seed)
-        return (_planned_row(ctx, gram, snr),
-                (snr, k_users, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed))
-
-    return [row for pair in run_sweep(one, snrs, ctx.threads) for row in pair]
+    # one pass over the grid: every SNR shares the draws and their Gram stack
+    mcs = monte_carlo_sum_rates(ctx.geometry, k_users, region, n_trials, snrs, ctx.seed)
+    return [row for snr, mc in zip(map(float, snrs), mcs) for row in (
+        _planned_row(ctx, gram, snr),
+        (snr, k_users, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed))]
 
 
 def _rate_users_rows(ctx, _):

@@ -241,15 +241,17 @@ def _phase_gram(arr: RectArray, dists: np.ndarray) -> np.ndarray:
     Only the strict upper triangle is summed, each pair from its curvature
     difference 1/d_i - 1/d_j (exact for users within a factor 2 of each
     other); the lower triangle is its conjugate and the diagonal is exactly
-    N.  Each axis sums over the mirror half of the element grid.
+    N.  Each axis sums over the mirror half of the element grid; equal
+    element sides give bit-identical axes, so one sum serves both.
     """
     dists = np.asarray(dists, dtype=float)
     k = dists.shape[-1]
     i, j = np.triu_indices(k, 1)
     inv = 1.0 / dists
     curvature = inv[..., i] - inv[..., j]
-    upper = (np.exp(2j * np.pi / arr.wavelength * (dists[..., i] - dists[..., j]))
-             * _folded_sum(arr, curvature, 0) * _folded_sum(arr, curvature, 1))
+    xs = _folded_sum(arr, curvature, 0)
+    ys = xs if arr.elem_w == arr.elem_h else _folded_sum(arr, curvature, 1)
+    upper = np.exp(2j * np.pi / arr.wavelength * (dists[..., i] - dists[..., j])) * xs * ys
     gram = np.empty(dists.shape + (k,), dtype=complex)
     gram[..., i, j] = upper
     gram[..., j, i] = upper.conj()
@@ -313,6 +315,15 @@ def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
     are evaluated in blocks of at most ``_GRAM_BLOCK_VALUES`` phase values
     and reduced in trial order.
     """
+    return monte_carlo_sum_rates(arr, k_users, region, n_trials, (snr_db,), seed)[0]
+
+
+def monte_carlo_sum_rates(arr: RectArray, k_users: int, region: tuple,
+                          n_trials: int, snrs_db: Sequence[float],
+                          seed: int) -> list[MonteCarloResult]:
+    """``monte_carlo_sum_rate`` at each SNR of ``snrs_db``, in order.  Every
+    SNR sees the same draws, and each block's Gram stack is built once and
+    serves all of them."""
     k_users = _integer("k_users", k_users)
     n_trials = _integer("n_trials", n_trials)
     z_min, z_max = region
@@ -327,15 +338,18 @@ def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
     if z_min < floor:
         raise ValueError(f"region starts in the reactive near-field "
                          f"(z_min {z_min:.4g} m < {floor:.4g} m)")
-    power = _snr_power(snr_db)
+    powers = [_snr_power(snr_db) for snr_db in snrs_db]
     rng = np.random.default_rng(seed)
     draws = 1.0 / rng.uniform(1.0 / z_max, 1.0 / z_min, size=(n_trials, k_users))
     per_trial = k_users * (k_users - 1) // 2 * ((arr.n_per_side + 1) // 2)
     block = max(1, _GRAM_BLOCK_VALUES // max(1, per_trial))
-    rates = np.empty(n_trials)
+    rates = np.empty((len(powers), n_trials))
     for start in range(0, n_trials, block):
-        rates[start:start + block] = _rates_from_gram(
-            _phase_gram(arr, draws[start:start + block]), power)
-    mean = float(rates.mean())
-    stderr = float(rates.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
-    return MonteCarloResult(mean, stderr, n_trials)
+        gram = _phase_gram(arr, draws[start:start + block])
+        for row, power in zip(rates, powers):
+            row[start:start + block] = _rates_from_gram(gram, power)
+    results = []
+    for row in rates:
+        stderr = float(row.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
+        results.append(MonteCarloResult(float(row.mean()), stderr, n_trials))
+    return results

@@ -401,10 +401,10 @@ def test_numerical_failure_reports_sweep_indices(tmp_path, capsys):
 
 
 def test_planning_failure_reports_sweep_index(tmp_path, capsys):
-    """solve_a3db cannot bracket eta = 1e200, where 1 + eta^2 overflows: a
-    numerical fault, not a config one.  The array is 100x100 because on
-    20x20 every region between d_B and the finite-depth limit puts a focus
-    in the reactive near field."""
+    """No array has eta = 1e200, where 1 + eta^2 overflows to zero-width
+    elements: the point fails alone, with its sweep index.  The array is
+    100x100 because on 20x20 every region between d_B and the finite-depth
+    limit puts a focus in the reactive near field."""
     cfg = {
         "geometry": dict(SMALL_WIDE_GEOM, n_per_side=100),
         "experiment": "sum-rate-vs-eta",
@@ -414,7 +414,7 @@ def test_planning_failure_reports_sweep_index(tmp_path, capsys):
     assert run_cli("run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "x.csv")) == 3
     err = capsys.readouterr().err
-    assert "sweep index 1: bracketing failure" in err
+    assert "sweep index 1: eta 1e+200: element side must be > 0" in err
     assert "sweep index 0" not in err
 
 
@@ -500,6 +500,13 @@ def test_threads_env_and_flag(tmp_path, monkeypatch):
         "experiment": "sum-rate-vs-users",
         "sweep": {"k_min": 1, "k_max": 4, "snr_db": 10.0, "n_trials": 4,
                   "z_min": "40 dF", "z_max": "150 dF"},
+    }, {
+        # random rows take one pass over the SNR grid, not one thread per SNR;
+        # 100x100, since no region of the 20x20 array plans outside its floor
+        "geometry": dict(SMALL_WIDE_GEOM, n_per_side=100),
+        "experiment": "sum-rate-vs-snr",
+        "sweep": {"snr_values_db": [0.0, 10.0, 20.0], "k_users": 3, "n_trials": 4,
+                  "z_min": "200.5 dF", "z_max": "202 dF"},
     }]
     for cfg in configs:
         name = cfg["experiment"]

@@ -46,6 +46,7 @@ from nearfield_bd.multiplexing import (
     ChannelMatrix,
     mmse_precoder,
     monte_carlo_sum_rate,
+    monte_carlo_sum_rates,
     plan_focal_points,
     sum_rate,
     user_sinrs,
@@ -61,6 +62,7 @@ NON_NEGATIVE_COUNT = (NAN, INF, -INF, -1.0, 2.5, True)
 FOCUS = (NAN, -INF, 0.0, -1.0)  # +inf selects the far-field filter
 NON_NEGATIVE = (NAN, INF, -INF, -1.0)
 FINITE = (NAN, INF, -INF)
+OVERFLOWING_ETA = (1e160, 1e200)
 
 ARR = make_rect_array(20, 1.0, FixedElementDiagonal(0.5 * LAM), LAM)
 CIRC = CircArray(2.0 * LAM, LAM)
@@ -89,6 +91,13 @@ CONTRACT = [
      lambda v: make_rect_array(4, 1.0, FixedApertureArea(v), LAM), POSITIVE),
     ("make_rect_array.length", "aperture length",
      lambda v: make_rect_array(4, 1.0, FixedApertureLength(v), LAM), POSITIVE),
+    # 1 + eta^2 overflows: each sizing mode would give zero or NaN element sides
+    ("make_rect_array.eta.diag", "eta",
+     lambda v: make_rect_array(20, v, FixedElementDiagonal(0.05), LAM), OVERFLOWING_ETA),
+    ("make_rect_array.eta.length", "eta",
+     lambda v: make_rect_array(20, v, FixedApertureLength(1.0), LAM), OVERFLOWING_ETA),
+    ("make_rect_array.eta.area", "eta",
+     lambda v: make_rect_array(20, v, FixedApertureArea(1.0), LAM), OVERFLOWING_ETA),
     ("QuadratureSpec.order", "quadrature order", QuadratureSpec, COUNT),
     ("QuadratureSpec.refinement", "refinement", lambda v: QuadratureSpec(8, v),
      NON_NEGATIVE_COUNT),
@@ -155,6 +164,9 @@ CONTRACT = [
     # 4000 dB is finite but its linear power is not
     ("monte_carlo_sum_rate.snr_db", "snr_db",
      lambda v: monte_carlo_sum_rate(ARR, 2, REGION, 2, v, seed=1), FINITE + (4000.0,)),
+    ("monte_carlo_sum_rates.snrs_db", "snr_db",
+     lambda v: monte_carlo_sum_rates(ARR, 2, REGION, 2, [10.0, v], seed=1),
+     FINITE + (4000.0,)),
 ]
 
 

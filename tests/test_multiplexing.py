@@ -11,6 +11,7 @@ from nearfield_bd.array_geometry import (
     TxGeometry,
     element_grid,
     make_rect_array,
+    project_array,
     wavelength_from_carrier,
 )
 from nearfield_bd.beam_depth import bd_rect, finite_bd_limit_rect
@@ -22,6 +23,7 @@ from nearfield_bd.multiplexing import (
     build_channel_matrix,
     mmse_precoder,
     monte_carlo_sum_rate,
+    monte_carlo_sum_rates,
     plan_focal_points,
     sum_rate,
     user_sinrs,
@@ -369,25 +371,52 @@ def test_monte_carlo_reproducible():
 
 
 def test_monte_carlo_blocks_do_not_couple_trials(monkeypatch):
-    """A block of one trial gives the default run's bits, and the memory a
-    call takes does not grow with its trial count."""
+    """A block of one trial gives the default run's bits, an SNR grid gives
+    each SNR's own run's bits, and the memory a call takes does not grow
+    with its trial count."""
     arr = wide_array()
     region = wide_region(arr)
     n_trials = 301        # not a multiple of the default block (23 trials here)
-    default = monte_carlo_sum_rate(arr, 8, region, n_trials, 25.0, seed=5)
-    monkeypatch.setattr(multiplexing, "_GRAM_BLOCK_VALUES", 1)
-    assert monte_carlo_sum_rate(arr, 8, region, n_trials, 25.0, seed=5) == default
-    monkeypatch.undo()
+    for snrs in ((25.0,), (0.0, 25.0, 30.0)):
+        default = [monte_carlo_sum_rate(arr, 8, region, n_trials, snr, seed=5)
+                   for snr in snrs]
+        assert monte_carlo_sum_rates(arr, 8, region, n_trials, snrs, seed=5) == default
+        monkeypatch.setattr(multiplexing, "_GRAM_BLOCK_VALUES", 1)
+        assert [monte_carlo_sum_rate(arr, 8, region, n_trials, snr, seed=5)
+                for snr in snrs] == default
+        assert monte_carlo_sum_rates(arr, 8, region, n_trials, snrs, seed=5) == default
+        monkeypatch.undo()
 
-    def peak(trials):
-        tracemalloc.start()
-        try:
-            monte_carlo_sum_rate(arr, 8, region, trials, 25.0, seed=5)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                monte_carlo_sum_rates(arr, 8, region, trials, snrs, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-    assert peak(3000) <= 1.5 * peak(300)
+        assert peak(3000) <= 1.5 * peak(300)
+
+
+@pytest.mark.parametrize("arr, axes", [
+    (wide_array(), [0]),
+    (wide_array(0.3), [0, 1]),
+    (project_array(wide_array(), 0.5), [0, 1]),
+])
+def test_square_arrays_fold_one_axis_sum(monkeypatch, arr, axes):
+    """Equal element sides give bit-identical axes, so _phase_gram sums one
+    of them; test_phase_gram_matches_pairwise_definition checks the values."""
+    calls = []
+    folded = multiplexing._folded_sum
+
+    def counted(arr, curvature, axis):
+        calls.append(axis)
+        return folded(arr, curvature, axis)
+
+    monkeypatch.setattr(multiplexing, "_folded_sum", counted)
+    monte_carlo_sum_rate(arr, 4, wide_region(arr), 40, 25.0, seed=3)  # one block
+    _phase_gram(arr, np.array([2.0, 3.0]) * arr.d_b)
+    assert calls == axes * 2
 
 
 def test_monte_carlo_k_sweep_peaks_at_five():
