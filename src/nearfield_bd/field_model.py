@@ -5,7 +5,8 @@ approximations for broadside and slanted transmitters, the matched-filter
 phase used to focus the aperture, per-element channel responses, and the
 Taylor distance-approximation error diagnostics used to compare the direct
 and indirect expansions.  Exact gains and channels reduce over the node blocks
-of ``_aperture_blocks`` or ``_disk_blocks``, which share ``_spherical_wave``.
+of ``_aperture_blocks`` or ``_disk_blocks``, which share ``_spherical_wave`` and
+take their Gauss-Legendre rules from ``_gauss_legendre``.
 
 Fields are only ever used in ratios, so the source amplitude is fixed at 1;
 the 1/sqrt(4*pi) prefactor is kept so values match the underlying spherical
@@ -14,6 +15,7 @@ wave literally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +38,17 @@ _PANEL_PHASE = 2.0 * np.pi
 
 # Probe-grid intervals per side that bound the residual-phase gradient.
 _PROBES = 32
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int):
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    scipy's ``roots_legendre(n)``, built once per order per process.  At most
+    32 orders are kept (least recently used first out); a rule is 2n floats,
+    far below the n^2-node grids it feeds."""
+    nodes, wts = roots_legendre(n)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
 
 
 @dataclass(frozen=True)
@@ -124,7 +137,7 @@ def _aperture_blocks(arr: RectArray, bx, by, tx: TxGeometry, order: int,
 
     Yields the block's row and column node weights and ``_spherical_wave``'s
     amplitude and focused field on its node grid."""
-    nodes, wts = roots_legendre(order)
+    nodes, wts = _gauss_legendre(order)
     cx, hx = _panels(bx, arr.n_per_side, arr.elem_w)
     cy, hy = _panels(by, arr.n_per_side, arr.elem_h)
     gy = (cy[:, None] + hy[:, None] * nodes).ravel()
@@ -170,7 +183,7 @@ def _edges(n: int, elements: float) -> np.ndarray:
 def _disk_blocks(circ: CircArray, tx: TxGeometry, order: int, focus_phase):
     """One polar block over the disk, yielded as by ``_aperture_blocks``: 6*order
     Gauss-Legendre radii (weights carry the rho Jacobian) by order trapezoid angles."""
-    nodes, wts = roots_legendre(6 * order)
+    nodes, wts = _gauss_legendre(6 * order)
     rho = 0.5 * circ.radius * (nodes + 1.0)
     theta = np.linspace(0.0, 2.0 * np.pi, order, endpoint=False)
     x, y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .array_geometry import (
     CircArray,
@@ -35,7 +34,7 @@ from .array_geometry import (
     project_array,
 )
 from .field_model import (QuadratureSpec, _aperture_blocks, _broadside_focus,
-                          _disk_blocks, _panel_edges, _refined)
+                          _disk_blocks, _gauss_legendre, _panel_edges, _refined)
 from .fresnel_core import fresnel_cs, sinc
 
 REACTIVE_LIMIT_FACTOR = 1.2
@@ -225,7 +224,7 @@ def disk_gain_fresnel(circ: CircArray, z: float, focus: float) -> float:
     _real("z", z)
     _real("focal distance", focus, inf=True)
     lam = circ.wavelength
-    nodes, wts = roots_legendre(96)
+    nodes, wts = _gauss_legendre(96)
     rho = 0.5 * circ.radius * (nodes + 1.0)
     w_rad = 0.5 * circ.radius * wts * rho * 2.0 * np.pi
     phase = -2.0 * np.pi / lam * (z + rho * rho / (2.0 * z))

@@ -30,11 +30,15 @@ from nearfield_bd.beam_depth import (
 from nearfield_bd.field_model import QuadratureSpec, mean_abs_distance_error
 from nearfield_bd.fresnel_core import fresnel_cs
 from nearfield_bd.gain_engine import (
+    GainProfile,
     circ_gain_broadside,
+    disk_gain_exact,
     disk_gain_fresnel,
+    exact_array_gain,
     exact_array_gain_steered,
     gain_profile,
     projected_gain_approx,
+    radiative_floor,
     rect_gain_broadside,
     rect_gain_slanted,
 )
@@ -204,6 +208,45 @@ def test_08_depth_ordering_across_shapes():
     _report(8, ok,
             f"depths/lambda: strip {strip / LAM:.2f} < disk {disk / LAM:.2f} "
             f"< square {square / LAM:.2f}")
+
+
+def _exact_depth(gain, ref, floor, focus):
+    """Half-power depth of an exact gain on a 13-point grid from
+    max(floor, 0.8 z_lo) to 1.25 z_hi of the closed form ``ref``, each
+    crossing refined on ``gain`` itself."""
+    grid = np.unique(np.append(
+        np.geomspace(max(floor, 0.8 * ref.z_lo), 1.25 * ref.z_hi, 13), focus))
+    prof = GainProfile(focus, grid, np.array([gain(float(z)) for z in grid]))
+    return numeric_bd(prof, gain_fn=gain, rel_tol=1e-7).depth
+
+
+def test_08_depth_ordering_on_exact_gains():
+    """Criterion 8 with every depth taken from quadrature gains, at the same
+    25-wavelength aperture length: strip (eta = 0.1) < disk < square.
+
+    Each gain is within 1e-6 of its converged value (the quadrature's
+    refinement tolerance) and each crossing is refined to 1e-7 relative, so
+    a depth is known to about 1e-5 relative (order 16 with three doublings
+    moves none by more than 1e-13); every gap must exceed REL_GAP = 1e-3.
+    The strip-to-disk gap is about 5e-3."""
+    REL_GAP = 1e-3
+    focus = 50 * LAM
+    strip_arr = make_rect_array(100, 0.1, FixedApertureLength(25 * LAM), LAM)
+    circ = CircArray(12.5 * LAM, LAM)
+    square = square_array()
+    floor = radiative_floor(circ)  # 30 lambda for all three apertures
+    depths = [
+        _exact_depth(lambda z: exact_array_gain(strip_arr, TxGeometry(z), focus),
+                     bd_rect(strip_arr, focus), floor, focus),
+        _exact_depth(lambda z: disk_gain_exact(circ, z, focus),
+                     bd_circ(circ, focus), floor, focus),
+        _exact_depth(lambda z: exact_array_gain(square, TxGeometry(z), focus),
+                     bd_rect(square, focus), floor, focus),
+    ]
+    ok = all(hi > lo * (1.0 + REL_GAP) for lo, hi in zip(depths, depths[1:]))
+    _report(8, ok,
+            "exact depths/lambda: strip {:.3f}, disk {:.3f}, square {:.3f}; each gap "
+            "must exceed {:.0e} relative".format(*np.divide(depths, LAM), REL_GAP))
 
 
 def test_09_depth_multiplexing_rates():

@@ -1,10 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import roots_legendre
 
+from nearfield_bd import field_model
 from nearfield_bd.array_geometry import (
+    CircArray,
     FixedElementDiagonal,
     TxGeometry,
     element_center,
@@ -16,6 +20,7 @@ from nearfield_bd.field_model import (
     QuadratureSpec,
     SQRT_4PI,
     _broadside_focus,
+    _gauss_legendre,
     _panel_edges,
     distance_exact,
     distance_taylor_direct,
@@ -27,6 +32,7 @@ from nearfield_bd.field_model import (
     matched_filter_phase,
     mean_abs_distance_error,
 )
+from nearfield_bd.gain_engine import exact_array_gain, gain_profile
 
 LAM = wavelength_from_carrier(3e9)
 
@@ -331,3 +337,69 @@ def test_indirect_beats_direct_at_constant_height():
         e_dir = mean_abs_distance_error(arr, tx, "direct")
         e_ind = mean_abs_distance_error(arr, tx, "indirect")
         assert e_ind <= e_dir + 1e-15
+
+
+def _disk_and_rect_profiles(threads):
+    circ = CircArray(12.5 * LAM, LAM)
+    disk = gain_profile("exact", circ, np.geomspace(30 * LAM, 300 * LAM, 60),
+                        50 * LAM, threads=threads)
+    arr = reference_array()
+    rect = gain_profile("exact", arr, np.geomspace(arr.d_b, 8 * arr.d_b, 16),
+                        2 * arr.d_b, threads=threads)
+    return disk.gains, rect.gains
+
+
+def test_gauss_legendre_rules_built_once_per_order(monkeypatch):
+    """Each quadrature order is solved once per process: a 60-point disk
+    profile and 16 rectangular gains build each of their rules once and a
+    second pass builds none; the cached rule is scipy's own and read-only,
+    and a cold cache gives the same gains as a warm one."""
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return roots_legendre(n)
+
+    _gauss_legendre.cache_clear()
+    monkeypatch.setattr(field_model, "roots_legendre", counting)
+    try:
+        first = _disk_and_rect_profiles(1)
+        assert {8, 16, 48, 96} <= set(calls)
+        assert len(calls) == len(set(calls)), calls
+        built = len(calls)
+        warm = _disk_and_rect_profiles(1)
+        assert len(calls) == built, calls
+        for n in (8, 16, 48, 96):
+            for cached, fresh in zip(_gauss_legendre(n), roots_legendre(n)):
+                assert np.array_equal(cached, fresh)
+                with pytest.raises(ValueError):
+                    cached[0] = 0.0
+    finally:
+        _gauss_legendre.cache_clear()
+    cold = _disk_and_rect_profiles(1)
+    for f, w, c in zip(first, warm, cold):
+        assert np.array_equal(f, w) and np.array_equal(w, c)
+
+
+def test_gauss_legendre_cache_threads_and_bound():
+    """The first, concurrent use of the cache by four sweep threads (thread
+    switches forced every microsecond) gives the single-threaded gains bit for
+    bit, and the cache never holds more rules than its maxsize."""
+    serial = _disk_and_rect_profiles(1)
+    _gauss_legendre.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _disk_and_rect_profiles(4)
+    finally:
+        sys.setswitchinterval(interval)
+    for s, t in zip(serial, threaded):
+        assert np.array_equal(s, t)
+    bound = _gauss_legendre.cache_info().maxsize
+    try:
+        for n in range(1, bound + 10):
+            _gauss_legendre(n)
+            assert _gauss_legendre.cache_info().currsize <= bound
+        assert _gauss_legendre.cache_info().currsize == bound
+    finally:
+        _gauss_legendre.cache_clear()
