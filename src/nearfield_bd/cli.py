@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import math
 import os
 import re
 import sys
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,6 +42,8 @@ from .beam_depth import (
 )
 from .field_model import QuadratureSpec, mean_abs_distance_error
 from .gain_engine import (
+    _CIRC_KINDS,
+    _RECT_KINDS,
     SweepEvalError,
     exact_array_gain_steered,
     gain_profile,
@@ -61,154 +63,179 @@ from .multiplexing import (
 
 DEFAULT_SEED = 12345
 
-_LEN_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(m|dF)\s*$")
-_AREA_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(m2)\s*$")
+_UNIT_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(m2|m|dF)\s*$")
 
 
 class ConfigError(Exception):
     pass
 
 
-def parse_length(value, d_f, field):
-    """Length with a mandatory unit suffix: '12.5 m' or '400 dF'."""
-    if isinstance(value, (int, float)):
-        raise ConfigError(f"{field}: bare number; append a unit ('m' or 'dF')")
-    m = _LEN_RE.match(str(value))
-    if not m:
-        raise ConfigError(f"{field}: cannot parse length {value!r}")
-    num = float(m.group(1))
-    if m.group(2) == "dF":
-        if math.isnan(d_f):
-            raise ConfigError(f"{field}: 'dF' units are not available here; use 'm'")
-        num *= d_f
-    return _finite(num, value, field)
+# A check (field, value, at) -> value returns what the run reads of the config
+# value at dotted key ``field``, or raises ConfigError or ValueError naming it.
+# ``at`` holds the geometry and its d_F, the unit of 'dF' lengths, once built.
+def _quantity(name, *units):
+    """Check of a ``name``: a number with a mandatory unit, one of ``units``;
+    'dF' only once the geometry is built."""
+    def check(field, value, at):
+        given = [unit for unit in units if unit != "dF" or at is not None]
+        m = _UNIT_RE.match(str(value))
+        if not m or m.group(2) not in given:
+            raise ConfigError(f"{field}: cannot parse {name} {value!r}; give a number "
+                              f"and a unit ({' or '.join(given)})")
+        num = float(m.group(1)) * (at.d_f if m.group(2) == "dF" else 1)
+        if not math.isfinite(num):
+            raise ConfigError(f"{field}: {value!r} is not a finite number")
+        return num
+    return check
 
 
-def parse_area(value, field):
-    if isinstance(value, (int, float)):
-        raise ConfigError(f"{field}: bare number; append the unit 'm2'")
-    m = _AREA_RE.match(str(value))
-    if not m:
-        raise ConfigError(f"{field}: cannot parse area {value!r}")
-    return _finite(float(m.group(1)), value, field)
+def _number(rule, **limits):
+    """Check of a library input rule, whose ValueError main reports."""
+    return lambda field, value, _at: rule(field, value, **limits)
 
 
-def _finite(num, value, field):
-    """``num``, parsed from the unit string ``value``, if it is finite."""
-    if not math.isfinite(num):
-        raise ConfigError(f"{field}: {value!r} is not a finite number")
-    return num
-
-
-# Config numbers pass the library's input rules, checks (field, value) -> number
-# whose ValueError main reports as a config error.
-_FINITE = partial(_real, low=-math.inf, strict=False)
-_NATURAL = partial(_integer, low=0)
-
-
-def _snr_db(field, value):
+def _snr_db(field, value, _at):
     """An SNR in dB whose linear power is finite."""
     _snr_power(value, field)
     return float(value)
 
 
-def _require(cfg, key, section):
-    if key not in cfg:
-        raise ConfigError(f"missing required field {section}.{key}")
-    return cfg[key]
+def _typed(kind, what, empty=False):
+    def check(field, value, _at):
+        if not isinstance(value, kind) or not (value or empty):
+            raise ConfigError(f"{field} must be {what}, got {value!r}")
+        return value
+    return check
 
 
-def _object(value, field):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{field} must be an object, got {value!r}")
+def _choice(*options):
+    def check(field, value, _at):
+        if value not in options:
+            raise ConfigError(f"{field}: unknown {field.rsplit('.', 1)[-1]} {value!r}; "
+                              f"must be one of {', '.join(options)}")
+        return value
+    return check
+
+
+def _list_of(check, distinct=False):
+    """Check of a non-empty list of ``check`` entries, distinct if ``distinct``."""
+    def checked(field, value, at):
+        values = [check(field, v, at) for v in _LIST(field, value, at)]
+        if distinct and len(set(values)) < len(values):
+            raise ConfigError(f"{field}: {value!r} names an entry twice")
+        return values
+    return checked
+
+
+def _experiment(field, value, _at):
+    if value not in EXPERIMENTS:
+        raise ConfigError(f"unknown or missing experiment {value!r}")
     return value
 
 
-def _list(sweep, key, default=None):
-    """Non-empty list at ``sweep.key``, ``default`` if absent."""
-    values = sweep.get(key, default)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"sweep.{key} must be a non-empty list")
-    return values
+def _kinds(field, value, at):
+    """Gain kinds of the geometry, one output file each."""
+    kinds = _CIRC_KINDS if isinstance(at.geometry, CircArray) else _RECT_KINDS
+    return _list_of(_choice(*kinds), distinct=True)(field, value, at)
 
 
-def _get(cfg, key, default=None, check=_FINITE, section="sweep"):
-    """Number at ``section.key`` that passes ``check``, ``default`` if absent
-    (required if None)."""
-    value = _require(cfg, key, section) if default is None else cfg.get(key, default)
-    return check(f"{section}.{key}", value)
+_REAL, _COUNT = _number(_real), _number(_integer)
+_FINITE, _NATURAL = _number(_real, low=-math.inf, strict=False), _number(_integer, low=0)
+_OBJECT, _TEXT = _typed(dict, "an object", empty=True), _typed(str, "a non-empty string")
+_LIST, _LENGTH = _typed(list, "a non-empty list"), _quantity("length", "m", "dF")
+# sizing mode -> (sizing class, check of its value, the RectArray property a
+# sweep holds fixed when it rebuilds the array at another eta, or None)
+_SIZINGS = {
+    "element-diag": (FixedElementDiagonal, _LENGTH, None),
+    "aperture-area": (FixedApertureArea, _quantity("area", "m2"), "aperture_area"),
+    "aperture-length": (FixedApertureLength, _LENGTH, "aperture_len"),
+}
+_REBUILT = _choice(*(mode for mode, (_, _, held) in _SIZINGS.items() if held))
+_SPACINGS = {"log": np.geomspace, "linear": np.linspace}
+
+# config key -> its check, in every section that declares the key
+_CHECKS = {
+    "experiment": _experiment, "description": _TEXT, "output": _TEXT, "kinds": _kinds,
+    "kind": _choice("rect", "circ"), "mode": _choice(*_SIZINGS),
+    # geometry.sizing.value is checked in the unit of its mode by build_geometry
+    "value": lambda field, value, _at: value, "spacing": _choice(*_SPACINGS),
+    "sizing_mode": _REBUILT, "sizing_modes": _list_of(_REBUILT, distinct=True),
+    "eta_values": _list_of(_REAL), "phi_values": _list_of(_FINITE),
+    "snr_values_db": _list_of(_snr_db), "quad_order": _number(_integer, low=2),
+    **dict.fromkeys(["geometry", "sweep", "sizing"], _OBJECT),
+    **dict.fromkeys(["carrier_hz", "eta", "eta_min", "eta_max"], _REAL),
+    **dict.fromkeys(["azimuth", "elevation", "phi_min", "phi_max"], _FINITE),
+    **dict.fromkeys(["snr_db", "snr_min_db", "snr_max_db"], _snr_db),
+    **dict.fromkeys(["seed", "refinement"], _NATURAL),
+    **dict.fromkeys(["threads", "n_per_side", "n_points", "k_min", "k_max", "k_users",
+                     "max_users", "n_trials"], _COUNT),
+    **dict.fromkeys(["radius", "ref_elem_diag", "z_min", "z_max", "focus", "dist"],
+                    _LENGTH),
+}
+
+# Each config key is declared once, in the declarations of the sections that
+# take it, which map it to its default: _REQUIRED if the key must be given, None
+# if its absence means something the run works out.  Other keys are refused.
+_REQUIRED = object()
+_TOP = {"experiment": _REQUIRED, "description": None, "geometry": _REQUIRED,
+        "sweep": {}, "seed": DEFAULT_SEED, "threads": 1, "output": None}
+_KIND = {"kind": "rect"}
+_GEOMETRY = {
+    "rect": _KIND | {"carrier_hz": _REQUIRED, "n_per_side": _REQUIRED, "eta": _REQUIRED,
+                     "sizing": _REQUIRED},
+    "circ": _KIND | {"carrier_hz": _REQUIRED, "radius": _REQUIRED, "ref_elem_diag": None},
+}
+_SIZING = {"mode": _REQUIRED, "value": _REQUIRED}
 
 
-def _sizing_from_config(scfg):
-    scfg = _object(scfg, "geometry.sizing")
-    mode = _require(scfg, "mode", "geometry.sizing")
-    value = _require(scfg, "value", "geometry.sizing")
-    if mode == "element-diag":
-        return FixedElementDiagonal(parse_length(value, math.nan, "sizing.value"))
-    if mode == "aperture-length":
-        return FixedApertureLength(parse_length(value, math.nan, "sizing.value"))
-    if mode == "aperture-area":
-        return FixedApertureArea(parse_area(value, "sizing.value"))
-    raise ConfigError(f"unknown sizing mode {mode!r}")
+def _resolve(section, keys, prefix, at=None):
+    """Checked values, else defaults, of the keys ``keys`` declares for ``section``."""
+    for key in keys:
+        if keys[key] is _REQUIRED and key not in section:
+            raise ConfigError(f"missing required field {prefix}{key}")
+    return SimpleNamespace(**{key: _CHECKS[key](prefix + key, section[key], at)
+                              if key in section else default
+                              for key, default in keys.items()})
 
 
-def build_geometry(gcfg):
-    """Returns (geometry object, reference d_F for unit conversion)."""
-    kind = _object(gcfg, "geometry").get("kind", "rect")
-    if kind not in ("rect", "circ"):
-        raise ConfigError(f"unknown geometry kind {kind!r}")
-    lam = wavelength_from_carrier(_get(gcfg, "carrier_hz", None, _real, "geometry"))
-    if kind == "rect":
-        sizing = _sizing_from_config(_require(gcfg, "sizing", "geometry"))
-        arr = make_rect_array(_get(gcfg, "n_per_side", None, _integer, "geometry"),
-                              _get(gcfg, "eta", None, _real, "geometry"), sizing, lam)
-        return arr, arr.d_f
-    radius = parse_length(_require(gcfg, "radius", "geometry"), math.nan,
-                          "geometry.radius")
-    ref_diag = gcfg.get("ref_elem_diag")
-    diag = (parse_length(ref_diag, math.nan, "geometry.ref_elem_diag")
-            if ref_diag is not None else lam / 4)
-    return CircArray(radius, lam), 2.0 * diag ** 2 / lam
+def _refuse_unknown(sections):
+    """Refuse each key of the (config object, declared keys, dotted prefix)
+    ``sections`` not declared for its object, naming the closest declared key."""
+    unknown = [prefix + key + "".join(f" (did you mean {prefix}{near}?)" for near in
+                                      difflib.get_close_matches(key, keys, n=1))
+               for section, keys, prefix in sections if isinstance(section, dict)
+               for key in section if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key{'s' * (len(unknown) > 1)} {', '.join(unknown)}")
 
 
-def _length(ctx, key):
-    return parse_length(_require(ctx.sweep, key, "sweep"), ctx.d_f, f"sweep.{key}")
+def build_geometry(g):
+    """Returns (geometry object, reference d_F for unit conversion) of section ``g``."""
+    lam = wavelength_from_carrier(g.carrier_hz)
+    if g.kind == "circ":
+        diag = lam / 4 if g.ref_elem_diag is None else g.ref_elem_diag
+        return CircArray(g.radius, lam), 2.0 * diag ** 2 / lam
+    sizing = _resolve(g.sizing, _SIZING, "geometry.sizing.")
+    cls, check, _ = _SIZINGS[sizing.mode]
+    arr = make_rect_array(g.n_per_side, g.eta,
+                          cls(check("geometry.sizing.value", sizing.value, None)), lam)
+    return arr, arr.d_f
 
 
-def _distance_grid(ctx):
-    z_min, z_max = _length(ctx, "z_min"), _length(ctx, "z_max")
-    n = _get(ctx.sweep, "n_points", check=_integer)
-    if not 0 < z_min < z_max:
-        raise ConfigError("sweep requires 0 < z_min < z_max")
-    return (np.geomspace if _log_spacing(ctx.sweep) else np.linspace)(z_min, z_max, n)
-
-
-def _log_spacing(sweep):
-    """True for "log" grid spacing (the default), False for "linear"."""
-    spacing = sweep.get("spacing", "log")
-    if spacing not in ("log", "linear"):
-        raise ConfigError(f"unknown spacing {spacing!r}")
-    return spacing == "log"
-
-
-def _scalar_grid(sweep, lo_key, hi_key, values_key, check=_FINITE, space=np.linspace):
-    """Listed values, else n_points from lo to hi spaced by ``space``."""
-    if values_key in sweep:
-        return np.array([check(f"sweep.{values_key}", v)
-                         for v in _list(sweep, values_key)])
-    lo, hi = _get(sweep, lo_key, check=check), _get(sweep, hi_key, check=check)
-    return space(lo, hi, _get(sweep, "n_points", check=_integer))
-
-
-def _eta_grid(sweep):
-    space = np.geomspace if _log_spacing(sweep) else np.linspace
-    return _scalar_grid(sweep, "eta_min", "eta_max", "eta_values", _real, space)
-
-
-def _fmt(x):
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return x
+def _scalar_grid(ctx, pattern):
+    """The sweep's values of ``pattern`` as a list, else n_points from min to max,
+    spaced as the sweep's spacing where the experiment takes one, else linearly."""
+    listed, *span = [pattern.format(p) for p in ("values", "min", "max")] + ["n_points"]
+    given = [key for key in span if getattr(ctx, key) is not None]
+    if getattr(ctx, listed) is not None:
+        if given:
+            raise ConfigError(f"sweep.{listed} and sweep.{', sweep.'.join(given)} both "
+                              f"set the grid; give the list or the range")
+        return np.array(getattr(ctx, listed))
+    for key in span:
+        if key not in given:
+            raise ConfigError(f"missing required field sweep.{key}")
+    return _SPACINGS[getattr(ctx, "spacing", "linear")](*(getattr(ctx, k) for k in span))
 
 
 def write_csv(path, experiment, preset, header, rows):
@@ -218,18 +245,13 @@ def write_csv(path, experiment, preset, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(c) for c in row])
+            writer.writerow([repr(float(c)) if isinstance(c, (float, np.floating))
+                             else c for c in row])
     return path
 
 
-def _quad(ctx):
-    return QuadratureSpec(order=_get(ctx.sweep, "quad_order", 8, _NATURAL),
-                          refinement=_get(ctx.sweep, "refinement", 1, _NATURAL))
-
-
 def _profile_rows(ctx, kind):
-    grid = _distance_grid(ctx)
-    focus = _length(ctx, "focus")
+    grid = _SPACINGS[ctx.spacing](*_region(ctx), ctx.n_points)
     # quadrature kinds evaluate only beyond the reactive near field
     floor = 0.0 if kind == "analytic" else radiative_floor(ctx.geometry)
     pts = grid[grid >= floor]
@@ -240,22 +262,17 @@ def _profile_rows(ctx, kind):
         print(f"{ctx.experiment}: kind {kind!r}: dropped {grid.size - pts.size} of "
               f"{grid.size} points below the radiative floor {floor!r} m",
               file=sys.stderr)
-    prof = gain_profile(kind, ctx.geometry, pts, focus,
-                        azimuth=_get(ctx.sweep, "azimuth", 0.0),
-                        elevation=_get(ctx.sweep, "elevation", 0.0),
-                        quad=_quad(ctx), threads=ctx.threads)
+    prof = gain_profile(kind, ctx.geometry, pts, ctx.focus, azimuth=ctx.azimuth,
+                        elevation=ctx.elevation, threads=ctx.threads,
+                        quad=QuadratureSpec(ctx.quad_order, ctx.refinement))
     return [(z / ctx.d_f, g) for z, g in zip(prof.distances, prof.gains)]
 
 
 def _rect_for_eta(ctx, eta, sizing_mode):
     base = ctx.geometry
-    if sizing_mode == "aperture-area":
-        sizing = FixedApertureArea(base.aperture_area)
-    elif sizing_mode == "aperture-length":
-        sizing = FixedApertureLength(base.aperture_len)
-    else:
-        raise ConfigError(f"unknown sizing mode {sizing_mode!r}")
-    return make_rect_array(base.n_per_side, float(eta), sizing, base.wavelength)
+    cls, _, held = _SIZINGS[sizing_mode]
+    return make_rect_array(base.n_per_side, float(eta), cls(getattr(base, held)),
+                           base.wavelength)
 
 
 def _depth_row(eta, focus, d_f, res):
@@ -263,91 +280,64 @@ def _depth_row(eta, focus, d_f, res):
     return (eta, focus / d_f, res.depth / d_f if finite else math.inf, int(finite))
 
 
-def _bd_eta_rows(ctx, mode):
-    def one(eta):
-        arr = _rect_for_eta(ctx, eta, mode)
-        return _depth_row(float(eta), arr.d_b, arr.d_f, bd_rect(arr, arr.d_b))
-
-    return run_sweep(one, _eta_grid(ctx.sweep), ctx.threads)
+def _points(pattern, row):
+    """Rows function of ``row(ctx, entry, x)`` at every x of the grid ``pattern``."""
+    return lambda ctx, entry: run_sweep(lambda x: row(ctx, entry, x),
+                                        _scalar_grid(ctx, pattern), ctx.threads)
 
 
-def _bd_phi_rows(ctx, _):
-    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "phi_values")
-    focus = _length(ctx, "focus")
-
-    def one(phi):
-        proj = project_array(ctx.geometry, float(phi))
-        return _depth_row(proj.eta, focus, ctx.d_f, bd_rect(proj, focus))
-
-    return run_sweep(one, phis, ctx.threads)
+def _bd_eta_row(ctx, mode, eta):
+    arr = _rect_for_eta(ctx, eta, mode)
+    return _depth_row(float(eta), arr.d_b, arr.d_f, bd_rect(arr, arr.d_b))
 
 
-def _a3db_rows(ctx, _):
-    def one(eta):
-        a = solve_a3db(float(eta))
-        return (float(eta), a, a * (1 + float(eta) ** 2))
-
-    return run_sweep(one, _eta_grid(ctx.sweep), ctx.threads)
+def _bd_phi_row(ctx, _, phi):
+    proj = project_array(ctx.geometry, float(phi))
+    return _depth_row(proj.eta, ctx.focus, ctx.d_f, bd_rect(proj, ctx.focus))
 
 
-def _finite_limit_rows(ctx, _):
-    mode = ctx.sweep.get("sizing_mode", "aperture-area")
+def _a3db_row(_ctx, _, eta):
+    a = solve_a3db(float(eta))
+    return (float(eta), a, a * (1 + float(eta) ** 2))
 
-    def one(eta):
-        arr = _rect_for_eta(ctx, eta, mode)
-        return (float(eta), finite_bd_limit_rect(arr) / arr.d_f)
 
-    return run_sweep(one, _eta_grid(ctx.sweep), ctx.threads)
+def _finite_limit_row(ctx, _, eta):
+    arr = _rect_for_eta(ctx, eta, ctx.sizing_mode)
+    return (float(eta), finite_bd_limit_rect(arr) / arr.d_f)
 
 
 def _lobe_rows(ctx, _):
-    entries = circ_lobe_catalog(ctx.geometry, _length(ctx, "focus"),
-                                _get(ctx.sweep, "k_max", check=_integer))
+    entries = circ_lobe_catalog(ctx.geometry, ctx.focus, ctx.k_max)
     return [(e.index, e.kind, e.l_value, e.z_value / ctx.d_f, e.gain_db) for e in entries]
 
 
-def _distance_error_rows(ctx, _):
-    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "phi_values")
-    fixed = _length(ctx, "dist") if "dist" in ctx.sweep else None
-
-    def one(phi):
-        phi = float(phi)
-        dist = fixed if fixed is not None else ctx.geometry.d_b / math.cos(phi)
-        tx = TxGeometry(dist, azimuth=phi)
-        return (phi, mean_abs_distance_error(ctx.geometry, tx, "direct"),
-                mean_abs_distance_error(ctx.geometry, tx, "indirect"))
-
-    return run_sweep(one, phis, ctx.threads)
+def _distance_error_row(ctx, _, phi):
+    phi = float(phi)
+    dist = ctx.geometry.d_b / math.cos(phi) if ctx.dist is None else ctx.dist
+    tx = TxGeometry(dist, azimuth=phi)
+    return (phi, mean_abs_distance_error(ctx.geometry, tx, "direct"),
+            mean_abs_distance_error(ctx.geometry, tx, "indirect"))
 
 
-def _projection_error_rows(ctx, _):
-    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "phi_values")
-    dist = _length(ctx, "dist")
-    focus = _length(ctx, "focus")
-    quad = _quad(ctx)
-
-    def one(phi):
-        tx = TxGeometry(dist, azimuth=float(phi))
-        exact = exact_array_gain_steered(ctx.geometry, tx, focus, quad)
-        proj = projected_gain_approx(ctx.geometry, tx, focus, quad)
-        return (float(phi), exact, proj, abs(exact - proj))
-
-    return run_sweep(one, phis, ctx.threads)
+def _projection_error_row(ctx, _, phi):
+    tx = TxGeometry(ctx.dist, azimuth=float(phi))
+    quad = QuadratureSpec(ctx.quad_order, ctx.refinement)
+    exact = exact_array_gain_steered(ctx.geometry, tx, ctx.focus, quad)
+    proj = projected_gain_approx(ctx.geometry, tx, ctx.focus, quad)
+    return (float(phi), exact, proj, abs(exact - proj))
 
 
 def _region(ctx):
-    """User-distance region: sweep z_min/z_max, else [d_B, d_FA/10]."""
-    z_min = _length(ctx, "z_min") if "z_min" in ctx.sweep else ctx.geometry.d_b
-    z_max = _length(ctx, "z_max") if "z_max" in ctx.sweep else ctx.geometry.d_fa / 10
+    """Distance region of the sweep: z_min to z_max, by default d_B to d_FA/10."""
+    z_min = ctx.geometry.d_b if ctx.z_min is None else ctx.z_min
+    z_max = ctx.geometry.d_fa / 10 if ctx.z_max is None else ctx.z_max
     if not 0 < z_min < z_max:
         raise ConfigError("sweep requires 0 < z_min < z_max")
     return z_min, z_max
 
 
 def _plan_rows(ctx, _):
-    max_users = ctx.sweep.get("max_users")
-    plan = plan_focal_points(ctx.geometry, _region(ctx), None if max_users is None
-                             else _integer("sweep.max_users", max_users))
+    plan = plan_focal_points(ctx.geometry, _region(ctx), ctx.max_users)
     return [(k + 1, f / ctx.d_f, lo / ctx.d_f, hi / ctx.d_f)
             for k, (f, (lo, hi)) in enumerate(zip(plan.focal_points,
                                                   plan.intervals))]
@@ -366,42 +356,36 @@ def _planned_row(ctx, gram, snr):
 
 
 def _rate_snr_rows(ctx, _):
-    snrs = _scalar_grid(ctx.sweep, "snr_min_db", "snr_max_db", "snr_values_db", _snr_db)
-    k_users = _get(ctx.sweep, "k_users", 5, _integer)
-    n_trials = _get(ctx.sweep, "n_trials", 200, _integer)
+    snrs = _scalar_grid(ctx, "snr_{}_db")
     region = _region(ctx)
     gram = _planned_gram(ctx.geometry,
-                         plan_focal_points(ctx.geometry, region, max_users=k_users))
+                         plan_focal_points(ctx.geometry, region, max_users=ctx.k_users))
     # one pass over the grid: every SNR shares the draws and their Gram stack
-    mcs = monte_carlo_sum_rates(ctx.geometry, k_users, region, n_trials, snrs, ctx.seed)
+    mcs = monte_carlo_sum_rates(ctx.geometry, ctx.k_users, region, ctx.n_trials, snrs,
+                                ctx.seed)
     return [row for snr, mc in zip(map(float, snrs), mcs) for row in (
         _planned_row(ctx, gram, snr),
-        (snr, k_users, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed))]
+        (snr, ctx.k_users, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed))]
 
 
 def _rate_users_rows(ctx, _):
-    k_lo = _get(ctx.sweep, "k_min", 1, _integer)
-    k_hi = _get(ctx.sweep, "k_max", 8, _integer)
-    if not k_lo <= k_hi:
+    if not ctx.k_min <= ctx.k_max:
         raise ConfigError("sweep requires 1 <= k_min <= k_max")
-    snr = _get(ctx.sweep, "snr_db", 25.0, _snr_db)
-    n_trials = _get(ctx.sweep, "n_trials", 500, _integer)
     region = _region(ctx)
 
     def one(k):
-        mc = monte_carlo_sum_rate(ctx.geometry, k, region, n_trials, snr, ctx.seed)
-        return (snr, k, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed)
+        mc = monte_carlo_sum_rate(ctx.geometry, k, region, ctx.n_trials, ctx.snr_db,
+                                  ctx.seed)
+        return (ctx.snr_db, k, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed)
 
-    return run_sweep(one, range(k_lo, k_hi + 1), ctx.threads)
+    return run_sweep(one, range(ctx.k_min, ctx.k_max + 1), ctx.threads)
 
 
 def _rate_eta_rows(ctx, _):
-    snr = _get(ctx.sweep, "snr_db", 25.0, _snr_db)
-    mode = ctx.sweep.get("sizing_mode", "aperture-length")
     region = _region(ctx)
 
     def plan_eta(eta):
-        arr = _rect_for_eta(ctx, eta, mode)
+        arr = _rect_for_eta(ctx, eta, ctx.sizing_mode)
         try:
             return float(eta), arr, plan_focal_points(arr, region)
         except ValueError as err:
@@ -410,28 +394,23 @@ def _rate_eta_rows(ctx, _):
 
     def one(planned):
         eta, arr, plan = planned
-        return (eta,) + _planned_row(ctx, _planned_gram(arr, plan), snr)
+        return (eta,) + _planned_row(ctx, _planned_gram(arr, plan), ctx.snr_db)
 
-    return run_sweep(one, run_sweep(plan_eta, _eta_grid(ctx.sweep), ctx.threads),
+    return run_sweep(one, run_sweep(plan_eta, _scalar_grid(ctx, "eta_{}"), ctx.threads),
                      ctx.threads)
 
 
 def _rate_phi_rows(ctx, _):
-    phis = _scalar_grid(ctx.sweep, "phi_min", "phi_max", "phi_values")
-    snr = _get(ctx.sweep, "snr_db", 25.0, _snr_db)
-    region = _region(ctx)
-    k_users = ctx.sweep.get("k_users")
-    plan = plan_focal_points(ctx.geometry, region, max_users=None if k_users is None
-                             else _integer("sweep.k_users", k_users))
+    plan = plan_focal_points(ctx.geometry, _region(ctx), max_users=ctx.k_users)
 
     def one(phi):
         # the users' common linear phase cancels in the Gram matrix; what
         # the azimuth changes is the aperture the users see
         phi = float(phi)
         gram = _planned_gram(project_array(ctx.geometry, phi), plan)
-        return (phi,) + _planned_row(ctx, gram, snr)
+        return (phi,) + _planned_row(ctx, gram, ctx.snr_db)
 
-    return run_sweep(one, phis, ctx.threads)
+    return run_sweep(one, _scalar_grid(ctx, "phi_{}"), ctx.threads)
 
 
 _PROFILE_HEADER = ["distance_over_dF", "gain"]
@@ -439,28 +418,50 @@ _DEPTH_HEADER = ["eta", "F_over_dF", "bd_over_dF", "finite"]
 _RATE_HEADER = ["snr_db", "k_users", "placement", "mean_rate", "stderr",
                 "n_trials", "seed"]
 
-# experiment -> (geometry kind it needs, None for either; (sweep key, default) listing
-# one output file per entry, or None; CSV header; rows function (ctx, entry) -> rows)
+# sweep keys several experiments take, with their defaults
+_QUAD = {"quad_order": 8, "refinement": 1}
+_PROFILE = {"z_min": _REQUIRED, "z_max": _REQUIRED, "n_points": _REQUIRED,
+            "spacing": "log", "focus": _REQUIRED, "azimuth": 0.0, "elevation": 0.0,
+            "kinds": ["exact"]} | _QUAD
+_ETAS = {"eta_values": None, "eta_min": None, "eta_max": None, "n_points": None,
+         "spacing": "log"}
+_PHIS = {"phi_values": None, "phi_min": None, "phi_max": None, "n_points": None}
+_SNRS = {"snr_values_db": None, "snr_min_db": None, "snr_max_db": None, "n_points": None}
+_REGION = {"z_min": None, "z_max": None}
+_RATE = {"snr_db": 25.0} | _REGION
+
+# experiment -> (geometry kind it needs, None for either; sweep key listing one
+# output file per entry, or None; CSV header; rows function (ctx, entry) -> rows;
+# its sweep keys and their defaults)
 _TABLE = {
-    "gain-profile": (None, ("kinds", ["exact"]), _PROFILE_HEADER, _profile_rows),
-    "bd-vs-eta": ("rect", ("sizing_modes", ["aperture-area"]), _DEPTH_HEADER,
-                  _bd_eta_rows),
-    "bd-vs-phi": ("rect", None, _DEPTH_HEADER, _bd_phi_rows),
-    "a3db-curve": (None, None, ["eta", "a3db", "product"], _a3db_rows),
-    "finite-limit-curve": ("rect", None, ["eta", "limit_over_dF"], _finite_limit_rows),
-    "circular-gain": ("circ", ("kinds", ["exact"]), _PROFILE_HEADER, _profile_rows),
+    "gain-profile": (None, "kinds", _PROFILE_HEADER, _profile_rows, _PROFILE),
+    "bd-vs-eta": ("rect", "sizing_modes", _DEPTH_HEADER, _points("eta_{}", _bd_eta_row),
+                  _ETAS | {"sizing_modes": ["aperture-area"]}),
+    "bd-vs-phi": ("rect", None, _DEPTH_HEADER, _points("phi_{}", _bd_phi_row),
+                  _PHIS | {"focus": _REQUIRED}),
+    "a3db-curve": (None, None, ["eta", "a3db", "product"], _points("eta_{}", _a3db_row),
+                   _ETAS),
+    "finite-limit-curve": ("rect", None, ["eta", "limit_over_dF"],
+                           _points("eta_{}", _finite_limit_row),
+                           _ETAS | {"sizing_mode": "aperture-area"}),
+    "circular-gain": ("circ", "kinds", _PROFILE_HEADER, _profile_rows, _PROFILE),
     "lobe-catalog": ("circ", None, ["k", "kind", "l", "z_over_dF", "gain_db"],
-                     _lobe_rows),
+                     _lobe_rows, {"focus": _REQUIRED, "k_max": _REQUIRED}),
     "distance-error": ("rect", None, ["phi", "direct_err_m", "indirect_err_m"],
-                       _distance_error_rows),
+                       _points("phi_{}", _distance_error_row), _PHIS | {"dist": None}),
     "projection-error": ("rect", None, ["phi", "exact_gain", "projected_gain", "abs_err"],
-                         _projection_error_rows),
+                         _points("phi_{}", _projection_error_row),
+                         _PHIS | {"dist": _REQUIRED, "focus": _REQUIRED} | _QUAD),
     "multiplex-plan": ("rect", None, ["k", "F_over_dF", "zlo_over_dF", "zhi_over_dF"],
-                       _plan_rows),
-    "sum-rate-vs-snr": ("rect", None, _RATE_HEADER, _rate_snr_rows),
-    "sum-rate-vs-users": ("rect", None, _RATE_HEADER, _rate_users_rows),
-    "sum-rate-vs-eta": ("rect", None, ["eta"] + _RATE_HEADER, _rate_eta_rows),
-    "sum-rate-vs-phi": ("rect", None, ["phi"] + _RATE_HEADER, _rate_phi_rows),
+                       _plan_rows, _REGION | {"max_users": None}),
+    "sum-rate-vs-snr": ("rect", None, _RATE_HEADER, _rate_snr_rows,
+                        _SNRS | {"k_users": 5, "n_trials": 200} | _REGION),
+    "sum-rate-vs-users": ("rect", None, _RATE_HEADER, _rate_users_rows,
+                          {"k_min": 1, "k_max": 8, "n_trials": 500} | _RATE),
+    "sum-rate-vs-eta": ("rect", None, ["eta"] + _RATE_HEADER, _rate_eta_rows,
+                        _ETAS | {"sizing_mode": "aperture-length"} | _RATE),
+    "sum-rate-vs-phi": ("rect", None, ["phi"] + _RATE_HEADER, _rate_phi_rows,
+                        _PHIS | {"k_users": None} | _RATE),
 }
 
 EXPERIMENTS = tuple(_TABLE)
@@ -471,10 +472,6 @@ def _square_geometry(n=100, eta=1.0, diag_wl=0.25, carrier=3e9):
     return {"kind": "rect", "n_per_side": n, "eta": eta,
             "sizing": {"mode": "element-diag", "value": f"{diag_wl * lam} m"},
             "carrier_hz": carrier}
-
-
-def _wide_geometry():
-    return _square_geometry(n=200, diag_wl=0.5)
 
 
 def _circ_geometry(radius_wl=12.5, carrier=3e9):
@@ -498,21 +495,20 @@ def build_presets():
         "fig3": {
             "description": "greedy focal-point plan with disjoint half-power "
                            "intervals (200x200 array)",
-            "geometry": _wide_geometry(),
+            "geometry": _square_geometry(n=200, diag_wl=0.5),
             "experiment": "multiplex-plan",
-            "sweep": {},
         },
         "fig4": {
             "description": "sum rate vs SNR, planned vs random placement "
                            "(5 users)",
-            "geometry": _wide_geometry(),
+            "geometry": _square_geometry(n=200, diag_wl=0.5),
             "experiment": "sum-rate-vs-snr",
             "sweep": {"snr_min_db": 0.0, "snr_max_db": 30.0, "n_points": 7,
                       "k_users": 5, "n_trials": 200},
         },
         "fig5": {
             "description": "mean sum rate vs number of users at 25 dB",
-            "geometry": _wide_geometry(),
+            "geometry": _square_geometry(n=200, diag_wl=0.5),
             "experiment": "sum-rate-vs-users",
             "sweep": {"k_min": 1, "k_max": 8, "snr_db": 25.0,
                       "n_trials": 500},
@@ -622,8 +618,7 @@ def load_config(args):
             raise ConfigError(f"cannot read config: {err}") from err
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
+        _OBJECT("config root", user, None)
         for key, val in user.items():
             if key in ("geometry", "sweep") and isinstance(val, dict):
                 cfg.setdefault(key, {}).update(val)
@@ -632,7 +627,7 @@ def load_config(args):
     return cfg
 
 
-def resolve_threads(args, cfg):
+def resolve_threads(args, configured):
     if args.threads is not None:
         return _integer("--threads", args.threads)
     env = os.environ.get("NEARFIELD_BD_THREADS")
@@ -642,32 +637,35 @@ def resolve_threads(args, cfg):
         except ValueError:
             pass  # no number: the count check names the variable
         return _integer("NEARFIELD_BD_THREADS", env)
-    return _integer("threads", cfg.get("threads", 1))
+    return configured
 
 
 def cmd_run(args):
     cfg = load_config(args)
-    experiment = cfg.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown or missing experiment {experiment!r}")
-    need, files, header, rows = _TABLE[experiment]
-    geometry, d_f = build_geometry(_require(cfg, "geometry", "config"))
+    # every key is checked before any row runs, also where an override wins
+    top = _resolve(cfg, _TOP, "")
+    need, files, header, rows, sweep_keys = _TABLE[top.experiment]
+    geometry_keys = _GEOMETRY[_resolve(top.geometry, _KIND, "geometry.").kind]
+    _refuse_unknown([(cfg, _TOP, ""), (top.geometry, geometry_keys, "geometry."),
+                     (top.geometry.get("sizing"), _SIZING, "geometry.sizing."),
+                     (top.sweep, sweep_keys, "sweep.")])
+    geometry, d_f = build_geometry(_resolve(top.geometry, geometry_keys, "geometry."))
     if need not in (None, "circ" if isinstance(geometry, CircArray) else "rect"):
-        raise ConfigError(f"{experiment} requires a {need} geometry")
-    sweep = _object(cfg.get("sweep", {}), "sweep")
-    seed = _NATURAL("seed", args.seed if args.seed is not None
-                    else cfg.get("seed", DEFAULT_SEED))
-    out = args.out or cfg.get("output") or f"{args.preset or experiment}.csv"
-    ctx = SimpleNamespace(geometry=geometry, d_f=d_f, sweep=sweep, experiment=experiment,
+        raise ConfigError(f"{top.experiment} requires a {need} geometry")
+    seed = top.seed if args.seed is None else _integer("--seed", args.seed, low=0)
+    ctx = SimpleNamespace(geometry=geometry, d_f=d_f, experiment=top.experiment,
                           preset=args.preset or "custom", seed=seed,
-                          threads=resolve_threads(args, cfg))
-    entries = _list(sweep, *files) if files else [None]
+                          threads=resolve_threads(args, top.threads))
+    # the rows read the run and its resolved sweep keys from one namespace
+    vars(ctx).update(vars(_resolve(top.sweep, sweep_keys, "sweep.", ctx)))
+    out = args.out or top.output or f"{args.preset or top.experiment}.csv"
+    entries = getattr(ctx, files) if files else [None]
     root, ext = os.path.splitext(out)
     paths = []
     try:
         for entry in entries:
             path = out if len(entries) == 1 else f"{root}_{entry}{ext or '.csv'}"
-            paths.append(write_csv(path, experiment, ctx.preset, header,
+            paths.append(write_csv(path, ctx.experiment, ctx.preset, header,
                                    rows(ctx, entry)))
     except OSError as err:
         raise ConfigError(f"cannot write output: {err}") from err

@@ -1,15 +1,17 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import nearfield_bd
-from nearfield_bd import __version__
+from nearfield_bd import __version__, cli
 from nearfield_bd.array_geometry import (
     FixedElementDiagonal,
     make_rect_array,
@@ -80,10 +82,17 @@ def test_presets_command_lists_everything(capsys):
         assert line.split()[1] in EXPERIMENTS
 
 
-def test_presets_all_reference_known_experiments():
+def test_presets_all_reference_known_experiments(tmp_path, monkeypatch):
+    # rows that compute nothing: each run below only resolves its preset
+    for experiment, entry in cli._TABLE.items():
+        monkeypatch.setitem(cli._TABLE, experiment,
+                            entry[:3] + (lambda ctx, _: [],) + entry[4:])
     for name, preset in build_presets().items():
         assert preset["experiment"] in EXPERIMENTS, name
         assert preset["description"]
+        # every key the preset gives is declared, and every value passes its check
+        out = str(tmp_path / "x.csv")
+        assert run_cli("run", "--preset", name, "--out", out) == 0, name
 
 
 def test_a3db_preset_output(tmp_path, capsys):
@@ -334,6 +343,94 @@ def test_config_validation_failures(tmp_path, capsys, patch, fragment):
     assert run_cli("run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "x.csv")) == 2
     assert fragment in capsys.readouterr().err
+
+
+# a misspelt optional key at each level, which no run ever read
+TYPOS = {"bogus_top": 1, "geometry": {"etaa": 5}, "sweep": {"spacingg": "linear"}}
+TYPO_FRAGMENTS = ["bogus_top", "geometry.etaa (did you mean geometry.eta?)",
+                  "sweep.spacingg (did you mean sweep.spacing?)"]
+
+
+def test_misspelt_keys_are_refused_with_suggestions(tmp_path, capsys):
+    cfg = {"geometry": dict(TINY_GEOM, **TYPOS["geometry"]), "experiment": "a3db-curve",
+           "sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 3, **TYPOS["sweep"]},
+           "bogus_top": 1}
+    out = tmp_path / "x.csv"
+    assert run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert all(fragment in err for fragment in TYPO_FRAGMENTS), err
+    assert not out.exists()
+
+
+def test_misspelt_keys_over_a_preset_are_refused(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli("run", "--preset", "fig6", "--config", write_config(tmp_path, TYPOS),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert all(fragment in err for fragment in TYPO_FRAGMENTS), err
+    assert not out.exists()
+
+
+PROFILE_SWEEP = {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m"}
+
+
+@pytest.mark.parametrize("patch, argv, fragment", [
+    ({"output": 5}, [], "output must be a non-empty string, got 5"),
+    ({"seed": -1}, ["--seed", "3"], "seed must be at least 0, got -1"),
+    ({"threads": "many"}, ["--threads", "1"], "threads: 'many' is not a finite number"),
+    ({"sweep": {"eta_values": [1.0], "eta_min": 0.5, "eta_max": 2.0, "n_points": 3}}, [],
+     "sweep.eta_values and sweep.eta_min, sweep.eta_max, sweep.n_points both set"),
+    ({"experiment": "bd-vs-phi",
+      "sweep": {"phi_values": [0.1], "phi_max": 0.5, "focus": "4 m"}}, [],
+     "sweep.phi_values and sweep.phi_max both set"),
+    ({"experiment": "sum-rate-vs-snr", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"snr_values_db": [10.0], "n_points": 2}}, [],
+     "sweep.snr_values_db and sweep.n_points both set"),
+    ({"experiment": "gain-profile",
+      "sweep": dict(PROFILE_SWEEP, kinds=["analytic", "bogus"])}, [],
+     "sweep.kinds: unknown kinds 'bogus'"),
+    ({"experiment": "gain-profile", "geometry": CIRC_GEOM,
+      "sweep": dict(PROFILE_SWEEP, kinds=["analytic", "steered"])}, [],
+     "unknown kinds 'steered'; must be one of exact, analytic"),
+    ({"experiment": "bd-vs-eta",
+      "sweep": {"eta_values": [1.0], "sizing_modes": ["aperture-area", "aperture-area"]}},
+     [], "sweep.sizing_modes: ['aperture-area', 'aperture-area'] names an entry twice"),
+    ({"experiment": "finite-limit-curve",
+      "sweep": {"eta_values": [1.0], "sizing_mode": "element-diag"}}, [],
+     "sweep.sizing_mode: unknown sizing_mode 'element-diag'; "
+     "must be one of aperture-area, aperture-length"),
+], ids=["output-not-a-string", "seed-overridden", "threads-overridden",
+        "eta-list-and-range", "phi-list-and-range", "snr-list-and-range", "unknown-kind",
+        "kind-of-another-geometry", "sizing-mode-twice", "sizing-mode-not-rebuilt"])
+def test_config_refused_before_any_row(tmp_path, monkeypatch, capsys, patch, argv,
+                                       fragment):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NEARFIELD_BD_THREADS", raising=False)
+    cfg = {"geometry": TINY_GEOM, "experiment": "a3db-curve",
+           "sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 3}}
+    cfg.update(patch)
+    assert run_cli("run", "--config", write_config(tmp_path, cfg), *argv) == 2
+    assert fragment in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_readme_lists_each_experiments_sweep_keys():
+    """The README's sweep keys column names each declared key with its default:
+    `key` required, `key=value` a JSON default, `key?` optional."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {}
+    for line in readme.split("### Experiments", 1)[1].splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].strip("`") in EXPERIMENTS:
+            keys = {}
+            for key in re.findall(r"`([^`]+)`", cells[2]):
+                name, _, default = key.partition("=")
+                keys[name.rstrip("?")] = (json.loads(default) if default
+                                          else None if name.endswith("?") else "required")
+            listed[cells[0].strip("`")] = keys
+    assert listed == {name: {key: "required" if default is cli._REQUIRED else default
+                             for key, default in entry[4].items()}
+                      for name, entry in cli._TABLE.items()}
 
 
 def test_run_without_config_or_preset(capsys):
