@@ -130,13 +130,15 @@ def _panels(edges, n: int, size: float):
 
 
 def _aperture_blocks(arr: RectArray, bx, by, tx: TxGeometry, order: int,
-                     focus_phase=None):
+                     focus_phase=None, weight: float = 1.0):
     """Exact field on the composite Gauss-Legendre grid, order nodes per panel
     side, of the panels between element-boundary indices bx (rows, along the
     width) and by (columns, along the height), in blocks of whole panel rows.
 
-    Yields the block's row and column node weights and ``_spherical_wave``'s
-    amplitude and focused field on its node grid."""
+    Yields the block's row node weights times ``weight`` (2 or 4 where the
+    panels cover one mirror half or quarter of the aperture), its column node
+    weights, and ``_spherical_wave``'s amplitude and focused field on its
+    node grid."""
     nodes, wts = _gauss_legendre(order)
     cx, hx = _panels(bx, arr.n_per_side, arr.elem_w)
     cy, hy = _panels(by, arr.n_per_side, arr.elem_h)
@@ -145,16 +147,25 @@ def _aperture_blocks(arr: RectArray, bx, by, tx: TxGeometry, order: int,
     rows = max(1, _BLOCK_NODES // (order * gy.size))
     for i in range(0, len(cx), rows):
         gx = (cx[i:i + rows, None] + hx[i:i + rows, None] * nodes).ravel()
-        wx = (hx[i:i + rows, None] * wts).ravel()
+        wx = (weight * hx[i:i + rows, None] * wts).ravel()
         yield (wx, wy, *_spherical_wave(tx, gx[:, None], gy, arr.wavelength,
                                         focus_phase))
 
 
+def _mirrored(tx: TxGeometry) -> tuple[bool, bool]:
+    """Whether the transmitter lies on the x = 0 and on the y = 0 plane.  On
+    such an axis the exact field, and each gain's focusing phase, are even."""
+    return tx.x == 0.0, tx.y == 0.0
+
+
 def _panel_edges(arr: RectArray, tx: TxGeometry, focus_phase, focus_depth: float):
-    """Element-boundary indices of the panels a gain integrates over: g whole
-    elements per panel side (a shorter last panel where g does not divide n),
-    with g the most elements whose residual phase, focus_phase - k r, turns by
-    at most _PANEL_PHASE across a panel, and at least 1.
+    """Element-boundary indices of the panels a gain integrates over: g
+    elements per panel side, with g the most elements whose residual phase,
+    focus_phase - k r, turns by at most _PANEL_PHASE across a panel, and at
+    least 1.  Panels of whole elements start at 0 (a shorter last panel where
+    g does not divide n), except along an axis ``_mirrored`` marks: there
+    they lie mirror-symmetric about the centre n/2 (mid-element for odd n),
+    with a shorter panel at each end.
 
     The gradient bound per axis is the largest secant slope of the residual
     phase between neighbouring points of a _PROBES-interval probe grid over
@@ -171,23 +182,41 @@ def _panel_edges(arr: RectArray, tx: TxGeometry, focus_phase, focus_depth: float
     hx, hy = px[1] - px[0], py[1] - py[0]
     grad_x = np.abs(np.diff(residual, axis=0)).max() / hx + curvature * (hx + 0.5 * hy)
     grad_y = np.abs(np.diff(residual, axis=1)).max() / hy + curvature * (hy + 0.5 * hx)
-    return (_edges(arr.n_per_side, _PANEL_PHASE / (grad_x * arr.elem_w)),
-            _edges(arr.n_per_side, _PANEL_PHASE / (grad_y * arr.elem_h)))
+    mirrored_x, mirrored_y = _mirrored(tx)
+    return (_edges(arr.n_per_side, _PANEL_PHASE / (grad_x * arr.elem_w), mirrored_x),
+            _edges(arr.n_per_side, _PANEL_PHASE / (grad_y * arr.elem_h), mirrored_y))
 
 
-def _edges(n: int, elements: float) -> np.ndarray:
-    """Boundary indices 0, g, 2g, ..., n with g = floor(elements) in [1, n]."""
-    return np.append(np.arange(0, n, int(min(n, max(1.0, elements)))), n)
+def _edges(n: int, elements: float, centred: bool) -> np.ndarray:
+    """Boundary indices 0, g, 2g, ..., n with g = floor(elements) in [1, n];
+    when ``centred``, n/2 -+ g, 2g, ... down to 0 and up to n instead."""
+    g = int(min(n, max(1.0, elements)))
+    if not centred:
+        return np.append(np.arange(0, n, g), n)
+    upper = np.append(np.arange(0.5 * n, n, g), n)
+    return np.concatenate([n - upper[:0:-1], upper])
 
 
 def _disk_blocks(circ: CircArray, tx: TxGeometry, order: int, focus_phase):
     """One polar block over the disk, yielded as by ``_aperture_blocks``: 6*order
-    Gauss-Legendre radii (weights carry the rho Jacobian) by order trapezoid angles."""
+    Gauss-Legendre radii (weights carry the rho Jacobian) by the order-point
+    trapezoid in angle, for a transmitter on the axis and a focusing phase
+    even in x and in y.  The integrand is then even in both, so each mirror
+    orbit of the trapezoid's angles is evaluated once, weighted by its size:
+    for even order the angles 2 pi m/order up to pi/2 (weight 2 on the axes,
+    4 between), for odd order those up to pi (weight 1 at 0, 2 after)."""
     nodes, wts = _gauss_legendre(6 * order)
     rho = 0.5 * circ.radius * (nodes + 1.0)
-    theta = np.linspace(0.0, 2.0 * np.pi, order, endpoint=False)
+    if order % 2:
+        m = np.arange(order // 2 + 1)
+        size = np.where(m == 0, 1.0, 2.0)
+    else:
+        m = np.arange(order // 4 + 1)
+        size = np.where((m == 0) | (4 * m == order), 2.0, 4.0)
+    step = 2.0 * np.pi / order
+    theta = m * step
     x, y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
-    yield (0.5 * circ.radius * wts * rho, np.full(order, 2.0 * np.pi / order),
+    yield (0.5 * circ.radius * wts * rho, step * size,
            *_spherical_wave(tx, x, y, circ.wavelength, focus_phase))
 
 

@@ -3,7 +3,8 @@
 Exact gains, rectangular or disk, reduce the spherical-wave field over the
 aperture, times a focusing filter, over ``field_model``'s node blocks in one
 kernel with one convergence check (rectangular apertures on a panel grid
-sized by the residual phase); closed-form gains evaluate the
+sized by the residual phase; along each axis the transmitter lies on, over
+one mirror half of the aperture); closed-form gains evaluate the
 Fresnel-integral expressions for rectangular apertures (broadside and
 slanted transmitters) and the sinc^2 expression for circular apertures.
 ``run_sweep`` evaluates any sweep point by point, optionally threaded, and
@@ -34,7 +35,8 @@ from .array_geometry import (
     project_array,
 )
 from .field_model import (QuadratureSpec, _aperture_blocks, _broadside_focus,
-                          _disk_blocks, _gauss_legendre, _panel_edges, _refined)
+                          _disk_blocks, _gauss_legendre, _mirrored, _panel_edges,
+                          _refined)
 from .fresnel_core import fresnel_cs, sinc
 
 REACTIVE_LIMIT_FACTOR = 1.2
@@ -99,10 +101,15 @@ def _aperture_gain(geometry, tx: TxGeometry, focus: float,
 def _rect_gain(arr: RectArray, tx: TxGeometry, focus: float,
                quad: QuadratureSpec, phase, focus_depth: float) -> float:
     """Gain over the panels ``_panel_edges`` sizes for the focusing ``phase``,
-    whose centre lies at depth ``focus_depth`` in front of the aperture."""
+    whose centre lies at depth ``focus_depth`` in front of the aperture.
+    Along each axis ``_mirrored`` marks, where the integrand is even, only the
+    panels of the u >= 0 half are integrated, with doubled weights."""
     def rule():
-        bx, by = _panel_edges(arr, tx, phase, focus_depth)
-        return partial(_aperture_blocks, arr, bx, by, tx, focus_phase=phase)
+        mirrored = _mirrored(tx)
+        bx, by = (b[b >= 0.5 * arr.n_per_side] if fold else b
+                  for b, fold in zip(_panel_edges(arr, tx, phase, focus_depth), mirrored))
+        return partial(_aperture_blocks, arr, bx, by, tx, focus_phase=phase,
+                       weight=2.0 ** sum(mirrored))
 
     return _aperture_gain(arr, tx, focus, quad, rule)
 

@@ -5,6 +5,7 @@ line per criterion.  Expected values come from closed forms or independent
 quadrature oracles; random draws use fixed seeds.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from nearfield_bd.array_geometry import (
     FixedElementDiagonal,
     TxGeometry,
     make_rect_array,
+    project_array,
     wavelength_from_carrier,
 )
 from nearfield_bd.beam_depth import (
@@ -177,6 +179,62 @@ def test_06_projected_array_tracks_steered_gain():
             f"allowed 0.1")
 
 
+@functools.lru_cache(maxsize=None)
+def _steered_depth(eta, phi):
+    """Exact steered half-power interval of a 100x100 half-wavelength array
+    focused at half its finite-depth limit, transmitter and focus at azimuth
+    phi, searched around the closed-form interval of the projected array."""
+    arr = make_rect_array(100, eta, FixedElementDiagonal(0.5 * LAM), LAM)
+    focus = 0.5 * finite_bd_limit_rect(arr)
+    return _exact_depth(
+        lambda d: exact_array_gain_steered(arr, TxGeometry(d, azimuth=phi), focus),
+        bd_rect(project_array(arr, phi), focus), radiative_floor(arr), focus)
+
+
+def test_06_exact_steered_depth_matches_projected_array():
+    """The depth of a beam steered to azimuth phi is that of a broadside beam
+    on the projected array (width times cos phi): each crossing of the exact
+    steered gain (eta = 1, F about 5 aperture lengths) matches the projected
+    closed form within a tolerance stated per phi.
+
+    At phi = 0 the gap is the closed form's Fresnel approximation, as for
+    broadside gains; toward end-fire the projection also drops the phase
+    terms odd in x that a slanted ray adds, so the gap grows.  Measured
+    largest crossing gaps are 3.2e-3, 2.2e-3, 2.5e-3, 6.7e-3 and 8.7e-3 at
+    |phi| = 0, 0.3, 0.6, 0.9 and 1.2; each tolerance is about 1.5 times that.
+    Without the cos phi of the projection the reference moves by 4.9e-2 at
+    phi = 0.3 and by more further out."""
+    tolerances = {0.0: 5e-3, 0.3: 4e-3, 0.6: 4e-3, -0.6: 4e-3, 0.9: 1e-2, 1.2: 1.3e-2}
+    arr = make_rect_array(100, 1.0, FixedElementDiagonal(0.5 * LAM), LAM)
+    focus = 0.5 * finite_bd_limit_rect(arr)
+    worst = []
+    for phi, tol in tolerances.items():
+        res, ref = _steered_depth(1.0, phi), bd_rect(project_array(arr, phi), focus)
+        gap = max(abs(res.z_lo / ref.z_lo - 1.0), abs(res.z_hi / ref.z_hi - 1.0))
+        worst.append((phi, gap, res.status == STATUS_FINITE and gap <= tol))
+    _report(6, all(ok for *_, ok in worst),
+            "exact steered vs projected crossings: " + ", ".join(
+                f"phi {phi:+.1f}: {gap:.1e} (tol {tolerances[phi]:.1e})"
+                for phi, gap, _ in worst))
+
+
+def test_06_exact_steered_depth_grows_toward_endfire():
+    """The exact steered depth increases strictly with |phi| and is even in
+    phi, for a square (eta = 1) and a wide (eta = 0.5) array: depths at
+    phi = 0, 0.3, 0.6, 0.9, 1.2, and at -0.6 and -1.2 within 1e-6 relative
+    of +phi.  Each is searched around the projected closed form, where the
+    previous test puts the crossings."""
+    lines, ok = [], True
+    for eta in (1.0, 0.5):
+        res = {phi: _steered_depth(eta, phi) for phi in (0.0, 0.3, 0.6, 0.9, 1.2, -0.6, -1.2)}
+        depths = [res[phi].depth for phi in (0.0, 0.3, 0.6, 0.9, 1.2)]
+        ok &= all(r.status == STATUS_FINITE for r in res.values())
+        ok &= all(hi > lo for lo, hi in zip(depths, depths[1:]))
+        ok &= all(abs(res[-phi].depth / res[phi].depth - 1.0) <= 1e-6 for phi in (0.6, 1.2))
+        lines.append(f"eta {eta}: " + ", ".join(f"{d / LAM:.1f}" for d in depths))
+    _report(6, ok, "exact steered depths/lambda at |phi| = 0 .. 1.2: " + "; ".join(lines))
+
+
 def test_07_circular_aperture_depth_and_lobes():
     circ = CircArray(12.5 * LAM, LAM)
     focus = 50 * LAM
@@ -211,13 +269,13 @@ def test_08_depth_ordering_across_shapes():
 
 
 def _exact_depth(gain, ref, floor, focus):
-    """Half-power depth of an exact gain on a 13-point grid from
+    """Half-power interval of an exact gain on a 13-point grid from
     max(floor, 0.8 z_lo) to 1.25 z_hi of the closed form ``ref``, each
     crossing refined on ``gain`` itself."""
     grid = np.unique(np.append(
         np.geomspace(max(floor, 0.8 * ref.z_lo), 1.25 * ref.z_hi, 13), focus))
     prof = GainProfile(focus, grid, np.array([gain(float(z)) for z in grid]))
-    return numeric_bd(prof, gain_fn=gain, rel_tol=1e-7).depth
+    return numeric_bd(prof, gain_fn=gain, rel_tol=1e-7)
 
 
 def test_08_depth_ordering_on_exact_gains():
@@ -237,11 +295,11 @@ def test_08_depth_ordering_on_exact_gains():
     floor = radiative_floor(circ)  # 30 lambda for all three apertures
     depths = [
         _exact_depth(lambda z: exact_array_gain(strip_arr, TxGeometry(z), focus),
-                     bd_rect(strip_arr, focus), floor, focus),
+                     bd_rect(strip_arr, focus), floor, focus).depth,
         _exact_depth(lambda z: disk_gain_exact(circ, z, focus),
-                     bd_circ(circ, focus), floor, focus),
+                     bd_circ(circ, focus), floor, focus).depth,
         _exact_depth(lambda z: exact_array_gain(square, TxGeometry(z), focus),
-                     bd_rect(square, focus), floor, focus),
+                     bd_rect(square, focus), floor, focus).depth,
     ]
     ok = all(hi > lo * (1.0 + REL_GAP) for lo, hi in zip(depths, depths[1:]))
     _report(8, ok,

@@ -232,12 +232,16 @@ def test_whole_aperture_integral_geometric_decay():
     (40, 0.5, (2.0, 0.5, 0.3), math.inf, "coarser"),
     (40, 1.0, (1.3, -0.9, 0.2), 1.4, "any"),
     (6, 8.0, (1.3, 0.0, 0.0), math.inf, "elements"),
+    (41, 0.5, (1.5, 0.0, 0.0), 3.0, "coarser"),
+    (40, 0.5, (2.0, 0.0, 0.3), math.inf, "coarser"),
 ])
 def test_panels_bound_the_residual_phase(n, diag, tx_at, focus_at, panels):
     """Across every panel of several elements, the residual phase (broadside
     focusing phase minus k r) turns by at most _PANEL_PHASE along either side,
-    sampled 8 times per element; panels hold whole elements, and large
-    elements get one each.
+    sampled 8 times per element; large elements get one panel each.  Along an
+    axis the transmitter lies on (tx.x == 0 for the width, tx.y == 0 for the
+    height) the panels are mirror-symmetric about the centre n/2, equal but
+    for the two end ones; along any other they hold whole elements from 0.
     Transmitter range and focus in aperture lengths."""
     arr = make_rect_array(n, 1.5, FixedElementDiagonal(diag * LAM), LAM)
     dist, azimuth, elevation = tx_at
@@ -250,12 +254,21 @@ def test_panels_bound_the_residual_phase(n, diag, tx_at, focus_at, panels):
     residual = -2.0 * np.pi / LAM * np.sqrt((x - tx.x) ** 2 + (y - tx.y) ** 2 + tx.z ** 2)
     if phase is not None:
         residual = residual + phase(x, y)
-    for axis, b in enumerate(edges):
-        assert b[0] == 0 and b[-1] == n and np.all(np.diff(b) >= 1)
-        assert np.all(np.diff(b)[:-1] == b[1] - b[0])  # only the last may be shorter
+    for axis, (b, on_axis) in enumerate(zip(edges, (tx.x == 0.0, tx.y == 0.0))):
+        assert b[0] == 0 and b[-1] == n
+        if on_axis:
+            widths = np.diff(b)
+            npt.assert_array_equal(b, n - b[::-1])
+            assert 0.5 * n in b and np.all(widths > 0)
+            assert np.all(widths[1:-1] == widths[len(widths) // 2])  # inner ones equal
+            assert np.all(widths <= widths[len(widths) // 2])
+        else:
+            assert np.all(np.diff(b) >= 1)
+            assert np.all(np.diff(b)[:-1] == b[1] - b[0])  # only the last may be shorter
         for lo, hi in zip(b[:-1], b[1:]):
             if hi - lo > 1:  # a single element is today's rule, whatever it spans
-                part = np.take(residual, np.arange(8 * lo, 8 * hi + 1), axis=axis)
+                part = np.take(residual, np.arange(round(8 * lo), round(8 * hi) + 1),
+                               axis=axis)
                 assert np.ptp(part, axis=axis).max() <= _PANEL_PHASE
         if panels == "coarser":
             assert len(b) - 1 < n

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import dblquad
+from scipy.special import roots_legendre
 
 from nearfield_bd.array_geometry import (
     CircArray,
@@ -14,7 +15,8 @@ from nearfield_bd.array_geometry import (
     make_rect_array,
     wavelength_from_carrier,
 )
-from nearfield_bd.field_model import QuadratureSpec, exact_field, matched_filter_phase
+from nearfield_bd.field_model import (QuadratureSpec, _broadside_focus, _disk_blocks,
+                                      _spherical_wave, exact_field, matched_filter_phase)
 from nearfield_bd.gain_engine import (
     GainProfile,
     SweepEvalError,
@@ -209,6 +211,57 @@ def test_exact_gain_memory_bounded():
         assert peak < 32 * 2 ** 20
 
 
+# Smallest positive float: a transmitter turned by it has a nonzero x (or y)
+# coordinate at ranges above 0.5 m, so its gain integrates that axis whole.
+TINY = 5e-324
+
+
+def _unfolded(tx):
+    """tx turned by TINY on each axis it lies on, so nothing folds."""
+    unfolded = TxGeometry(tx.dist, azimuth=tx.azimuth or TINY,
+                          elevation=tx.elevation or TINY)
+    assert unfolded.x != 0.0 and unfolded.y != 0.0
+    return unfolded
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 41])
+def test_mirror_fold_matches_full_grid(n):
+    """A gain along an axis the transmitter lies on integrates the u >= 0 half
+    of the aperture with doubled weights; the same gain with the transmitter
+    turned off that axis by TINY integrates the whole aperture and agrees
+    within 1e-13.  Covers exact and steered focusing, eta != 1, F = inf, an
+    on-axis transmitter (both axes fold), an elevation-only one (x folds) and
+    an azimuth-only one (y folds); the n = 1 aperture is 2 wavelengths long so
+    its one element converges, the others 25, and ranges are at least 1 m."""
+    length = (2.0 if n == 1 else 25.0) * LAM
+    for eta in (0.5, 2.0):
+        arr = make_rect_array(n, eta, FixedApertureLength(length), LAM)
+        for (dist, azimuth, elevation), focus_at in [
+                ((1.5, 0.0, 0.0), 2.5), ((3.0, 0.0, 0.0), math.inf),
+                ((2.0, 0.0, 0.3), 3.0), ((2.5, -0.4, 0.0), math.inf)]:
+            tx = TxGeometry(max(dist * length, 1.0), azimuth, elevation)
+            focus = focus_at * length
+            for gain in (exact_array_gain, exact_array_gain_steered):
+                assert abs(gain(arr, tx, focus) - gain(arr, _unfolded(tx), focus)) <= 1e-13
+
+
+def test_mirror_fold_keeps_memory_bounded():
+    """Folding halves the node grid along each axis but not the block size,
+    so an n = 1500 on-axis gain peaks no higher than the same gain with the
+    transmitter turned off one or both axes."""
+    arr = make_rect_array(1500, 1.0, FixedElementDiagonal(LAM / 2), LAM)
+    on_axis = TxGeometry(2 * arr.aperture_len)
+    peaks = []
+    for tx in (on_axis, TxGeometry(on_axis.dist, azimuth=TINY), _unfolded(on_axis)):
+        tracemalloc.start()
+        try:
+            exact_array_gain(arr, tx, tx.dist, FAST_QUAD)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= min(peaks[1:])
+
+
 @pytest.mark.parametrize("tx_at, focus_at", [
     ((2.0, 0.0, 0.0), 3.0),
     ((3.0, 0.4, -0.25), 2.5),
@@ -332,6 +385,41 @@ def test_disk_gain_refines_order_until_gains_agree():
     assert (disk_gain_exact(circ, z, focus, QuadratureSpec(order=2, refinement=2))
             == disk_gain_exact(circ, z, focus)
             == disk_gain_exact(circ, z, focus, QuadratureSpec(order=8, refinement=0)))
+
+
+def _full_circle_gain(circ, z, focus, order):
+    """The disk rule of disk_gain_exact at one order, 6*order Gauss-Legendre
+    radii by the order-point trapezoid over the full circle.  The field is
+    exact_field's, with the focusing phase added inside its one exponential
+    (_spherical_wave) as the kernel does: a separate e^{j phase} factor rounds
+    each node's phase differently, by up to eps * k * r (1.7e-13 in the gain
+    at z = 3000 lambda), which would hide what the fold changes."""
+    nodes, wts = roots_legendre(6 * order)
+    rho = 0.5 * circ.radius * (nodes + 1.0)
+    theta = np.arange(order) * (2.0 * np.pi / order)
+    x, y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
+    amp, field = _spherical_wave(TxGeometry(z), x, y, LAM,
+                                 _broadside_focus(LAM, focus))
+    w = (0.5 * circ.radius * wts * rho)[:, None] * (2.0 * np.pi / order)
+    return abs(np.sum(w * field)) ** 2 / (circ.aperture_area * np.sum(w * amp * amp))
+
+
+def test_disk_fold_matches_full_circle():
+    """disk_gain_exact evaluates each mirror orbit of the trapezoid's angles
+    once, weighted by its size; at every order 2..9 of QuadratureSpec
+    (unrefined gains at rule orders 4..18), and at rule orders 2..9 directly
+    on _disk_blocks (odd orders fold one axis only), it agrees with the
+    full-circle rule within 1e-14."""
+    circ = CircArray(12.5 * LAM, LAM)
+    for z in np.geomspace(31 * LAM, 3000 * LAM, 6):
+        for focus in (50 * LAM, math.inf):
+            for order in range(2, 10):
+                g = disk_gain_exact(circ, z, focus, QuadratureSpec(order, refinement=0))
+                assert abs(g - _full_circle_gain(circ, z, focus, 2 * order)) <= 1e-14
+                (wr, wa, amp, field), = _disk_blocks(circ, TxGeometry(z), order,
+                                                     _broadside_focus(LAM, focus))
+                g = abs(wr @ field @ wa) ** 2 / (circ.aperture_area * (wr @ amp ** 2 @ wa))
+                assert abs(g - _full_circle_gain(circ, z, focus, order)) <= 1e-14
 
 
 def test_projected_equals_exact_at_broadside():
