@@ -619,6 +619,14 @@ def load_config(args):
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
         _OBJECT("config root", user, None)
+        # a config that switches experiment or geometry kind keeps none of the
+        # preset's sweep or geometry keys, which the new one may not take
+        if user.get("experiment", cfg.get("experiment")) != cfg.get("experiment"):
+            cfg.pop("sweep", None)
+        kind = cfg.get("geometry", {}).get("kind")
+        if (isinstance(user.get("geometry"), dict)
+                and user["geometry"].get("kind", kind) != kind):
+            cfg.pop("geometry", None)
         for key, val in user.items():
             if key in ("geometry", "sweep") and isinstance(val, dict):
                 cfg.setdefault(key, {}).update(val)

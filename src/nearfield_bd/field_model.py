@@ -64,11 +64,14 @@ class QuadratureSpec:
         object.__setattr__(self, "refinement", _integer("refinement", self.refinement, 0))
 
 
-def _spherical_wave(tx: TxGeometry, x, y, wavelength: float, focus_phase=None):
-    """Exact-field amplitude at (x, y, 0), and the field times e^{j focus_phase(x, y)}."""
-    dx2 = (x - tx.x) ** 2
-    z = tx.z
-    r2 = dx2 + (y - tx.y) ** 2 + z * z
+def _spherical_wave(position, x, y, wavelength: float, focus_phase=None):
+    """Exact-field amplitude at (x, y, 0), and the field times e^{j focus_phase(x, y)},
+    of a transmitter at ``position`` (x_t, y_t, z_t).  Each coordinate may be a
+    float or a stack of transmitters that broadcasts against x and y, such as
+    (P, 1, 1) on-axis distances over a (radii, angles) grid."""
+    tx_x, tx_y, z = position
+    dx2 = (x - tx_x) ** 2
+    r2 = dx2 + (y - tx_y) ** 2 + z * z
     if np.any(r2 == 0.0):
         raise ValueError("transmitter lies in the aperture plane at this point")
     amp = np.sqrt(z * (dx2 + z * z)) / (SQRT_4PI * r2 ** 1.25)
@@ -85,7 +88,7 @@ def exact_field(tx: TxGeometry, x, y, wavelength: float):
     Amplitude sqrt(z*((x-x_t)^2 + z^2)) / (sqrt(4 pi) * rho^(5/2)) with rho
     the Euclidean distance; the phase is exactly -(2 pi / lambda) * rho.
     """
-    return _spherical_wave(tx, np.asarray(x, dtype=float),
+    return _spherical_wave(tx.position, np.asarray(x, dtype=float),
                            np.asarray(y, dtype=float), wavelength)[1]
 
 
@@ -148,7 +151,7 @@ def _aperture_blocks(arr: RectArray, bx, by, tx: TxGeometry, order: int,
     for i in range(0, len(cx), rows):
         gx = (cx[i:i + rows, None] + hx[i:i + rows, None] * nodes).ravel()
         wx = (weight * hx[i:i + rows, None] * wts).ravel()
-        yield (wx, wy, *_spherical_wave(tx, gx[:, None], gy, arr.wavelength,
+        yield (wx, wy, *_spherical_wave(tx.position, gx[:, None], gy, arr.wavelength,
                                         focus_phase))
 
 
@@ -197,14 +200,19 @@ def _edges(n: int, elements: float, centred: bool) -> np.ndarray:
     return np.concatenate([n - upper[:0:-1], upper])
 
 
-def _disk_blocks(circ: CircArray, tx: TxGeometry, order: int, focus_phase):
-    """One polar block over the disk, yielded as by ``_aperture_blocks``: 6*order
-    Gauss-Legendre radii (weights carry the rho Jacobian) by the order-point
-    trapezoid in angle, for a transmitter on the axis and a focusing phase
-    even in x and in y.  The integrand is then even in both, so each mirror
-    orbit of the trapezoid's angles is evaluated once, weighted by its size:
-    for even order the angles 2 pi m/order up to pi/2 (weight 2 on the axes,
-    4 between), for odd order those up to pi (weight 1 at 0, 2 after)."""
+def _disk_blocks(circ: CircArray, dists, order: int, focus_phase):
+    """Polar blocks over the disk for on-axis transmitters at the distances
+    ``dists``, each block of consecutive transmitters yielded as its slice of
+    ``dists`` followed by what ``_aperture_blocks`` yields, with a (points,
+    radii, angles) amplitude and field.  A block takes as many transmitters as
+    keep it within _BLOCK_NODES nodes, and at least one.
+
+    The rule is 6*order Gauss-Legendre radii (weights carry the rho Jacobian)
+    by the order-point trapezoid in angle.  For a transmitter on the axis and a
+    focusing phase even in x and in y, the integrand is even in both, so each
+    mirror orbit of the trapezoid's angles is evaluated once, weighted by its
+    size: for even order the angles 2 pi m/order up to pi/2 (weight 2 on the
+    axes, 4 between), for odd order those up to pi (weight 1 at 0, 2 after)."""
     nodes, wts = _gauss_legendre(6 * order)
     rho = 0.5 * circ.radius * (nodes + 1.0)
     if order % 2:
@@ -216,28 +224,42 @@ def _disk_blocks(circ: CircArray, tx: TxGeometry, order: int, focus_phase):
     step = 2.0 * np.pi / order
     theta = m * step
     x, y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
-    yield (0.5 * circ.radius * wts * rho, step * size,
-           *_spherical_wave(tx, x, y, circ.wavelength, focus_phase))
+    wr, wa = 0.5 * circ.radius * wts * rho, step * size
+    points = max(1, _BLOCK_NODES // x.size)
+    for i in range(0, len(dists), points):
+        at = slice(i, i + points)
+        yield (at, wr, wa, *_spherical_wave((0.0, 0.0, dists[at, None, None]), x, y,
+                                            circ.wavelength, focus_phase))
 
 
-def _refined(evaluate, quad: QuadratureSpec, agree):
-    """``evaluate`` at 2*quad.order, unchecked if quad.refinement is 0; else each
-    entry keeps its first result that agrees with the one at half its order,
-    within quad.refinement more doublings (RuntimeError if some never agrees)."""
+def _refined(evaluate, shape, quad: QuadratureSpec, agree):
+    """Results of ``evaluate(order, pending)``, an array of ``shape`` that need hold
+    the order's results only where the boolean mask ``pending`` is set: at
+    2*quad.order, unchecked if quad.refinement is 0; else each entry keeps its
+    first result that agrees with the one at half its order, within
+    quad.refinement more doublings, and each doubling asks only for the entries
+    still without one.  Also returns, per entry, the gap between its last two
+    results where it never agreed, and 0 where it did (``agree`` holds for
+    equal results)."""
+    pending = np.full(shape, True)
     if quad.refinement == 0:
-        return evaluate(2 * quad.order)
-    coarse = result = evaluate(quad.order)
-    pending = np.full(np.shape(coarse), True)
+        return evaluate(2 * quad.order, pending), np.zeros(shape)
+    coarse = result = evaluate(quad.order, pending)
     for k in range(1, quad.refinement + 2):
-        fine = evaluate(quad.order << k)
+        fine = evaluate(quad.order << k, pending)
         done = pending & agree(coarse, fine)
         result, pending = np.where(done, fine, result), pending & ~done
         if not pending.any():
-            return result
-        gap, coarse = np.max(np.abs(fine - coarse)[pending]), fine
-    raise RuntimeError(
-        f"aperture quadrature did not converge: orders {quad.order << (k - 1)} "
-        f"and {quad.order << k} differ by {gap:.3e}")
+            return result, np.zeros(shape)
+        previous, coarse = coarse, fine
+    return result, np.where(pending, np.abs(fine - previous), 0.0)
+
+
+def _unconverged(quad: QuadratureSpec, gap: float) -> RuntimeError:
+    """The error of an entry whose last two orders under ``quad`` differ by ``gap``."""
+    return RuntimeError(
+        f"aperture quadrature did not converge: orders {quad.order << quad.refinement} "
+        f"and {quad.order << (quad.refinement + 1)} differ by {gap:.3e}")
 
 
 def _element_channels(arr: RectArray, bx, by, tx: TxGeometry,
@@ -252,8 +274,12 @@ def _element_channels(arr: RectArray, bx, by, tx: TxGeometry,
             for wx, wy, _, field in _aperture_blocks(arr, bx, by, tx, order)
         ]) / math.sqrt(arr.elem_area)
 
-    return _refined(channels, quad, lambda h, h2: np.abs(h2 - h) <= _REFINE_RTOL
-                    * np.maximum(np.abs(h2), 1e-300))
+    result, gap = _refined(lambda order, _: channels(order), (len(bx) - 1, len(by) - 1),
+                           quad, lambda h, h2: np.abs(h2 - h) <= _REFINE_RTOL
+                           * np.maximum(np.abs(h2), 1e-300))
+    if np.any(gap):
+        raise _unconverged(quad, np.max(gap))
+    return result
 
 
 def element_channel(arr: RectArray, n: int, m: int, tx: TxGeometry,

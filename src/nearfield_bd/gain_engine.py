@@ -8,7 +8,9 @@ one mirror half of the aperture); closed-form gains evaluate the
 Fresnel-integral expressions for rectangular apertures (broadside and
 slanted transmitters) and the sinc^2 expression for circular apertures.
 ``run_sweep`` evaluates any sweep point by point, optionally threaded, and
-aggregates per-point failures; ``gain_profile`` uses it over distance grids.
+aggregates per-point failures; ``gain_profile`` uses it over distance grids,
+except that an exact disk profile integrates all its distances at once, one
+batched quadrature per order, with the same per-point orders and failures.
 
 Two focusing conventions are provided. ``exact_array_gain`` and
 ``disk_gain_exact`` inject the broadside quadratic phase
@@ -36,7 +38,7 @@ from .array_geometry import (
 )
 from .field_model import (QuadratureSpec, _aperture_blocks, _broadside_focus,
                           _disk_blocks, _gauss_legendre, _mirrored, _panel_edges,
-                          _refined)
+                          _refined, _unconverged)
 from .fresnel_core import fresnel_cs, sinc
 
 REACTIVE_LIMIT_FACTOR = 1.2
@@ -75,27 +77,59 @@ def radiative_floor(geometry) -> float:
     return REACTIVE_LIMIT_FACTOR * geometry.aperture_len
 
 
-def _aperture_gain(geometry, tx: TxGeometry, focus: float,
-                   quad: QuadratureSpec, rule) -> float:
-    """|sum w E e^{j phase}|^2 / (A sum w |E|^2) over the node blocks that
-    ``blocks(order)`` yields, with the order refined per ``quad``; ``rule()``
-    builds ``blocks`` once the transmitter and focus have been checked."""
+def _aperture_gains(geometry, dists, focus: float, quad: QuadratureSpec, rule) -> list:
+    """For the transmitter at each distance of ``dists``, in order, its gain
+    |sum w E e^{j phase}|^2 / (A sum w |E|^2) or the ValueError or RuntimeError
+    it met.  Once the distances and the focus have been checked, ``rule()``
+    builds ``blocks``: ``blocks(z, order)`` yields, for the transmitters at the
+    distances ``z``, blocks ``(at, wx, wy, amp, field)`` whose sums add to the
+    entries ``at`` of ``z``.  Each transmitter's order is refined per ``quad`` on
+    its own, and each doubling evaluates only the transmitters still pending."""
     limit = radiative_floor(geometry)
-    if tx.dist < limit:
-        raise ValueError(
-            f"transmitter at {tx.dist:.6g} m is inside the reactive near-field "
-            f"boundary {limit:.6g} m (1.2 x aperture length)")
-    _real("focal distance", focus, inf=True)
-    blocks = rule()
+    outcomes = []
+    for dist in dists:
+        try:
+            dist = _real("dist", dist)
+            if dist < limit:
+                raise ValueError(
+                    f"transmitter at {dist:.6g} m is inside the reactive near-field "
+                    f"boundary {limit:.6g} m (1.2 x aperture length)")
+            _real("focal distance", focus, inf=True)
+        except ValueError as exc:
+            dist = exc
+        outcomes.append(dist)
+    valid = [i for i, out in enumerate(outcomes) if not isinstance(out, Exception)]
+    if not valid:
+        return outcomes
+    ranges = np.array([outcomes[i] for i in valid])
+    blocks, area = rule(), geometry.aperture_area
 
-    def gain(order):
-        num = den = 0.0
-        for wx, wy, amp, field in blocks(order):
-            num += wx @ field @ wy
-            den += wx @ (amp * amp) @ wy
-        return abs(num) ** 2 / (geometry.aperture_area * den)
+    def gain(order, pending):
+        z = ranges[pending]
+        num, den = np.zeros(z.shape, complex), np.zeros(z.shape)
+        for at, wx, wy, amp, field in blocks(z, order):
+            num[at] += wx @ field @ wy
+            den[at] += wx @ (amp * amp) @ wy
+            del amp, field  # freed before the next block is built
+        gains = np.zeros(ranges.shape)
+        # entry by entry: numpy's array abs and ** 2 may round the last bit apart
+        # from the scalar ones, and a gain must not depend on its batch
+        gains[pending] = [abs(n) ** 2 / (area * d)
+                          for n, d in zip(num.tolist(), den.tolist())]
+        return gains
 
-    return float(_refined(gain, quad, lambda g, g2: abs(g2 - g) <= _GAIN_REFINE_ATOL))
+    gains, gaps = _refined(gain, ranges.shape, quad,
+                           lambda g, g2: abs(g2 - g) <= _GAIN_REFINE_ATOL)
+    for i, g, gap in zip(valid, gains.tolist(), gaps.tolist()):
+        outcomes[i] = _unconverged(quad, gap) if gap else g
+    return outcomes
+
+
+def _outcome(out):
+    """``out``, raised if it is an exception."""
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _rect_gain(arr: RectArray, tx: TxGeometry, focus: float,
@@ -108,10 +142,11 @@ def _rect_gain(arr: RectArray, tx: TxGeometry, focus: float,
         mirrored = _mirrored(tx)
         bx, by = (b[b >= 0.5 * arr.n_per_side] if fold else b
                   for b, fold in zip(_panel_edges(arr, tx, phase, focus_depth), mirrored))
-        return partial(_aperture_blocks, arr, bx, by, tx, focus_phase=phase,
-                       weight=2.0 ** sum(mirrored))
+        return lambda _, order: (
+            (0, *block) for block in _aperture_blocks(arr, bx, by, tx, order, phase,
+                                                      2.0 ** sum(mirrored)))
 
-    return _aperture_gain(arr, tx, focus, quad, rule)
+    return _outcome(_aperture_gains(arr, [tx.dist], focus, quad, rule)[0])
 
 
 def exact_array_gain(arr: RectArray, tx: TxGeometry, focus: float,
@@ -215,11 +250,16 @@ def circ_gain_broadside(circ: CircArray, z: float, focus: float) -> float:
 def disk_gain_exact(circ: CircArray, z: float, focus: float,
                     quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Gain over the continuous disk, broadside transmitter at distance z,
-    with the broadside quadratic focusing phase toward (0, 0, F)."""
-    tx = TxGeometry(z)
-    phase = _broadside_focus(circ.wavelength, focus)
-    return _aperture_gain(circ, tx, focus, quad,
-                          lambda: partial(_disk_blocks, circ, tx, focus_phase=phase))
+    with the broadside quadratic focusing phase toward (0, 0, F).
+
+    For a 1-D sequence of distances z, the array of their gains, integrated
+    together as one batched quadrature per order; the points that fail raise
+    one SweepEvalError with their indices.  Each point gets the gain, order
+    and error it has alone."""
+    single = np.ndim(z) == 0
+    outcomes = _aperture_gains(circ, [z] if single else z, focus, quad, lambda: partial(
+        _disk_blocks, circ, focus_phase=_broadside_focus(circ.wavelength, focus)))
+    return _outcome(outcomes[0]) if single else np.array(_collected(outcomes))
 
 
 def disk_gain_fresnel(circ: CircArray, z: float, focus: float) -> float:
@@ -285,7 +325,9 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     ``kind`` selects the estimator: for rectangular arrays one of
     exact | analytic | steered | projected, for circular arrays
     exact | analytic. Per-point failures are aggregated into a
-    SweepEvalError carrying the offending sweep indices.
+    SweepEvalError carrying the offending sweep indices. ``threads`` sets the
+    sweep's worker threads, except for exact circular profiles, which are
+    integrated as one batched quadrature per order in the calling thread.
     """
     if isinstance(geometry, RectArray):
         if kind not in _RECT_KINDS:
@@ -300,9 +342,7 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
 
     def eval_point(dist):
         if isinstance(geometry, CircArray):
-            if kind == "analytic":
-                return circ_gain_broadside(geometry, dist, focus)
-            return disk_gain_exact(geometry, dist, focus, quad)
+            return circ_gain_broadside(geometry, dist, focus)
         tx = TxGeometry(dist, azimuth=azimuth, elevation=elevation)
         if kind == "analytic":
             if azimuth == 0.0 and elevation == 0.0:
@@ -315,7 +355,10 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
         return exact_array_gain(geometry, tx, focus, quad)
 
     dgrid = [float(d) for d in distances]
-    gains = run_sweep(eval_point, dgrid, threads)
+    if isinstance(geometry, CircArray) and kind == "exact":
+        gains = disk_gain_exact(geometry, dgrid, focus, quad)
+    else:
+        gains = run_sweep(eval_point, dgrid, threads)
     return GainProfile(focus=focus, distances=np.array(dgrid),
                        gains=np.array(gains), kind=kind)
 
@@ -326,18 +369,22 @@ def run_sweep(fn, values, threads: int | None = None) -> list:
     point is collected into one SweepEvalError with the offending indices."""
     def attempt(value):
         try:
-            return fn(value), None
+            return fn(value)
         except (ValueError, RuntimeError) as exc:
-            return None, exc
+            return exc
 
     values = list(values)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(attempt, values))
-    else:
-        outcomes = [attempt(v) for v in values]
-    failures = [(i, exc) for i, (_, exc) in enumerate(outcomes)
-                if exc is not None]
+            return _collected(pool.map(attempt, values))
+    return _collected(attempt(v) for v in values)
+
+
+def _collected(outcomes) -> list:
+    """The values of ``outcomes`` in order, or one SweepEvalError for those that
+    are exceptions, with their indices."""
+    outcomes = list(outcomes)
+    failures = [(i, out) for i, out in enumerate(outcomes) if isinstance(out, Exception)]
     if failures:
         raise SweepEvalError(failures)
-    return [res for res, _ in outcomes]
+    return outcomes

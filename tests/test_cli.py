@@ -371,6 +371,19 @@ def test_misspelt_keys_over_a_preset_are_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_switching_a_presets_experiment_drops_its_keys(tmp_path, capsys):
+    """A config naming another experiment replaces the preset's sweep, and one
+    naming another geometry kind its geometry: fig14's circular geometry and
+    profile sweep do not reach an a3db-curve run on a rectangular array."""
+    cfg = {"geometry": TINY_GEOM, "experiment": "a3db-curve",
+           "sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 3}}
+    out = tmp_path / "switched.csv"
+    assert run_cli("run", "--preset", "fig14", "--config", write_config(tmp_path, cfg),
+                   "--out", str(out)) == 0, capsys.readouterr().err
+    header, rows = read_rows(out)
+    assert header == ["eta", "a3db", "product"] and len(rows) == 3
+
+
 PROFILE_SWEEP = {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m"}
 
 

@@ -15,8 +15,9 @@ from nearfield_bd.array_geometry import (
     make_rect_array,
     wavelength_from_carrier,
 )
-from nearfield_bd.field_model import (QuadratureSpec, _broadside_focus, _disk_blocks,
-                                      _spherical_wave, exact_field, matched_filter_phase)
+from nearfield_bd.field_model import (_BLOCK_NODES, QuadratureSpec, _broadside_focus,
+                                      _disk_blocks, _spherical_wave, exact_field,
+                                      matched_filter_phase)
 from nearfield_bd.gain_engine import (
     GainProfile,
     SweepEvalError,
@@ -31,6 +32,7 @@ from nearfield_bd.gain_engine import (
     exact_array_gain_steered,
     gain_profile,
     projected_gain_approx,
+    radiative_floor,
     rect_gain_broadside,
     rect_gain_slanted,
     run_sweep,
@@ -398,7 +400,7 @@ def _full_circle_gain(circ, z, focus, order):
     rho = 0.5 * circ.radius * (nodes + 1.0)
     theta = np.arange(order) * (2.0 * np.pi / order)
     x, y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
-    amp, field = _spherical_wave(TxGeometry(z), x, y, LAM,
+    amp, field = _spherical_wave(TxGeometry(z).position, x, y, LAM,
                                  _broadside_focus(LAM, focus))
     w = (0.5 * circ.radius * wts * rho)[:, None] * (2.0 * np.pi / order)
     return abs(np.sum(w * field)) ** 2 / (circ.aperture_area * np.sum(w * amp * amp))
@@ -416,10 +418,113 @@ def test_disk_fold_matches_full_circle():
             for order in range(2, 10):
                 g = disk_gain_exact(circ, z, focus, QuadratureSpec(order, refinement=0))
                 assert abs(g - _full_circle_gain(circ, z, focus, 2 * order)) <= 1e-14
-                (wr, wa, amp, field), = _disk_blocks(circ, TxGeometry(z), order,
-                                                     _broadside_focus(LAM, focus))
-                g = abs(wr @ field @ wa) ** 2 / (circ.aperture_area * (wr @ amp ** 2 @ wa))
+                (_, wr, wa, amp, field), = _disk_blocks(circ, np.array([z]), order,
+                                                        _broadside_focus(LAM, focus))
+                g = abs(wr @ field[0] @ wa) ** 2 / (circ.aperture_area
+                                                    * (wr @ amp[0] ** 2 @ wa))
                 assert abs(g - _full_circle_gain(circ, z, focus, order)) <= 1e-14
+
+
+def _per_point(circ, grid, focus, quad):
+    """disk_gain_exact at each distance on its own: the gain, or the message of
+    the error it raises."""
+    outcomes = []
+    for z in grid:
+        try:
+            outcomes.append(disk_gain_exact(circ, z, focus, quad))
+        except (ValueError, RuntimeError) as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _assert_profile_matches_per_point(circ, grid, focus, quad):
+    """gain_profile over ``grid`` (disk_gain_exact over the whole grid) gives
+    each point's own disk_gain_exact gain within 1e-14, or fails at exactly the
+    points that fail alone, each with its own message; returns the per-point
+    outcomes."""
+    ref = _per_point(circ, grid, focus, quad)
+    failed = [i for i, out in enumerate(ref) if isinstance(out, str)]
+    if failed:
+        with pytest.raises(SweepEvalError) as info:
+            gain_profile("exact", circ, grid, focus, quad=quad)
+        assert info.value.indices == failed
+        assert [str(exc) for _, exc in info.value.failures] == [ref[i] for i in failed]
+    else:
+        gains = gain_profile("exact", circ, grid, focus, quad=quad).gains
+        assert np.max(np.abs(gains - ref)) <= 1e-14
+        npt.assert_array_equal(disk_gain_exact(circ, grid, focus, quad), gains)
+    return ref
+
+
+@pytest.mark.parametrize("radius", [5.0, 12.5, 30.0])
+def test_disk_profile_matches_per_point_gains(radius):
+    """An exact disk profile is one batched quadrature per order; it gives each
+    point the gain, order and failure that disk_gain_exact gives it alone, at
+    F = 2.5 R, 10 R and infinity, QuadratureSpec orders 2..9 and refinement
+    0, 1 and 2."""
+    circ = CircArray(radius * LAM, LAM)
+    grid = np.geomspace(1.01, 100.0, 9) * radiative_floor(circ)
+    for focus in (2.5 * circ.radius, 10.0 * circ.radius, math.inf):
+        for order in range(2, 10):
+            for refinement in (0, 1, 2):
+                _assert_profile_matches_per_point(circ, grid, focus,
+                                                  QuadratureSpec(order, refinement))
+
+
+def test_disk_profile_keeps_each_points_order():
+    """With R = 12.5 lambda, F = 10 R and QuadratureSpec(4, 1), the profile's
+    points at 1.01 and 3.19 x floor first agree at orders 8 and 16, the one at
+    1.79 x floor at orders 4 and 8.  Each gets the gain of its own order, the
+    one it has alone, and the middle point's order-16 gain lies 3e-11 apart."""
+    circ = CircArray(12.5 * LAM, LAM)
+    grid = np.geomspace(1.01, 100.0, 9)[:3] * radiative_floor(circ)
+    focus = 10 * circ.radius
+    gains = _assert_profile_matches_per_point(circ, grid, focus, QuadratureSpec(4, 1))
+    at = {o: _per_point(circ, grid, focus, QuadratureSpec(o // 2, 0)) for o in (8, 16)}
+    npt.assert_array_equal(gains, [at[16][0], at[8][1], at[16][2]])
+    assert abs(at[16][1] - at[8][1]) > 1e-11
+
+
+def test_disk_profile_reports_each_failing_point():
+    """A point below the radiative floor, and points whose orders never agree,
+    fail gain_profile at exactly their indices, each with the message it has
+    alone (its own gap, not the largest); the other points do not fail."""
+    circ = CircArray(30 * LAM, LAM)
+    floor = radiative_floor(circ)
+    with pytest.raises(SweepEvalError) as info:
+        gain_profile("exact", circ, np.array([0.5, 2.0, 10.0]) * floor, 2 * floor)
+    assert [(i, str(exc)) for i, exc in info.value.failures] == [
+        (0, "transmitter at 3.59751 m is inside the reactive near-field boundary "
+            "7.19502 m (1.2 x aperture length)")]
+    with pytest.raises(SweepEvalError) as info:
+        gain_profile("exact", circ, np.array([1.01, 2.0, 10.0]) * floor, 2 * floor,
+                     quad=QuadratureSpec(2, 1))
+    assert [(i, str(exc)) for i, exc in info.value.failures] == [
+        (0, "aperture quadrature did not converge: orders 4 and 8 differ by 1.160e-06"),
+        (1, "aperture quadrature did not converge: orders 4 and 8 differ by 1.871e-05")]
+    assert 0.0 < disk_gain_exact(circ, 10 * floor, 2 * floor, QuadratureSpec(2, 1)) < 1.0
+
+
+def test_disk_profile_memory_is_bounded_per_block():
+    """A disk profile is integrated in blocks of at most _BLOCK_NODES nodes per
+    order: 4000 points at QuadratureSpec(16, 1) (151 points per order-32 block)
+    peak below four complex grids of _BLOCK_NODES nodes (16.8 MB), and within
+    1 MB of 60 points that each need order 64 (40 points per block)."""
+    def peak(circ, grid, focus):
+        tracemalloc.start()
+        try:
+            gain_profile("exact", circ, grid, focus, quad=QuadratureSpec(16, 1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, wide = CircArray(12.5 * LAM, LAM), CircArray(1000 * LAM, LAM)
+    many = peak(small, np.geomspace(1.01, 200.0, 4000) * radiative_floor(small),
+                4 * radiative_floor(small))
+    few = peak(wide, np.geomspace(1.1, 1.35, 60) * radiative_floor(wide),
+               2 * radiative_floor(wide))
+    assert many <= 4 * 16 * _BLOCK_NODES
+    assert many <= few + 2 ** 20
 
 
 def test_projected_equals_exact_at_broadside():
