@@ -18,7 +18,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .array_geometry import CircArray, RectArray, _integer, _real
-from .gain_engine import GainProfile, analytic_gain_circ, analytic_gain_rect
+from .gain_engine import (GainProfile, _broadside_gain, analytic_gain_circ,
+                          analytic_gain_rect)
 
 # Half-power width coefficient of sinc^2, kept at the customary printed
 # precision for formula-faithful output; fresnel_core.half_power_width_coeff()
@@ -93,7 +94,9 @@ def solve_a3db(eta: float, tol: float = 1e-10) -> float:
 def _solve_a3db(eta: float, tol: float) -> float:
     scale = 1.0 + eta * eta
     try:
-        root = brentq(lambda a: analytic_gain_rect(eta, a) - 0.5,
+        # analytic_gain_rect without its checks: eta is checked once per solve,
+        # and Brent's a stays inside the positive bracket
+        root = brentq(lambda a: _broadside_gain(eta, math.sqrt(a)) - 0.5,
                       1.0 / scale, 3.0 / scale, xtol=1e-14 / scale, rtol=1e-14)
     except ValueError as err:
         raise RuntimeError("bracketing failure in solve_a3db") from err

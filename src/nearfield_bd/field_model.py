@@ -321,10 +321,18 @@ def distance_taylor_indirect(arr: RectArray, n: int, m: int, tx: TxGeometry) -> 
 
 
 def mean_abs_distance_error(arr: RectArray, tx: TxGeometry, variant: str) -> float:
-    """Mean over all N elements of |exact - Taylor| distance, in meters."""
+    """Mean over all N elements of |exact - Taylor| distance, in meters.
+
+    With the transmitter on the y = 0 plane (``_mirrored``), both distances are
+    even in y and the element rows are mirror pairs, so only the rows with
+    y >= 0 are evaluated: weight 2, and 1 on a centre row at y = 0."""
     if variant not in _TAYLOR:
         raise ValueError(f"variant must be 'direct' or 'indirect', got {variant!r}")
     xs, ys = element_grid(arr)
+    weights = 1.0
+    if _mirrored(tx)[1]:
+        ys = ys[ys >= 0.0]
+        weights = np.where(ys == 0.0, 1.0, 2.0)
     X = xs[:, None]
-    Y = ys[None, :]
-    return float(np.mean(np.abs(_distance(X, Y, tx) - _TAYLOR[variant](X, Y, tx))))
+    err = np.abs(_distance(X, ys, tx) - _TAYLOR[variant](X, ys, tx))
+    return float(np.sum(err * weights) / arr.n_elements)

@@ -30,8 +30,10 @@ def fresnel_cs(x):
         if math.isnan(cc) and math.isfinite(x):
             cc = ss = math.copysign(0.5, x)
         return float(cc), float(ss)
-    far = np.isnan(cc) & np.isfinite(x)
-    if far.any():
+    # a NaN entry makes the sum of squares NaN (|C| < 1 cannot overflow), and
+    # one np.vdot costs less than a mask over a short array
+    if math.isnan(np.vdot(cc, cc)):
+        far = np.isnan(cc) & np.isfinite(x)
         limit = np.copysign(0.5, x)
         cc, ss = np.where(far, limit, cc), np.where(far, limit, ss)
     return cc, ss

@@ -9,8 +9,9 @@ Fresnel-integral expressions for rectangular apertures (broadside and
 slanted transmitters) and the sinc^2 expression for circular apertures.
 ``run_sweep`` evaluates any sweep point by point, optionally threaded, and
 aggregates per-point failures; ``gain_profile`` uses it over distance grids,
-except that an exact disk profile integrates all its distances at once, one
-batched quadrature per order, with the same per-point orders and failures.
+except for two kinds that take all their distances at once, with the same
+per-point values and failures: an exact disk profile, one batched quadrature
+per order, and an analytic profile, one array pass over the closed forms.
 
 Two focusing conventions are provided. ``exact_array_gain`` and
 ``disk_gain_exact`` inject the broadside quadratic phase
@@ -67,6 +68,12 @@ def effective_distance(focus: float, dist: float) -> float:
         return dist
     if focus == dist:
         return math.inf
+    return _focused_distance(focus, dist)
+
+
+def _focused_distance(focus: float, dist):
+    """F*d/|F - d| for a finite focus and a float or an array of distances
+    (inf where an array entry equals F, with division warnings off)."""
     return focus * dist / abs(focus - dist)
 
 
@@ -177,19 +184,7 @@ def analytic_gain_rect(eta: float, a: float) -> float:
     """Closed-form broadside gain as a function of the aperture phase
     parameter a = d_FA/(4 z_eff (1 + eta^2)); a = 0 is the focused limit."""
     eta = _real("eta", eta)
-    root = math.sqrt(_real("a", a, strict=False))
-    return _bracket(eta * root, 0.0) * _bracket(root, 0.0)
-
-
-def _bracket(x: float, v: float) -> float:
-    """((C(x+v) + C(x-v))/2x)^2 + ((S(x+v) + S(x-v))/2x)^2, which tends to 1
-    as x -> 0, from one Fresnel call at v = 0; dividing before squaring
-    neither underflows at tiny x nor overflows at huge x."""
-    if x == 0.0:
-        return 1.0
-    cp, sp = fresnel_cs(x + v)
-    cm, sm = (cp, sp) if v == 0.0 else fresnel_cs(x - v)
-    return ((cp + cm) / (2.0 * x)) ** 2 + ((sp + sm) / (2.0 * x)) ** 2
+    return _broadside_gain(eta, math.sqrt(_real("a", a, strict=False)))
 
 
 def analytic_gain_nonbroadside(eta: float, p: float, q: float, q_tilde: float) -> float:
@@ -200,13 +195,13 @@ def analytic_gain_nonbroadside(eta: float, p: float, q: float, q_tilde: float) -
     p = _real("p", p)
     q = _real("q", q, -math.inf, strict=False)
     q_tilde = _real("q_tilde", q_tilde, -math.inf, strict=False)
-    return _bracket(eta * p, q) * _bracket(p, q_tilde)
+    return _rect_gains(eta, [p], [q], [q_tilde])[0]
 
 
 def analytic_gain_circ(l: float) -> float:
     """Closed-form circular-aperture gain sinc^2(pi l), l = R^2/(2 lambda z_eff)."""
     _real("l", l, strict=False)
-    return sinc(math.pi * l) ** 2
+    return _sinc_squares(np.array([math.pi * l]))[0]
 
 
 def rect_gain_broadside(arr: RectArray, z: float, focus: float) -> float:
@@ -214,8 +209,7 @@ def rect_gain_broadside(arr: RectArray, z: float, focus: float) -> float:
     z_eff = effective_distance(focus, z)
     if math.isinf(z_eff):
         return 1.0
-    a = arr.d_fa / (4.0 * z_eff * (1.0 + arr.eta ** 2))
-    return analytic_gain_rect(arr.eta, a)
+    return analytic_gain_rect(arr.eta, _phase_parameter(arr, z_eff))
 
 
 def rect_gain_slanted(arr: RectArray, tx: TxGeometry, focus: float) -> float:
@@ -223,20 +217,19 @@ def rect_gain_slanted(arr: RectArray, tx: TxGeometry, focus: float) -> float:
     focusing filter toward (0, 0, F)."""
     d = tx.dist
     eta = arr.eta
-    lam = arr.wavelength
-    d_fa = arr.d_fa
     sin_az = tx.x / d
     sin_el = tx.y / d
     d_eff = effective_distance(focus, d)
     if math.isinf(d_eff):
         # p -> 0 while the products p*q stay finite; the bracket terms
         # collapse to sincs of those products
-        pq = 0.5 * sin_az * math.sqrt(2.0 * d_fa / (lam * (1.0 + eta * eta)))
-        pqt = 0.5 * sin_el * math.sqrt(2.0 * d_fa / (lam * (1.0 + eta * eta)))
-        return sinc(math.pi * eta * pq) ** 2 * sinc(math.pi * pqt) ** 2
-    p = 0.5 * math.sqrt(d_fa / (d_eff * (1.0 + eta * eta)))
-    scale = math.sqrt(2.0 * d_eff / lam)
-    return analytic_gain_nonbroadside(eta, p, sin_az * scale, sin_el * scale)
+        root = math.sqrt(2.0 * arr.d_fa / (arr.wavelength * (1.0 + eta * eta)))
+        pq, pqt = 0.5 * sin_az * root, 0.5 * sin_el * root
+        azimuth, elevation = _sinc_squares(np.array([math.pi * eta * pq, math.pi * pqt]))
+        return azimuth * elevation
+    p, q, q_tilde = _slanted_parameters(arr, np.array([d_eff]), np.array([sin_az]),
+                                        np.array([sin_el]))
+    return analytic_gain_nonbroadside(eta, p[0], q[0], q_tilde[0])
 
 
 def circ_gain_broadside(circ: CircArray, z: float, focus: float) -> float:
@@ -244,7 +237,99 @@ def circ_gain_broadside(circ: CircArray, z: float, focus: float) -> float:
     z_eff = effective_distance(focus, z)
     if math.isinf(z_eff):
         return 1.0
-    return analytic_gain_circ(circ.radius ** 2 / (2.0 * circ.wavelength * z_eff))
+    return analytic_gain_circ(_sinc_parameter(circ, z_eff))
+
+
+# The scalar closed forms above and the profiles of ``_analytic_gains`` share
+# the expressions below, so a profile point equals its scalar gain bit for bit.
+# Sinc and Fresnel values come from one array call per evaluation; the rest is
+# Python float arithmetic (x ** 2 is libm's pow, which can round the last bit
+# apart from numpy's square).
+
+# Below x^2 = _NEAR_LIMIT |v| a bracket takes its x -> 0 limit (``_brackets``).
+_NEAR_LIMIT = 3.7e-8
+
+
+def _phase_parameter(arr: RectArray, z_eff):
+    """a = d_FA/(4 z_eff (1 + eta^2)), for a float or an array of z_eff."""
+    return arr.d_fa / (4.0 * z_eff * (1.0 + arr.eta ** 2))
+
+
+def _sinc_parameter(circ: CircArray, z_eff):
+    """l = R^2/(2 lambda z_eff), for a float or an array of z_eff."""
+    return circ.radius ** 2 / (2.0 * circ.wavelength * z_eff)
+
+
+def _slanted_parameters(arr: RectArray, d_eff, sin_az, sin_el):
+    """p = (1/2) sqrt(d_FA/(d_eff (1 + eta^2))), and q, q_tilde = sin_az, sin_el
+    times sqrt(2 d_eff/lambda), for arrays of finite d_eff and of the
+    direction sines."""
+    eta = arr.eta
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = 0.5 * np.sqrt(arr.d_fa / (d_eff * (1.0 + eta * eta)))
+        scale = np.sqrt(2.0 * d_eff / arr.wavelength)
+        return p, sin_az * scale, sin_el * scale
+
+
+def _sinc_squares(t) -> list:
+    """sinc(t)^2 at each entry of the array t, from one sinc call."""
+    return [s ** 2 for s in sinc(t).tolist()]
+
+
+def _broadside_gain(eta: float, root: float) -> float:
+    """``analytic_gain_rect`` at a = root^2, without its checks: the brackets at
+    eta root and at root, from one Fresnel call on a two-entry array."""
+    x = eta * root
+    cc, ss = fresnel_cs(np.array((x, root)))
+    (c1, c2), (s1, s2) = cc.tolist(), ss.tolist()
+    return _bracket(x, c1, c1, s1, s1) * _bracket(root, c2, c2, s2, s2)
+
+
+def _rect_gains(eta: float, p: list, q: list | None = None,
+                q_tilde: list | None = None) -> list:
+    """``analytic_gain_nonbroadside`` at each entry of the lists p > 0, q and
+    q_tilde, or without q and q_tilde ``_broadside_gain`` at root = p: the
+    product of the brackets at (eta p, q) and at (p, q_tilde)."""
+    n = len(p)
+    b = _brackets([eta * u for u in p] + p, None if q is None else q + q_tilde)
+    return [u * w for u, w in zip(b[:n], b[n:])]
+
+
+def _brackets(x: list, v: list | None = None) -> list:
+    """``_bracket`` at each entry of the lists x >= 0 and v (all 0 if None), from
+    one Fresnel call, of x alone when v is None.
+
+    As x -> 0 at fixed x v the bracket tends to sinc^2(pi x v), and there
+    C(x+v) + C(x-v) cancels.  Against 50-digit mpmath (x v from 0.05 to 300,
+    x^2 from 1e-12 to 1e-2) the Fresnel form is off by up to 10.5 eps v^2
+    relative (scipy rounds the phase pi v^2/2) and the limit by up to 1.74 x^4.
+    The bounds cross at x^2 = sqrt(10.5 eps / 1.74) |v| = _NEAR_LIMIT |v|, below
+    which the limit is taken: the result then stays within 2.6e-8 relative and
+    6.8e-12 absolute of mpmath over that range, where the Fresnel form alone
+    was off by up to 100 %."""
+    if v is None:
+        cc, ss = (u.tolist() for u in fresnel_cs(np.array(x)))
+        return list(map(_bracket, x, cc, cc, ss, ss))
+    n = len(x)
+    cc, ss = (u.tolist() for u in fresnel_cs(np.array(
+        [u + w for u, w in zip(x, v)] + [u - w for u, w in zip(x, v)])))
+    out = list(map(_bracket, x, cc[:n], cc[n:], ss[:n], ss[n:]))
+    near = [i for i, (u, w) in enumerate(zip(x, v)) if u * u < _NEAR_LIMIT * abs(w)]
+    if near:
+        limits = _sinc_squares(np.array([math.pi * x[i] * v[i] for i in near]))
+        for i, g in zip(near, limits):
+            out[i] = g
+    return out
+
+
+def _bracket(x: float, cp: float, cm: float, sp: float, sm: float) -> float:
+    """((C(x+v) + C(x-v))/2x)^2 + ((S(x+v) + S(x-v))/2x)^2 from the Fresnel
+    values cp, sp at x + v and cm, sm at x - v: the squared mean of
+    e^{j pi t^2/2} over [v-x, v+x], 1 at x = 0.  Dividing before squaring
+    neither underflows at tiny x nor overflows at huge x."""
+    if x == 0.0:
+        return 1.0
+    return ((cp + cm) / (2.0 * x)) ** 2 + ((sp + sm) / (2.0 * x)) ** 2
 
 
 def disk_gain_exact(circ: CircArray, z: float, focus: float,
@@ -326,8 +411,11 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     exact | analytic | steered | projected, for circular arrays
     exact | analytic. Per-point failures are aggregated into a
     SweepEvalError carrying the offending sweep indices. ``threads`` sets the
-    sweep's worker threads, except for exact circular profiles, which are
-    integrated as one batched quadrature per order in the calling thread.
+    worker threads of exact, steered and projected rectangular profiles.
+    The others run whole in the calling thread and ignore it: an analytic
+    profile is one array pass over the closed forms, with each point equal to
+    its scalar closed form bit for bit, and an exact circular profile one
+    batched quadrature per order.
     """
     if isinstance(geometry, RectArray):
         if kind not in _RECT_KINDS:
@@ -341,13 +429,7 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
         raise TypeError(f"unsupported geometry: {geometry!r}")
 
     def eval_point(dist):
-        if isinstance(geometry, CircArray):
-            return circ_gain_broadside(geometry, dist, focus)
         tx = TxGeometry(dist, azimuth=azimuth, elevation=elevation)
-        if kind == "analytic":
-            if azimuth == 0.0 and elevation == 0.0:
-                return rect_gain_broadside(geometry, dist, focus)
-            return rect_gain_slanted(geometry, tx, focus)
         if kind == "steered":
             return exact_array_gain_steered(geometry, tx, focus, quad)
         if kind == "projected":
@@ -355,7 +437,9 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
         return exact_array_gain(geometry, tx, focus, quad)
 
     dgrid = [float(d) for d in distances]
-    if isinstance(geometry, CircArray) and kind == "exact":
+    if kind == "analytic":
+        gains = _collected(_analytic_gains(geometry, dgrid, focus, azimuth, elevation))
+    elif isinstance(geometry, CircArray):
         gains = disk_gain_exact(geometry, dgrid, focus, quad)
     else:
         gains = run_sweep(eval_point, dgrid, threads)
@@ -363,21 +447,77 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
                        gains=np.array(gains), kind=kind)
 
 
+def _analytic_gains(geometry, dists, focus: float, azimuth: float,
+                    elevation: float) -> list:
+    """For each distance of ``dists``, in order, its closed-form gain or the
+    ValueError its scalar closed form raises.  The distances that pass every
+    check are evaluated together, in one array pass over the scalar forms'
+    own expressions.  The others stay NaN in that pass and go through the
+    scalar form: it names what is wrong, or, for a slanted transmitter at the
+    focus itself (p = 0), takes the d_eff = inf limit."""
+    rect = isinstance(geometry, RectArray)
+    slanted = azimuth != 0.0 or elevation != 0.0
+
+    def scalar(dist):
+        if not rect:
+            return circ_gain_broadside(geometry, dist, focus)
+        tx = TxGeometry(dist, azimuth=azimuth, elevation=elevation)
+        if slanted:
+            return rect_gain_slanted(geometry, tx, focus)
+        return rect_gain_broadside(geometry, dist, focus)
+
+    d = np.array(dists)
+    try:  # settings all points share: one bad one sends every point to the scalar form
+        _real("focal distance", focus, inf=True)
+        if rect:
+            TxGeometry(1.0, azimuth=azimuth, elevation=elevation)
+            _real("eta", geometry.eta)
+        at = np.flatnonzero(np.isfinite(d) & (d > 0.0))
+    except ValueError:
+        at = np.arange(0)
+    gains = np.full(d.shape, np.nan)
+    if at.size:
+        # float semantics: overflow to inf, and inf where a distance is the focus
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dist = d[at]
+            z_eff = dist if math.isinf(focus) else _focused_distance(focus, dist)
+            if not rect:
+                l = _sinc_parameter(geometry, z_eff)
+                params, valid = [math.pi * l], l >= 0.0
+            elif slanted:
+                # the direction sines as TxGeometry's x / dist and y / dist
+                params = list(_slanted_parameters(
+                    geometry, z_eff, dist * math.sin(azimuth) * math.cos(elevation) / dist,
+                    dist * math.sin(elevation) / dist))
+                valid = params[0] > 0.0
+            else:
+                a = _phase_parameter(geometry, z_eff)
+                params, valid = [np.sqrt(a)], a >= 0.0
+            valid &= np.logical_and.reduce([np.isfinite(p) for p in params])
+            params = [p[valid] for p in params]
+            gains[at[valid]] = (_rect_gains(geometry.eta, *(p.tolist() for p in params))
+                                if rect else _sinc_squares(*params))
+    return [_attempt(scalar, dist) if math.isnan(g) else g
+            for dist, g in zip(dists, gains.tolist())]
+
+
 def run_sweep(fn, values, threads: int | None = None) -> list:
     """``[fn(v) for v in values]`` in order, over ``threads`` worker threads
     when more than one. Every point runs; the ValueError/RuntimeError of any
     point is collected into one SweepEvalError with the offending indices."""
-    def attempt(value):
-        try:
-            return fn(value)
-        except (ValueError, RuntimeError) as exc:
-            return exc
-
     values = list(values)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return _collected(pool.map(attempt, values))
-    return _collected(attempt(v) for v in values)
+            return _collected(pool.map(partial(_attempt, fn), values))
+    return _collected(_attempt(fn, v) for v in values)
+
+
+def _attempt(fn, value):
+    """``fn(value)``, or the ValueError or RuntimeError it raised."""
+    try:
+        return fn(value)
+    except (ValueError, RuntimeError) as exc:
+        return exc
 
 
 def _collected(outcomes) -> list:

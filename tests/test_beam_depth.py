@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from nearfield_bd.array_geometry import (
     CircArray,
@@ -96,6 +97,18 @@ def test_a3db_is_the_mainlobe_crossing(log_eta):
     assert abs(analytic_gain_rect(eta, root) - 0.5) <= 1e-10
     below = [analytic_gain_rect(eta, a) for a in root * np.linspace(0.0, 1.0, 201)[1:-1]]
     assert min(below) >= 0.5
+
+
+def test_a3db_is_brent_on_the_closed_form():
+    """The solver's Brent loop checks eta once and takes both brackets from
+    one Fresnel call; its roots equal, bit for bit, those of brentq on the
+    public closed form over 200 seeded log-uniform eta in [1e-3, 1e3]."""
+    rng = np.random.default_rng(16)
+    for eta in (10.0 ** rng.uniform(-3.0, 3.0, 200)).tolist():
+        scale = 1.0 + eta * eta
+        root = brentq(lambda a: analytic_gain_rect(eta, a) - 0.5, 1.0 / scale,
+                      3.0 / scale, xtol=1e-14 / scale, rtol=1e-14)
+        assert solve_a3db(eta) == root
 
 
 def test_a3db_product_peaks_at_square():

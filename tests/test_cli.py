@@ -14,10 +14,12 @@ import nearfield_bd
 from nearfield_bd import __version__, cli
 from nearfield_bd.array_geometry import (
     FixedElementDiagonal,
+    TxGeometry,
     make_rect_array,
     wavelength_from_carrier,
 )
 from nearfield_bd.cli import EXPERIMENTS, build_presets, main
+from nearfield_bd.gain_engine import rect_gain_slanted
 
 LAM = wavelength_from_carrier(3e9)
 
@@ -199,6 +201,27 @@ def test_gain_profile_clamps_reactive_points(tmp_path, capsys, experiment,
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"{experiment}: kind 'exact': dropped {12 - len(rows)} of "
                    f"12 points below the radiative floor {floor!r} m"]
+
+
+def test_slanted_analytic_profile_through_its_focus(tmp_path):
+    """The middle point of this linear grid lies an ulp or so off the focus,
+    where the slanted closed form once cancelled to a written gain of 0.0.  It
+    now writes the d_eff = inf limit, to within 5e-14 relative (measured
+    7.8e-15: the near-limit form rounds x v apart from the limit's p q)."""
+    diag = 0.02498270483333333   # a quarter wavelength at 3 GHz
+    geometry = dict(SQUARE_GEOM, sizing={"mode": "element-diag", "value": f"{diag} m"})
+    cfg = {"geometry": geometry, "experiment": "gain-profile",
+           "sweep": {"z_min": "100 dF", "z_max": "1000 dF", "n_points": 3,
+                     "spacing": "linear", "focus": "550 dF", "kinds": ["analytic"],
+                     "azimuth": 0.3}}
+    out = tmp_path / "near_focus.csv"
+    assert run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(out)) == 0
+    _, rows = read_rows(out)
+    arr = make_rect_array(100, 1.0, FixedElementDiagonal(diag), LAM)
+    focus = 550 * arr.d_f
+    limit = rect_gain_slanted(arr, TxGeometry(focus, azimuth=0.3), focus)
+    assert rows[1][0] == "550.0"
+    assert float(rows[1][1]) == pytest.approx(limit, rel=5e-14)
 
 
 def test_circular_gain_honours_quadrature_keys(tmp_path, capsys):
