@@ -167,8 +167,8 @@ _CHECKS = {
     **dict.fromkeys(["azimuth", "elevation", "phi_min", "phi_max"], _FINITE),
     **dict.fromkeys(["snr_db", "snr_min_db", "snr_max_db"], _snr_db),
     **dict.fromkeys(["seed", "refinement"], _NATURAL),
-    **dict.fromkeys(["threads", "n_per_side", "n_points", "k_min", "k_max", "k_users",
-                     "max_users", "n_trials"], _COUNT),
+    **dict.fromkeys(["n_per_side", "n_points", "k_min", "k_max", "k_users", "max_users",
+                     "n_trials"], _COUNT),
     **dict.fromkeys(["radius", "ref_elem_diag", "z_min", "z_max", "focus", "dist"],
                     _LENGTH),
 }
@@ -178,7 +178,7 @@ _CHECKS = {
 # if its absence means something the run works out.  Other keys are refused.
 _REQUIRED = object()
 _TOP = {"experiment": _REQUIRED, "description": None, "geometry": _REQUIRED,
-        "sweep": {}, "seed": DEFAULT_SEED, "threads": 1, "output": None}
+        "sweep": {}, "seed": DEFAULT_SEED, "output": None}
 _KIND = {"kind": "rect"}
 _GEOMETRY = {
     "rect": _KIND | {"carrier_hz": _REQUIRED, "n_per_side": _REQUIRED, "eta": _REQUIRED,
@@ -263,7 +263,7 @@ def _profile_rows(ctx, kind):
               f"{grid.size} points below the radiative floor {floor!r} m",
               file=sys.stderr)
     prof = gain_profile(kind, ctx.geometry, pts, ctx.focus, azimuth=ctx.azimuth,
-                        elevation=ctx.elevation, threads=ctx.threads,
+                        elevation=ctx.elevation,
                         quad=QuadratureSpec(ctx.quad_order, ctx.refinement))
     return [(z / ctx.d_f, g) for z, g in zip(prof.distances, prof.gains)]
 
@@ -283,7 +283,7 @@ def _depth_row(eta, focus, d_f, res):
 def _points(pattern, row):
     """Rows function of ``row(ctx, entry, x)`` at every x of the grid ``pattern``."""
     return lambda ctx, entry: run_sweep(lambda x: row(ctx, entry, x),
-                                        _scalar_grid(ctx, pattern), ctx.threads)
+                                        _scalar_grid(ctx, pattern))
 
 
 def _bd_eta_row(ctx, mode, eta):
@@ -396,8 +396,7 @@ def _rate_eta_rows(ctx, _):
         eta, arr, plan = planned
         return (eta,) + _planned_row(ctx, _planned_gram(arr, plan), ctx.snr_db)
 
-    return run_sweep(one, run_sweep(plan_eta, _scalar_grid(ctx, "eta_{}"), ctx.threads),
-                     ctx.threads)
+    return run_sweep(one, run_sweep(plan_eta, _scalar_grid(ctx, "eta_{}")), ctx.threads)
 
 
 def _rate_phi_rows(ctx, _):
@@ -635,19 +634,6 @@ def load_config(args):
     return cfg
 
 
-def resolve_threads(args, configured):
-    if args.threads is not None:
-        return _integer("--threads", args.threads)
-    env = os.environ.get("NEARFIELD_BD_THREADS")
-    if env:
-        try:
-            env = float(env)
-        except ValueError:
-            pass  # no number: the count check names the variable
-        return _integer("NEARFIELD_BD_THREADS", env)
-    return configured
-
-
 def cmd_run(args):
     cfg = load_config(args)
     # every key is checked before any row runs, also where an override wins
@@ -663,7 +649,7 @@ def cmd_run(args):
     seed = top.seed if args.seed is None else _integer("--seed", args.seed, low=0)
     ctx = SimpleNamespace(geometry=geometry, d_f=d_f, experiment=top.experiment,
                           preset=args.preset or "custom", seed=seed,
-                          threads=resolve_threads(args, top.threads))
+                          threads=_integer("--threads", args.threads))
     # the rows read the run and its resolved sweep keys from one namespace
     vars(ctx).update(vars(_resolve(top.sweep, sweep_keys, "sweep.", ctx)))
     out = args.out or top.output or f"{args.preset or top.experiment}.csv"
@@ -701,7 +687,9 @@ def main(argv=None):
     runp.add_argument("--config", help="JSON config path")
     runp.add_argument("--preset", help="preset name (see 'presets')")
     runp.add_argument("--out", help="output CSV path")
-    runp.add_argument("--threads", type=int, help="sweep parallelism")
+    runp.add_argument("--threads", type=int, default=1,
+                      help="worker threads over the rows of sum-rate-vs-users, "
+                           "sum-rate-vs-eta and sum-rate-vs-phi")
     runp.add_argument("--seed", type=int, help="PRNG seed override")
     sub.add_parser("presets", help="list available presets")
     args = parser.parse_args(argv)

@@ -50,9 +50,12 @@ def fresnel_s(x):
 
 
 def sinc(x):
-    """Unnormalized sinc: sin(x)/x with the removable singularity sinc(0)=1."""
+    """Unnormalized sinc: sin(x)/x with the removable singularity sinc(0)=1
+    and the limit sinc(+-inf)=0."""
     arr = np.asarray(x, dtype=float)
-    out = np.sinc(arr / np.pi)
+    inf = np.isinf(arr)
+    # np.sinc's sin(inf) is NaN, with a RuntimeWarning
+    out = np.where(inf, 0.0, np.sinc(np.where(inf, 0.0, arr) / np.pi))
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out

@@ -7,11 +7,12 @@ sized by the residual phase; along each axis the transmitter lies on, over
 one mirror half of the aperture); closed-form gains evaluate the
 Fresnel-integral expressions for rectangular apertures (broadside and
 slanted transmitters) and the sinc^2 expression for circular apertures.
-``run_sweep`` evaluates any sweep point by point, optionally threaded, and
-aggregates per-point failures; ``gain_profile`` uses it over distance grids,
-except for two kinds that take all their distances at once, with the same
-per-point values and failures: an exact disk profile, one batched quadrature
-per order, and an analytic profile, one array pass over the closed forms.
+``run_sweep`` evaluates any sweep point by point, threaded if its caller
+asks, and aggregates per-point failures; ``gain_profile`` uses it over
+distance grids in the calling thread, except for two kinds that take all
+their distances at once, with the same per-point values and failures: an
+exact disk profile, one batched quadrature per order, and an analytic
+profile, one array pass over the closed forms.
 
 Two focusing conventions are provided. ``exact_array_gain`` and
 ``disk_gain_exact`` inject the broadside quadratic phase
@@ -403,16 +404,14 @@ _CIRC_KINDS = ("exact", "analytic")
 
 def gain_profile(kind: str, geometry, distances, focus: float, *,
                  azimuth: float = 0.0, elevation: float = 0.0,
-                 quad: QuadratureSpec = QuadratureSpec(),
-                 threads: int | None = None) -> GainProfile:
+                 quad: QuadratureSpec = QuadratureSpec()) -> GainProfile:
     """Sweep the transmitter over a distance grid and collect gains.
 
     ``kind`` selects the estimator: for rectangular arrays one of
     exact | analytic | steered | projected, for circular arrays
     exact | analytic. Per-point failures are aggregated into a
-    SweepEvalError carrying the offending sweep indices. ``threads`` sets the
-    worker threads of exact, steered and projected rectangular profiles.
-    The others run whole in the calling thread and ignore it: an analytic
+    SweepEvalError carrying the offending sweep indices. Exact, steered and
+    projected rectangular profiles evaluate point by point; an analytic
     profile is one array pass over the closed forms, with each point equal to
     its scalar closed form bit for bit, and an exact circular profile one
     batched quadrature per order.
@@ -442,7 +441,7 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     elif isinstance(geometry, CircArray):
         gains = disk_gain_exact(geometry, dgrid, focus, quad)
     else:
-        gains = run_sweep(eval_point, dgrid, threads)
+        gains = run_sweep(eval_point, dgrid)
     return GainProfile(focus=focus, distances=np.array(dgrid),
                        gains=np.array(gains), kind=kind)
 

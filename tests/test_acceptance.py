@@ -71,7 +71,7 @@ def test_01_exact_gain_tracks_closed_form_broadside():
     focus = 1000 * D_F
     zs = np.geomspace(arr.d_b, 1e4 * D_F, 200)
     prof = gain_profile("exact", arr, zs, focus,
-                        quad=QuadratureSpec(order=8, refinement=0), threads=4)
+                        quad=QuadratureSpec(order=8, refinement=0))
     closed = np.array([rect_gain_broadside(arr, float(z), focus) for z in zs])
     worst = float(np.max(np.abs(prof.gains - closed)))
     _report(1, worst <= 0.02,

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 import nearfield_bd
-from nearfield_bd import __version__, cli
+from nearfield_bd import __version__, cli, gain_engine
 from nearfield_bd.array_geometry import (
     FixedElementDiagonal,
     TxGeometry,
@@ -413,7 +414,6 @@ PROFILE_SWEEP = {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m"}
 @pytest.mark.parametrize("patch, argv, fragment", [
     ({"output": 5}, [], "output must be a non-empty string, got 5"),
     ({"seed": -1}, ["--seed", "3"], "seed must be at least 0, got -1"),
-    ({"threads": "many"}, ["--threads", "1"], "threads: 'many' is not a finite number"),
     ({"sweep": {"eta_values": [1.0], "eta_min": 0.5, "eta_max": 2.0, "n_points": 3}}, [],
      "sweep.eta_values and sweep.eta_min, sweep.eta_max, sweep.n_points both set"),
     ({"experiment": "bd-vs-phi",
@@ -435,13 +435,12 @@ PROFILE_SWEEP = {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m"}
       "sweep": {"eta_values": [1.0], "sizing_mode": "element-diag"}}, [],
      "sweep.sizing_mode: unknown sizing_mode 'element-diag'; "
      "must be one of aperture-area, aperture-length"),
-], ids=["output-not-a-string", "seed-overridden", "threads-overridden",
-        "eta-list-and-range", "phi-list-and-range", "snr-list-and-range", "unknown-kind",
+], ids=["output-not-a-string", "seed-overridden", "eta-list-and-range",
+        "phi-list-and-range", "snr-list-and-range", "unknown-kind",
         "kind-of-another-geometry", "sizing-mode-twice", "sizing-mode-not-rebuilt"])
 def test_config_refused_before_any_row(tmp_path, monkeypatch, capsys, patch, argv,
                                        fragment):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NEARFIELD_BD_THREADS", raising=False)
     cfg = {"geometry": TINY_GEOM, "experiment": "a3db-curve",
            "sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 3}}
     cfg.update(patch)
@@ -617,68 +616,84 @@ def test_seed_override_lands_in_rows(tmp_path):
     assert [r[3] for r in rows1] != [r[3] for r in rows2]
 
 
-def test_threads_env_and_flag(tmp_path, monkeypatch):
-    configs = [{
-        "geometry": TINY_GEOM,
-        "experiment": "gain-profile",
-        "sweep": {"z_min": "2 m", "z_max": "8 m", "n_points": 6,
-                  "spacing": "log", "focus": "4 m", "kinds": ["exact"],
-                  "quad_order": 4, "refinement": 0},
-    }, {
-        "geometry": TINY_GEOM,
-        "experiment": "a3db-curve",
-        "sweep": {"eta_min": 0.2, "eta_max": 5.0, "n_points": 9},
-    }, {
-        "geometry": SMALL_WIDE_GEOM,
-        "experiment": "sum-rate-vs-users",
-        "sweep": {"k_min": 1, "k_max": 4, "snr_db": 10.0, "n_trials": 4,
-                  "z_min": "40 dF", "z_max": "150 dF"},
-    }, {
-        # random rows take one pass over the SNR grid, not one thread per SNR;
-        # 100x100, since no region of the 20x20 array plans outside its floor
-        "geometry": dict(SMALL_WIDE_GEOM, n_per_side=100),
-        "experiment": "sum-rate-vs-snr",
-        "sweep": {"snr_values_db": [0.0, 10.0, 20.0], "k_users": 3, "n_trials": 4,
-                  "z_min": "200.5 dF", "z_max": "202 dF"},
-    }]
-    for cfg in configs:
-        name = cfg["experiment"]
-        path = write_config(tmp_path, cfg, f"{name}.json")
-        serial = tmp_path / f"{name}-serial.csv"
-        flag = tmp_path / f"{name}-flag.csv"
-        env = tmp_path / f"{name}-env.csv"
-        monkeypatch.delenv("NEARFIELD_BD_THREADS", raising=False)
-        assert run_cli("run", "--config", path, "--out", str(serial)) == 0
-        assert run_cli("run", "--config", path, "--out", str(flag),
-                       "--threads", "2") == 0
-        monkeypatch.setenv("NEARFIELD_BD_THREADS", "3")
-        assert run_cli("run", "--config", path, "--out", str(env)) == 0
-        assert serial.read_bytes() == flag.read_bytes() == env.read_bytes()
+PROFILE_AT = {"z_min": "2 m", "z_max": "8 m", "n_points": 6, "focus": "4 m",
+              "quad_order": 4, "refinement": 0}
+# name -> (geometry, experiment, sweep, worker pools a threaded run opens)
+THREAD_POLICY = {
+    **{f"gain-profile-{kind}": (TINY_GEOM, "gain-profile",
+                                dict(PROFILE_AT, azimuth=0.2, kinds=[kind]), 0)
+       for kind in ("exact", "steered", "projected", "analytic")},
+    "circular-gain": (CIRC_GEOM, "circular-gain",
+                      dict(PROFILE_AT, kinds=["exact", "analytic"]), 0),
+    "bd-vs-eta": (TINY_GEOM, "bd-vs-eta", {"eta_values": [0.5, 1.0, 2.0]}, 0),
+    "a3db-curve": (TINY_GEOM, "a3db-curve",
+                   {"eta_min": 0.2, "eta_max": 5.0, "n_points": 9}, 0),
+    "projection-error": (TINY_GEOM, "projection-error",
+                         {"phi_values": [0.0, 0.2, 0.4], "dist": "4 m", "focus": "4 m",
+                          "quad_order": 4, "refinement": 0}, 0),
+    "distance-error": (TINY_GEOM, "distance-error", {"phi_values": [0.0, 0.2, 0.4]}, 0),
+    # random rows take one pass over the SNR grid, not one thread per SNR;
+    # 100x100, since no region of the 20x20 array plans outside its floor
+    "sum-rate-vs-snr": (dict(SMALL_WIDE_GEOM, n_per_side=100), "sum-rate-vs-snr",
+                        {"snr_values_db": [0.0, 10.0, 20.0], "k_users": 3,
+                         "n_trials": 4, "z_min": "200.5 dF", "z_max": "202 dF"}, 0),
+    "sum-rate-vs-users": (SMALL_WIDE_GEOM, "sum-rate-vs-users",
+                          {"k_min": 1, "k_max": 4, "snr_db": 10.0, "n_trials": 4,
+                           "z_min": "40 dF", "z_max": "150 dF"}, 1),
+    "sum-rate-vs-eta": (dict(SMALL_WIDE_GEOM, n_per_side=100), "sum-rate-vs-eta",
+                        {"eta_values": [1.0, 2.0], "z_min": "200.5 dF",
+                         "z_max": "202 dF"}, 1),
+    "sum-rate-vs-phi": (dict(SMALL_WIDE_GEOM, n_per_side=60), "sum-rate-vs-phi",
+                        {"phi_values": [0.0, 0.6]}, 1),
+}
 
 
-def test_bad_threads_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NEARFIELD_BD_THREADS", "many")
-    assert run_cli("run", "--preset", "fig10",
-                   "--out", str(tmp_path / "x.csv")) == 2
-    assert "NEARFIELD_BD_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("name", list(THREAD_POLICY))
+def test_threads_split_only_the_rate_rows(tmp_path, monkeypatch, name):
+    """--threads opens one worker pool, over the rows of the rate sweeps
+    (users, eta and phi); every gain, depth and error sweep runs in the calling
+    thread at any count. Either way the run writes the bytes of --threads 1."""
+    geometry, experiment, sweep, pools = THREAD_POLICY[name]
+    opened = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(gain_engine, "ThreadPoolExecutor", CountingPool)
+    path = write_config(tmp_path, {"geometry": geometry, "experiment": experiment,
+                                   "sweep": sweep})
+    threads = "2" if pools else "4"
+    written = []
+    for count in ("1", threads):
+        opened.clear()
+        out = tmp_path / count / "out.csv"
+        out.parent.mkdir()
+        assert run_cli("run", "--config", path, "--out", str(out),
+                       "--threads", count) == 0
+        assert len(opened) == (pools if count == threads else 0)
+        written.append(sorted((p.name, p.read_bytes()) for p in out.parent.iterdir()))
+    assert written[0] == written[1]
 
 
-@pytest.mark.parametrize("argv, env, cfg_threads, fragment", [
-    (["--threads", "0"], None, 1, "--threads must be at least 1, got 0"),
-    ([], "-2", 1, "NEARFIELD_BD_THREADS must be at least 1"),
-    ([], "2.5", 1, "NEARFIELD_BD_THREADS must be an integer"),
-    ([], None, 2.5, "threads must be an integer, got 2.5"),
-], ids=["flag", "env-negative", "env-fraction", "config"])
-def test_thread_count_must_be_a_positive_integer(tmp_path, monkeypatch, capsys, argv,
-                                                 env, cfg_threads, fragment):
-    monkeypatch.delenv("NEARFIELD_BD_THREADS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("NEARFIELD_BD_THREADS", env)
-    cfg = {"geometry": TINY_GEOM, "experiment": "a3db-curve", "threads": cfg_threads,
+def test_thread_count_must_be_a_positive_integer(tmp_path, capsys):
+    cfg = {"geometry": TINY_GEOM, "experiment": "a3db-curve",
            "sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 3}}
     assert run_cli("run", "--config", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path / "x.csv"), *argv) == 2
-    assert fragment in capsys.readouterr().err
+                   "--out", str(tmp_path / "x.csv"), "--threads", "0") == 2
+    assert "--threads must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_config_threads_key_refused(tmp_path, capsys):
+    """The thread count comes from --threads alone: a config key naming it is
+    refused as unknown, also where --threads is given."""
+    cfg = {"geometry": TINY_GEOM, "experiment": "a3db-curve", "threads": 2,
+           "sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 3}}
+    assert run_cli("run", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "x.csv"), "--threads", "1") == 2
+    assert "unknown key threads" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sum_rate_falls_with_common_azimuth(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -381,13 +382,12 @@ def test_indirect_beats_direct_at_constant_height():
         assert e_ind <= e_dir + 1e-15
 
 
-def _disk_and_rect_profiles(threads):
+def _disk_and_rect_profiles():
     circ = CircArray(12.5 * LAM, LAM)
-    disk = gain_profile("exact", circ, np.geomspace(30 * LAM, 300 * LAM, 60),
-                        50 * LAM, threads=threads)
+    disk = gain_profile("exact", circ, np.geomspace(30 * LAM, 300 * LAM, 60), 50 * LAM)
     arr = reference_array()
     rect = gain_profile("exact", arr, np.geomspace(arr.d_b, 8 * arr.d_b, 16),
-                        2 * arr.d_b, threads=threads)
+                        2 * arr.d_b)
     return disk.gains, rect.gains
 
 
@@ -405,11 +405,11 @@ def test_gauss_legendre_rules_built_once_per_order(monkeypatch):
     _gauss_legendre.cache_clear()
     monkeypatch.setattr(field_model, "roots_legendre", counting)
     try:
-        first = _disk_and_rect_profiles(1)
+        first = _disk_and_rect_profiles()
         assert {8, 16, 48, 96} <= set(calls)
         assert len(calls) == len(set(calls)), calls
         built = len(calls)
-        warm = _disk_and_rect_profiles(1)
+        warm = _disk_and_rect_profiles()
         assert len(calls) == built, calls
         for n in (8, 16, 48, 96):
             for cached, fresh in zip(_gauss_legendre(n), roots_legendre(n)):
@@ -418,25 +418,29 @@ def test_gauss_legendre_rules_built_once_per_order(monkeypatch):
                     cached[0] = 0.0
     finally:
         _gauss_legendre.cache_clear()
-    cold = _disk_and_rect_profiles(1)
+    cold = _disk_and_rect_profiles()
     for f, w, c in zip(first, warm, cold):
         assert np.array_equal(f, w) and np.array_equal(w, c)
 
 
 def test_gauss_legendre_cache_threads_and_bound():
-    """The first, concurrent use of the cache by four sweep threads (thread
-    switches forced every microsecond) gives the single-threaded gains bit for
-    bit, and the cache never holds more rules than its maxsize."""
-    serial = _disk_and_rect_profiles(1)
+    """The first, concurrent use of the cache by four threads of a library
+    user, each computing the same profiles (thread switches forced every
+    microsecond), gives the single-threaded gains bit for bit, and the cache
+    never holds more rules than its maxsize."""
+    serial = _disk_and_rect_profiles()
     _gauss_legendre.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = _disk_and_rect_profiles(4)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(_disk_and_rect_profiles) for _ in range(4)]
+            threaded = [run.result() for run in runs]
     finally:
         sys.setswitchinterval(interval)
-    for s, t in zip(serial, threaded):
-        assert np.array_equal(s, t)
+    for gains in threaded:
+        for s, t in zip(serial, gains):
+            assert np.array_equal(s, t)
     bound = _gauss_legendre.cache_info().maxsize
     try:
         for n in range(1, bound + 10):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -126,6 +128,19 @@ def test_sinc_basics():
     xs = np.linspace(0.05, 30.0, 500)
     npt.assert_allclose(sinc(xs), np.sin(xs) / xs, rtol=0, atol=1e-15)
     assert abs(sinc(np.pi)) < 1e-15
+
+
+def test_sinc_limit_at_infinity():
+    """sin(x)/x tends to 0 as |x| grows without bound; NaN stays NaN. Neither
+    warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sinc(np.inf) == sinc(-np.inf) == 0.0
+        assert isinstance(sinc(np.inf), float)
+        out = sinc(np.array([np.inf, -np.inf, np.nan, 0.0, 2.0]))
+        assert np.isnan(sinc(np.nan))
+    assert out[:2].tolist() == [0.0, 0.0] and np.isnan(out[2])
+    assert out[3:].tolist() == [1.0, sinc(2.0)]
 
 
 def test_half_power_constant():

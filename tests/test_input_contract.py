@@ -38,6 +38,7 @@ from nearfield_bd.gain_engine import (
     effective_distance,
     exact_array_gain,
     exact_array_gain_steered,
+    gain_profile,
     projected_gain_approx,
     rect_gain_broadside,
     rect_gain_slanted,
@@ -211,3 +212,14 @@ def test_solve_a3db_validates_before_its_cache():
 def test_monte_carlo_region_bounds_are_finite_numbers(region):
     with pytest.raises(ValueError, match="^region bounds must be finite"):
         monte_carlo_sum_rate(ARR, 2, region, 2, 10.0, seed=1)
+
+
+def test_circular_gain_past_the_sinc_argument_overflow_is_its_limit():
+    """Above l of about 5.7e307, pi l overflows to inf and sinc^2 takes its
+    limit 0 without a RuntimeWarning, also at its own index of a profile."""
+    circ = CircArray(12.5 * LAM, LAM)  # pi l overflows at z = 1e-307 m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analytic_gain_circ(1e308) == 0.0
+        prof = gain_profile("analytic", circ, [1e-307, 50 * LAM], 100 * LAM)
+    assert prof.gains[0] == 0.0 and prof.gains[1] > 0.0
