@@ -40,7 +40,7 @@ from .beam_depth import (
     finite_bd_limit_rect,
     solve_a3db,
 )
-from .field_model import QuadratureSpec, mean_abs_distance_error
+from .field_model import QuadratureSpec, mean_abs_distance_errors
 from .gain_engine import (
     _CIRC_KINDS,
     _RECT_KINDS,
@@ -315,8 +315,7 @@ def _distance_error_row(ctx, _, phi):
     phi = float(phi)
     dist = ctx.geometry.d_b / math.cos(phi) if ctx.dist is None else ctx.dist
     tx = TxGeometry(dist, azimuth=phi)
-    return (phi, mean_abs_distance_error(ctx.geometry, tx, "direct"),
-            mean_abs_distance_error(ctx.geometry, tx, "indirect"))
+    return (phi, *mean_abs_distance_errors(ctx.geometry, tx))
 
 
 def _projection_error_row(ctx, _, phi):

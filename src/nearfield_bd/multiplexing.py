@@ -16,7 +16,7 @@ import numpy as np
 
 from .array_geometry import RectArray, TxGeometry, _integer, _real, element_grid
 from .beam_depth import bd_rect, finite_bd_limit_rect
-from .field_model import QuadratureSpec, _element_channels, fresnel_field_nonbroadside
+from .field_model import SQRT_4PI, QuadratureSpec, _element_channels
 from .gain_engine import radiative_floor
 
 _PLAN_EDGE_RTOL = 1e-9
@@ -148,32 +148,49 @@ def build_channel_matrix(arr: RectArray, users: Sequence[TxGeometry],
 
     model "phase" (default): unit-modulus entries carrying the quadratic
     phase of the paraxial field at each element center.  model "fresnel":
-    the same field including its amplitude, times the element-area square
-    root (midpoint rule).  model "exact": per-element quadrature of the
-    spherical-wave field.
+    the same field including its amplitude 1/(sqrt(4 pi) z), times the
+    element-area square root (midpoint rule).  model "exact": per-element
+    quadrature of the spherical-wave field.
+
+    The paraxial phase d + (x^2 - 2 x x_t)/(2d) + (y^2 - 2 y y_t)/(2d)
+    separates, so a "phase" or "fresnel" column is the outer product of two
+    per-axis factors exp(-jk(u^2 - 2 u u_t)/(2d)), 2 n_per_side exponentials,
+    times one scalar that carries the range phase e^{-jkd} and, for
+    "fresnel", the amplitude; for "phase" each factor and the scalar are
+    scaled to unit modulus.  Every column is written into one C-contiguous
+    (K, n, n) stack, and the entries are its (K, N) reshape transposed: rows
+    in row-major (x index, y index) element order, and entries.T a view with
+    each user's column contiguous.
     """
     _check_users(arr, users)
     if model not in ("phase", "fresnel", "exact"):
         raise ValueError(f"unknown channel model {model!r}")
+    n = arr.n_per_side
     xc, yc = element_grid(arr)
-    edges = np.arange(arr.n_per_side + 1)
-    cols = []
+    edges = np.arange(n + 1)
+    wavenumber = 2.0 * np.pi / arr.wavelength
+    stack = np.empty((len(users), n, n), dtype=complex)
     for k, tx in enumerate(users):
         try:
             if model == "exact":
-                cols.append(_element_channels(arr, edges, edges, tx,
-                                              quad or QuadratureSpec()).ravel())
+                stack[k] = _element_channels(arr, edges, edges, tx,
+                                             quad or QuadratureSpec())
             else:
-                vals = fresnel_field_nonbroadside(tx, xc[:, None], yc[None, :],
-                                                  arr.wavelength)
+                ax = np.exp(-1j * wavenumber
+                            * ((xc * xc - 2.0 * xc * tx.x) / (2.0 * tx.dist)))
+                ay = np.exp(-1j * wavenumber
+                            * ((yc * yc - 2.0 * yc * tx.y) / (2.0 * tx.dist)))
+                scale = np.exp(-1j * wavenumber * tx.dist)
                 if model == "phase":
-                    vals = vals / np.abs(vals)
+                    ax /= np.abs(ax)
+                    ay /= np.abs(ay)
+                    scale /= abs(scale)
                 else:
-                    vals = vals * math.sqrt(arr.elem_area)
-                cols.append(vals.ravel())
+                    scale *= math.sqrt(arr.elem_area) / (SQRT_4PI * tx.z)
+                np.multiply((scale * ax)[:, None], ay, out=stack[k])
         except (ValueError, RuntimeError) as err:
             raise type(err)(f"user {k}: {err}") from err
-    return ChannelMatrix(np.column_stack(cols))
+    return ChannelMatrix(stack.reshape(len(users), n * n).T)
 
 
 def mmse_precoder(h: ChannelMatrix) -> Precoder:

@@ -35,6 +35,7 @@ from nearfield_bd.field_model import (
     fresnel_field_nonbroadside,
     matched_filter_phase,
     mean_abs_distance_error,
+    mean_abs_distance_errors,
 )
 from nearfield_bd.gain_engine import exact_array_gain, gain_profile
 
@@ -343,6 +344,8 @@ def test_mean_error_variant_validation():
     arr = make_rect_array(3, 1.0, FixedElementDiagonal(0.01), LAM)
     with pytest.raises(ValueError):
         mean_abs_distance_error(arr, TxGeometry(1.0), "taylor")
+    with pytest.raises(ValueError, match="'taylor'"):
+        mean_abs_distance_errors(arr, TxGeometry(1.0), ("direct", "taylor"))
 
 
 def _full_grid_error(arr, tx, variant):
@@ -369,6 +372,18 @@ def test_mean_error_folds_onto_the_mirror_rows(n):
                 full, rel=1e-15, abs=0.0)
             assert (mean_abs_distance_error(arr, elevated, variant)
                     == _full_grid_error(arr, elevated, variant))
+
+
+@pytest.mark.parametrize("n", [1, 8, 101])
+def test_both_mean_errors_from_one_grid(n):
+    """One exact-distance grid gives each variant's mean bit for bit, on and
+    off the mirror plane."""
+    arr = make_rect_array(n, 1.7, FixedElementDiagonal(LAM / 4), LAM)
+    for tx in (TxGeometry(arr.d_b, azimuth=0.3),
+               TxGeometry(arr.d_b, azimuth=-0.7, elevation=0.2)):
+        assert mean_abs_distance_errors(arr, tx) == (
+            mean_abs_distance_error(arr, tx, "direct"),
+            mean_abs_distance_error(arr, tx, "indirect"))
 
 
 def test_indirect_beats_direct_at_constant_height():
