@@ -53,8 +53,9 @@ from .gain_engine import (
 )
 from .multiplexing import (
     _channel_gram,
-    _rates_from_gram,
+    _mmse_table,
     _snr_power,
+    _table_rates,
     build_channel_matrix,
     monte_carlo_sum_rate,
     monte_carlo_sum_rates,
@@ -342,28 +343,30 @@ def _plan_rows(ctx, _):
                                                   plan.intervals))]
 
 
-def _planned_gram(arr, plan):
-    """Channel Gram of broadside users of ``arr`` at the planned focal points."""
+def _planned_table(arr, plan):
+    """MMSE table of the channel Gram of broadside users of ``arr`` at the
+    planned focal points; it serves every SNR."""
     users = [TxGeometry(float(f)) for f in plan.focal_points]
-    return _channel_gram(build_channel_matrix(arr, users))
+    return _mmse_table(_channel_gram(build_channel_matrix(arr, users)))
 
 
-def _planned_row(ctx, gram, snr):
-    """Rate row of the planned users with channel Gram ``gram``."""
-    return (snr, len(gram), "planned", _rates_from_gram(gram, _snr_power(snr)),
+def _planned_row(ctx, table, snr):
+    """Rate row of the planned users with MMSE table ``table``."""
+    return (snr, len(table[0]), "planned", _table_rates(table, _snr_power(snr)),
             0.0, 1, ctx.seed)
 
 
 def _rate_snr_rows(ctx, _):
     snrs = _scalar_grid(ctx, "snr_{}_db")
     region = _region(ctx)
-    gram = _planned_gram(ctx.geometry,
-                         plan_focal_points(ctx.geometry, region, max_users=ctx.k_users))
-    # one pass over the grid: every SNR shares the draws and their Gram stack
+    table = _planned_table(ctx.geometry,
+                           plan_focal_points(ctx.geometry, region, max_users=ctx.k_users))
+    # one pass over the grid: every SNR shares the draws, their Gram stack
+    # and its MMSE table
     mcs = monte_carlo_sum_rates(ctx.geometry, ctx.k_users, region, ctx.n_trials, snrs,
                                 ctx.seed)
     return [row for snr, mc in zip(map(float, snrs), mcs) for row in (
-        _planned_row(ctx, gram, snr),
+        _planned_row(ctx, table, snr),
         (snr, ctx.k_users, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed))]
 
 
@@ -393,7 +396,7 @@ def _rate_eta_rows(ctx, _):
 
     def one(planned):
         eta, arr, plan = planned
-        return (eta,) + _planned_row(ctx, _planned_gram(arr, plan), ctx.snr_db)
+        return (eta,) + _planned_row(ctx, _planned_table(arr, plan), ctx.snr_db)
 
     return run_sweep(one, run_sweep(plan_eta, _scalar_grid(ctx, "eta_{}")), ctx.threads)
 
@@ -405,8 +408,8 @@ def _rate_phi_rows(ctx, _):
         # the users' common linear phase cancels in the Gram matrix; what
         # the azimuth changes is the aperture the users see
         phi = float(phi)
-        gram = _planned_gram(project_array(ctx.geometry, phi), plan)
-        return (phi,) + _planned_row(ctx, gram, ctx.snr_db)
+        table = _planned_table(project_array(ctx.geometry, phi), plan)
+        return (phi,) + _planned_row(ctx, table, ctx.snr_db)
 
     return run_sweep(one, _scalar_grid(ctx, "phi_{}"), ctx.threads)
 

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearfield_bd.array_geometry import (
     FixedApertureLength,
@@ -17,6 +19,7 @@ from nearfield_bd.array_geometry import (
 from nearfield_bd.beam_depth import bd_rect, finite_bd_limit_rect
 from nearfield_bd.field_model import (QuadratureSpec, element_channel,
                                       fresnel_field_nonbroadside)
+from nearfield_bd.gain_engine import radiative_floor
 from nearfield_bd import multiplexing
 from nearfield_bd.multiplexing import (
     ChannelMatrix,
@@ -29,10 +32,11 @@ from nearfield_bd.multiplexing import (
     sum_rate,
     user_sinrs,
     _channel_gram,
-    _gram_signal_table,
+    _half_angle_sums,
+    _mmse_table,
     _phase_gram,
-    _rates_from_gram,
-    _signal_table,
+    _split_diagonal,
+    _table_rates,
 )
 
 LAM = wavelength_from_carrier(3e9)
@@ -342,7 +346,7 @@ def test_gram_fast_path_matches_explicit(snr_db):
     npt.assert_array_equal(channel_gram, channel_gram.conj().T)
     assert not channel_gram.diagonal().imag.any()
     for gram in (_phase_gram(arr, dists), channel_gram):
-        npt.assert_allclose(_rates_from_gram(gram, p), explicit, rtol=1e-10)
+        npt.assert_allclose(_table_rates(_mmse_table(gram), p), explicit, rtol=1e-10)
 
 
 def _pairwise_gram(arr, dists):
@@ -377,6 +381,54 @@ def test_phase_gram_matches_pairwise_definition(n, eta):
     assert single.shape == (1, 1) and single[0, 0] == n * n
 
 
+def _long_double_axis_sum(arr, d_i, d_j):
+    """sum over the x axis of exp(i theta), theta = pi/lambda (1/d_i - 1/d_j)
+    u^2, in long double: the real part as n - 4 sum sin^2(theta/2) over the
+    mirror half u > 0, the imaginary part as 2 sum sin theta, and the
+    curvature as (d_j - d_i)/(d_i d_j), whose difference is exact."""
+    ld = np.longdouble
+    half = element_grid(arr)[0].astype(ld)
+    half = half[half > 0]
+    d_i, d_j = ld(d_i), ld(d_j)
+    theta = ld(np.pi) / ld(arr.wavelength) * ((d_j - d_i) / (d_i * d_j)) * half ** 2
+    return (ld(arr.n_per_side) - 4 * np.sum(np.sin(theta / 2) ** 2),
+            2 * np.sum(np.sin(theta)))
+
+
+@pytest.mark.parametrize("gap", [None, 1e-3, 1e-6, 1e-9])
+def test_half_angle_sums_match_long_double(gap):
+    """One axis sum of far pairs (gap None: both users drawn over the region)
+    and of near-collinear pairs d_j = d_i (1 + gap), n = 200, against long
+    double.  A gap g leaves a phase difference g psi whose rounding is about
+    eps psi, so the imaginary part is good to a multiple of eps/g.  Worst of
+    the 100 pairs, measured: the real part is 1.55 eps n off for far pairs
+    and at most 0.503 ulp of n for near-collinear ones; the imaginary part is
+    1.2e-15 relative off for far pairs and 0.097-0.124 eps/g for near-collinear
+    ones.  A real part formed from cos theta (Re q^2) is 1.5 and 1.9 ulps off
+    at g = 1e-3 and 1e-6; sines of each pair's curvature difference leave the
+    imaginary part 0.63-0.68 eps/g off."""
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double on this platform")
+    arr = wide_array()
+    near, far = radiative_floor(arr), arr.d_fa / 10
+    eps, n = np.finfo(float).eps, arr.n_per_side
+    rng = np.random.default_rng(11)
+    real_err = imag_err = 0.0
+    for _ in range(100):
+        d_i = 1.0 / rng.uniform(1 / far, 1 / near)
+        d_j = 1.0 / rng.uniform(1 / far, 1 / near) if gap is None else d_i * (1 + gap)
+        got = _half_angle_sums(arr, np.array([d_i, d_j]), 0)[0]
+        real, imag = _long_double_axis_sum(arr, d_i, d_j)
+        real_err = max(real_err, float(abs(np.longdouble(got.real) - real)))
+        imag_err = max(imag_err, float(abs((np.longdouble(got.imag) - imag) / imag)))
+    if gap is None:
+        assert real_err <= 3 * eps * n
+        assert imag_err <= 4e-15
+    else:
+        assert real_err <= np.spacing(float(n))
+        assert imag_err <= 0.25 * eps / gap
+
+
 def test_gram_interference_matches_explicit():
     """The Monte Carlo path's per-user interference, as small as 1e-7 of the
     signal here, equals the explicit channel's off-diagonal sum; subtracting
@@ -384,14 +436,13 @@ def test_gram_interference_matches_explicit():
     arr = wide_array()
     z_min, z_max = wide_region(arr)
     rng = np.random.default_rng(7)
-    p = 10 ** 2.5
     for dists in 1.0 / rng.uniform(1 / z_max, 1 / z_min, size=(20, 5)):
         h = build_channel_matrix(arr, [TxGeometry(float(d)) for d in dists])
-        cross = np.abs(h.entries.conj().T @ mmse_precoder(h).entries) ** 2
-        sig, interference = _signal_table(cross, np.full(5, p))
-        gram_sig, gram_interference = _gram_signal_table(_phase_gram(arr, dists), p)
-        npt.assert_allclose(gram_sig, sig, rtol=1e-8)
-        npt.assert_allclose(gram_interference, interference, rtol=1e-7)
+        gains, cross = _split_diagonal(
+            np.abs(h.entries.conj().T @ mmse_precoder(h).entries) ** 2)
+        gram_gains, gram_cross = _mmse_table(_phase_gram(arr, dists))
+        npt.assert_allclose(gram_gains, gains, rtol=1e-8)
+        npt.assert_allclose(gram_cross.sum(-1), cross.sum(-1), rtol=1e-7)
 
 
 def test_monte_carlo_reproducible():
@@ -411,7 +462,7 @@ def test_monte_carlo_blocks_do_not_couple_trials(monkeypatch):
     with its trial count."""
     arr = wide_array()
     region = wide_region(arr)
-    n_trials = 301        # not a multiple of the default block (23 trials here)
+    n_trials = 301        # not a multiple of the default block (20 trials here)
     for snrs in ((25.0,), (0.0, 25.0, 30.0)):
         default = [monte_carlo_sum_rate(arr, 8, region, n_trials, snr, seed=5)
                    for snr in snrs]
@@ -433,6 +484,31 @@ def test_monte_carlo_blocks_do_not_couple_trials(monkeypatch):
         assert peak(3000) <= 1.5 * peak(300)
 
 
+def test_one_mmse_solve_per_block_serves_every_snr(monkeypatch):
+    """A 5-SNR call solves one MMSE system stack per block of trials, as
+    many as a 1-SNR call, not one per SNR."""
+    arr = wide_array()
+    region = wide_region(arr)
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    n_trials = 301
+    block = multiplexing._GRAM_BLOCK_VALUES // (5 * ((arr.n_per_side + 1) // 2))
+    blocks = -(-n_trials // block)
+    assert blocks > 1
+    monte_carlo_sum_rates(arr, 5, region, n_trials, [0.0, 5.0, 10.0, 20.0, 30.0], seed=5)
+    assert len(solves) == blocks
+    assert sum(shape[0] for shape in solves) == n_trials
+    solves.clear()
+    monte_carlo_sum_rate(arr, 5, region, n_trials, 20.0, seed=5)
+    assert len(solves) == blocks
+
+
 @pytest.mark.parametrize("arr, axes", [
     (wide_array(), [0]),
     (wide_array(0.3), [0, 1]),
@@ -442,13 +518,13 @@ def test_square_arrays_fold_one_axis_sum(monkeypatch, arr, axes):
     """Equal element sides give bit-identical axes, so _phase_gram sums one
     of them; test_phase_gram_matches_pairwise_definition checks the values."""
     calls = []
-    folded = multiplexing._folded_sum
+    summed = multiplexing._half_angle_sums
 
-    def counted(arr, curvature, axis):
+    def counted(arr, dists, axis):
         calls.append(axis)
-        return folded(arr, curvature, axis)
+        return summed(arr, dists, axis)
 
-    monkeypatch.setattr(multiplexing, "_folded_sum", counted)
+    monkeypatch.setattr(multiplexing, "_half_angle_sums", counted)
     monte_carlo_sum_rate(arr, 4, wide_region(arr), 40, 25.0, seed=3)  # one block
     _phase_gram(arr, np.array([2.0, 3.0]) * arr.d_b)
     assert calls == axes * 2
@@ -481,7 +557,7 @@ def test_random_draws_bounded_by_planned():
     rng = np.random.default_rng(MC_SEED)
     draws = 1.0 / rng.uniform(1 / region[1], 1 / region[0], size=(10_000, 5))
     p = 10 ** 2.5
-    best = max(_rates_from_gram(_phase_gram(arr, d), p) for d in draws)
+    best = max(_table_rates(_mmse_table(_phase_gram(arr, d)), p) for d in draws)
     assert best <= planned * 1.01
 
 
@@ -519,3 +595,45 @@ def test_monte_carlo_validation():
     # build_channel_matrix refuses these users, so the rate path does too
     with pytest.raises(ValueError, match="reactive near-field"):
         monte_carlo_sum_rate(arr, 3, (0.12, 6.0), 5, 20.0, seed=1)
+
+
+@st.composite
+def in_domain_arrays(draw):
+    """Arrays with n_per_side 2-64, eta 0.3-3 and an aperture length of 7-60
+    wavelengths: d_FA/10 = L^2/(5 lambda) clears the radiative floor 1.2 L
+    only beyond 6 wavelengths."""
+    return make_rect_array(draw(st.integers(2, 64)), draw(st.floats(0.3, 3.0)),
+                           FixedApertureLength(draw(st.floats(7.0, 60.0)) * LAM), LAM)
+
+
+@given(in_domain_arrays(), st.integers(1, 3), st.integers(1, 8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_phase_gram_in_domain(arr, trials, k, data):
+    """For a (trials, K) stack of distances from the radiative floor to
+    d_FA/10, every Gram matrix is exactly Hermitian with diagonal N, and no
+    entry exceeds N in modulus."""
+    near, far = radiative_floor(arr), arr.d_fa / 10
+    fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=trials * k,
+                                   max_size=trials * k))
+    dists = np.clip(near * (far / near) ** np.reshape(fractions, (trials, k)), near, far)
+    gram = _phase_gram(arr, dists)
+    assert gram.shape == (trials, k, k)
+    npt.assert_array_equal(gram, gram.conj().swapaxes(-1, -2))
+    npt.assert_array_equal(np.diagonal(gram, axis1=-2, axis2=-1), arr.n_elements)
+    assert np.all(np.abs(gram) <= arr.n_elements * (1 + 1e-12))
+
+
+@given(in_domain_arrays(), st.integers(1, 8), st.integers(1, 20),
+       st.lists(st.floats(-20.0, 40.0), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_monte_carlo_sum_rates_in_domain(arr, k, n_trials, snrs_db, seed):
+    """Over the region from the radiative floor to d_FA/10, every mean rate
+    and its stderr are finite and non-negative."""
+    region = (radiative_floor(arr), arr.d_fa / 10)
+    results = monte_carlo_sum_rates(arr, k, region, n_trials, snrs_db, seed)
+    assert len(results) == len(snrs_db)
+    for result in results:
+        assert result.n_trials == n_trials
+        assert math.isfinite(result.mean_rate) and result.mean_rate >= 0
+        assert math.isfinite(result.stderr) and result.stderr >= 0
