@@ -67,7 +67,7 @@ class ChannelMatrix:
         e = np.asarray(self.entries)
         if e.ndim != 2 or e.shape[1] < 1:
             raise ValueError("entries must be an N x K matrix with K >= 1")
-        if not np.all(np.isfinite(e.real)) or not np.all(np.isfinite(e.imag)):
+        if not np.isfinite(e).all():
             raise ValueError("channel entries must be finite")
 
     @property
@@ -217,12 +217,22 @@ def _channel_gram(h: ChannelMatrix) -> np.ndarray:
     """H^H H from numpy's pairwise sums along the contiguous element axis, so
     its bits do not depend on the BLAS thread count.  Only the upper triangle
     is summed, K(K+1)/2 sums over N; the lower triangle is its conjugate and
-    the diagonal is kept real, so the result is exactly Hermitian."""
+    the diagonal is kept real, so the result is exactly Hermitian.
+
+    Each first user's conjugate and each pair's product are written into two
+    N-length buffers reused for every pair, so the sums need 2 N complex
+    values of scratch, not a fresh (K - a) x N product per first user a: in
+    a fresh process those temporaries cost more in page faults than the
+    products cost in arithmetic."""
     cols = np.ascontiguousarray(h.entries.T)
     k = len(cols)
     gram = np.empty((k, k), dtype=complex)
+    conj = np.empty_like(cols[0])
+    prod = np.empty_like(conj)
     for a, col in enumerate(cols):
-        gram[a, a:] = (col.conj() * cols[a:]).sum(-1)
+        np.conjugate(col, out=conj)
+        for b in range(a, k):
+            gram[a, b] = np.multiply(conj, cols[b], out=prod).sum()
     lower = np.tril_indices(k, -1)
     gram[lower] = gram.T[lower].conj()
     np.fill_diagonal(gram, gram.diagonal().real)
@@ -326,13 +336,17 @@ def _mmse_table(gram: np.ndarray) -> tuple:
     """``_split_diagonal`` of the table |h_k^H w_j|^2 of the unit-power MMSE
     precoder of the channel with K x K Gram matrix ``gram`` (or of each of a
     (..., K, K) stack): H^H W = alpha G (G + I)^{-1}.  The precoder does not
-    depend on the SNR, so one table serves every SNR (``_table_rates``)."""
+    depend on the SNR, so one table serves every SNR (``_table_rates``).
+
+    With P = G (G + I)^{-1}, the power ||H (G + I)^{-1}||_F^2 =
+    trace((G + I)^{-H} P) is the elementwise sum of conj((G + I)^{-1}) P, so
+    the one product P serves both the normalization and the table."""
     k = gram.shape[-1]
     eye = np.broadcast_to(np.eye(k), gram.shape)
     inv = np.linalg.solve(gram + eye, eye)
-    alpha_sq = 1.0 / np.trace(inv.conj().swapaxes(-1, -2) @ gram @ inv,
-                              axis1=-2, axis2=-1).real
-    return _split_diagonal(np.abs(gram @ inv) ** 2 * alpha_sq[..., None, None])
+    prod = gram @ inv
+    alpha_sq = 1.0 / (inv.conj() * prod).sum((-2, -1)).real
+    return _split_diagonal(np.abs(prod) ** 2 * alpha_sq[..., None, None])
 
 
 def _snr_power(snr_db: float, name: str = "snr_db") -> float:

@@ -191,19 +191,60 @@ def test_channel_slanted_users_match_the_2d_fresnel_grid(mult):
             assert np.max(np.abs(col - ref)) <= tol * np.max(np.abs(ref))
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_channel_gram_memory_bound():
     """The channel is built in place in one stack whose transpose
     _channel_gram reads as a view: the build and the Gram together peak
-    at 2.17 K N complex values (3.17 with a transposed copy)."""
+    at 1.34 K N complex values for K = 6 (2.17 with a fresh pair product
+    per first user, 3.17 with a transposed copy as well)."""
     arr = wide_array()
     users = [TxGeometry(float(d)) for d in np.geomspace(arr.d_b, arr.d_fa / 10, 6)]
-    tracemalloc.start()
-    try:
-        _channel_gram(build_channel_matrix(arr, users))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * len(users) * arr.n_elements * 16
+    peak = _traced_peak(lambda: _channel_gram(build_channel_matrix(arr, users)))
+    assert peak <= 1.4 * len(users) * arr.n_elements * 16
+
+
+def test_channel_gram_scratch_is_two_columns():
+    """_channel_gram alone needs two N-length buffers whatever K is: 2.01 N
+    complex values for K = 6 (7.00 with a fresh pair product per first user)."""
+    arr = wide_array()
+    users = [TxGeometry(float(d)) for d in np.geomspace(arr.d_b, arr.d_fa / 10, 6)]
+    h = build_channel_matrix(arr, users)
+    assert _traced_peak(_channel_gram, h) <= 2.5 * arr.n_elements * 16
+
+
+def _row_sum_gram(h):
+    """H^H H as one (K - a) x N product and row sum per first user a, the
+    upper triangle conjugated into the lower, the diagonal made real."""
+    cols = np.ascontiguousarray(h.entries.T)
+    k = len(cols)
+    gram = np.empty((k, k), dtype=complex)
+    for a, col in enumerate(cols):
+        gram[a, a:] = (col.conj() * cols[a:]).sum(-1)
+    lower = np.tril_indices(k, -1)
+    gram[lower] = gram.T[lower].conj()
+    np.fill_diagonal(gram, gram.diagonal().real)
+    return gram
+
+
+@pytest.mark.parametrize("n, eta", [(51, 1.0), (33, 0.4), (21, 2.5)])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_channel_gram_matches_row_sums(n, eta, k):
+    """Summing each pair from reused buffers takes the same pairwise sums
+    over the same contiguous values as the row sums, so the bits agree."""
+    arr = make_rect_array(n, eta, FixedElementDiagonal(LAM / 2), LAM)
+    dists = np.geomspace(radiative_floor(arr), arr.d_fa / 10, k)
+    for model in ("phase", "fresnel"):
+        h = build_channel_matrix(arr, [TxGeometry(float(d), azimuth=0.1 * i)
+                                       for i, d in enumerate(dists)], model=model)
+        npt.assert_array_equal(_channel_gram(h), _row_sum_gram(h))
 
 
 def test_channel_identical_users_and_rank():
@@ -255,6 +296,9 @@ def test_channel_validation():
         build_channel_matrix(arr, [TxGeometry(500 * LAM)], model="bogus")
     with pytest.raises(ValueError):
         ChannelMatrix(np.array([[1.0, np.inf]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelMatrix(np.array([[1.0 + 0j, complex(1.0, bad)]]))
     with pytest.raises(ValueError):
         ChannelMatrix(np.ones(4))
 
@@ -474,12 +518,7 @@ def test_monte_carlo_blocks_do_not_couple_trials(monkeypatch):
         monkeypatch.undo()
 
         def peak(trials):
-            tracemalloc.start()
-            try:
-                monte_carlo_sum_rates(arr, 8, region, trials, snrs, seed=5)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _traced_peak(monte_carlo_sum_rates, arr, 8, region, trials, snrs, 5)
 
         assert peak(3000) <= 1.5 * peak(300)
 
@@ -621,6 +660,30 @@ def test_phase_gram_in_domain(arr, trials, k, data):
     npt.assert_array_equal(gram, gram.conj().swapaxes(-1, -2))
     npt.assert_array_equal(np.diagonal(gram, axis1=-2, axis2=-1), arr.n_elements)
     assert np.all(np.abs(gram) <= arr.n_elements * (1 + 1e-12))
+
+
+@given(in_domain_arrays(), st.integers(1, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_channel_gram_matches_phase_gram_in_domain(arr, k, data):
+    """Broadside phase-model channels of K users from the radiative floor to
+    d_FA/10: their Gram is exactly Hermitian, its diagonal real and N to
+    within 10 eps N, and it is the analytic _phase_gram to within
+    1.5 eps N (2 pi/lambda) d_max.  Each entry's range phase 2 pi d/lambda is
+    rounded to about eps 2 pi d/lambda, so the channel carries that error
+    coherently over N elements.  Over 4000 seeded draws the worst cases read
+    6.0 eps N and 0.86 eps N (2 pi/lambda) d_max; the diagonal was exactly N
+    in a third of them."""
+    near, far = radiative_floor(arr), arr.d_fa / 10
+    fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    dists = np.clip(near * (far / near) ** np.array(fractions), near, far)
+    gram = _channel_gram(build_channel_matrix(arr, [TxGeometry(float(d)) for d in dists]))
+    eps, n = np.finfo(float).eps, arr.n_elements
+    npt.assert_array_equal(gram, gram.conj().T)
+    assert not gram.diagonal().imag.any()
+    npt.assert_allclose(gram.diagonal().real, n, rtol=0, atol=10 * eps * n)
+    wavenumber = 2 * np.pi / arr.wavelength
+    npt.assert_allclose(gram, _phase_gram(arr, dists), rtol=0,
+                        atol=1.5 * eps * n * wavenumber * dists.max())
 
 
 @given(in_domain_arrays(), st.integers(1, 8), st.integers(1, 20),
