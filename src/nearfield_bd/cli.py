@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import difflib
+import functools
 import json
 import math
 import os
@@ -680,7 +681,11 @@ def cmd_presets(_args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The CLI's argument parser, built once per process: building one costs
+    about ten times what a parse does.  A parse reads the parser and never
+    changes it, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="nearfield-bd",
         description="Near-field beam-depth experiment runner (CSV output)")
@@ -694,7 +699,11 @@ def main(argv=None):
                            "sum-rate-vs-eta and sum-rate-vs-phi")
     runp.add_argument("--seed", type=int, help="PRNG seed override")
     sub.add_parser("presets", help="list available presets")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.command == "presets":
             return cmd_presets(args)

@@ -132,62 +132,98 @@ def _panels(edges, n: int, size: float):
     return 0.5 * (edges[:-1] + edges[1:] - n) * size, 0.5 * np.diff(edges) * size
 
 
-def _aperture_blocks(arr: RectArray, bx, by, tx: TxGeometry, order: int,
-                     focus_phase=None, weight: float = 1.0):
+def _aperture_blocks(arr: RectArray, bx, by, points, order: int, focusing=None,
+                     weight: float = 1.0):
     """Exact field on the composite Gauss-Legendre grid, order nodes per panel
     side, of the panels between element-boundary indices bx (rows, along the
-    width) and by (columns, along the height), in blocks of whole panel rows.
+    width) and by (columns, along the height), for each transmitter of
+    ``points``, an array whose rows start with a transmitter's position
+    (x, y, z).  Blocks hold at most _BLOCK_NODES nodes counted over
+    transmitters times nodes: the whole grids of as many transmitters as fit,
+    or else whole panel rows of one transmitter (at least one row).  A block's
+    transmitters share one ``_spherical_wave`` call, focused by the phase
+    ``focusing(block)`` gives first for that block of rows of ``points`` (as
+    in ``_panel_edges``; None for no focusing).
 
-    Yields the block's row node weights times ``weight`` (2 or 4 where the
-    panels cover one mirror half or quarter of the aperture), its column node
-    weights, and ``_spherical_wave``'s amplitude and focused field on its
-    node grid."""
+    Yields, for each transmitter of each block, its row in ``points``, the
+    block's row node weights times ``weight`` (2 or 4 where the panels cover
+    one mirror half or quarter of the aperture), its column node weights, and
+    that transmitter's amplitude and focused field on the block's node grid."""
     nodes, wts = _gauss_legendre(order)
     cx, hx = _panels(bx, arr.n_per_side, arr.elem_w)
     cy, hy = _panels(by, arr.n_per_side, arr.elem_h)
     gy = (cy[:, None] + hy[:, None] * nodes).ravel()
     wy = (hy[:, None] * wts).ravel()
     rows = max(1, _BLOCK_NODES // (order * gy.size))
-    for i in range(0, len(cx), rows):
-        gx = (cx[i:i + rows, None] + hx[i:i + rows, None] * nodes).ravel()
-        wx = (weight * hx[i:i + rows, None] * wts).ravel()
-        yield (wx, wy, *_spherical_wave(tx.position, gx[:, None], gy, arr.wavelength,
-                                        focus_phase))
+    per = max(1, rows // len(cx))  # whole grids per block, or one row-split one
+    for t in range(0, len(points), per):
+        block = points[t:t + per]
+        position = [c[:, None, None] for c in block.T[:3]]
+        phase = focusing(block)[0] if focusing else None
+        for i in range(0, len(cx), rows):
+            gx = (cx[i:i + rows, None] + hx[i:i + rows, None] * nodes).ravel()
+            wx = (weight * hx[i:i + rows, None] * wts).ravel()
+            amp, field = _spherical_wave(position, gx[:, None], gy, arr.wavelength, phase)
+            for p in range(len(block)):
+                yield t + p, wx, wy, amp[p], field[p]
+            del amp, field  # freed before the next block is built
 
 
-def _mirrored(tx: TxGeometry) -> tuple[bool, bool]:
-    """Whether the transmitter lies on the x = 0 and on the y = 0 plane.  On
-    such an axis the exact field, and each gain's focusing phase, are even."""
-    return tx.x == 0.0, tx.y == 0.0
+def _mirrored(position) -> tuple[bool, bool]:
+    """Whether the transmitter at ``position`` (x, y, ...) lies on the x = 0 and
+    on the y = 0 plane.  On such an axis the exact field, and each gain's
+    focusing phase, are even."""
+    return position[0] == 0.0, position[1] == 0.0
 
 
-def _panel_edges(arr: RectArray, tx: TxGeometry, focus_phase, focus_depth: float):
-    """Element-boundary indices of the panels a gain integrates over: g
-    elements per panel side, with g the most elements whose residual phase,
-    focus_phase - k r, turns by at most _PANEL_PHASE across a panel, and at
-    least 1.  Panels of whole elements start at 0 (a shorter last panel where
-    g does not divide n), except along an axis ``_mirrored`` marks: there
-    they lie mirror-symmetric about the centre n/2 (mid-element for odd n),
-    with a shorter panel at each end.
+def _panel_edges(arr: RectArray, points, focusing) -> list:
+    """Element-boundary indices (bx, by) of the panels a gain integrates over,
+    for each transmitter of ``points``, rows that start with its position
+    (x, y, z) as in ``_aperture_blocks``: g elements per panel side, with g
+    the most elements whose residual phase, the focusing phase minus k r,
+    turns by at most _PANEL_PHASE across a panel, and at least 1.  Panels of
+    whole elements start at 0 (a shorter last panel where g does not divide
+    n), except along an axis ``_mirrored`` marks: there they lie
+    mirror-symmetric about the centre n/2 (mid-element for odd n), with a
+    shorter panel at each end.
 
     The gradient bound per axis is the largest secant slope of the residual
     phase between neighbouring points of a _PROBES-interval probe grid over
     the aperture, plus what its second derivatives can add within a probe
-    cell: each is at most k/tx.z for -k r and k/focus_depth for a focusing
-    phase centred at that depth.  The probe grid does not grow with n."""
+    cell: each is at most k/z for -k r and k/depth for a focusing phase
+    centred at that depth.  ``focusing(rows)`` gives, for rows of ``points``,
+    their focusing phase (broadcasting against their stack, or None) and each
+    one's depth.  The probe grid does not grow with n; the transmitters are
+    probed together, in (transmitters, probes, probes) stacks of at most
+    _BLOCK_NODES probe nodes, and no transmitter's panels depend on
+    another's."""
     k = 2.0 * np.pi / arr.wavelength
     px = np.linspace(-0.5 * arr.aperture_w, 0.5 * arr.aperture_w, _PROBES + 1)
     py = np.linspace(-0.5 * arr.aperture_h, 0.5 * arr.aperture_h, _PROBES + 1)
-    residual = -k * _distance(px[:, None], py, tx)
-    if focus_phase is not None:
-        residual += focus_phase(px[:, None], py)
-    curvature = k * (1.0 / tx.z + 1.0 / focus_depth)
     hx, hy = px[1] - px[0], py[1] - py[0]
-    grad_x = np.abs(np.diff(residual, axis=0)).max() / hx + curvature * (hx + 0.5 * hy)
-    grad_y = np.abs(np.diff(residual, axis=1)).max() / hy + curvature * (hy + 0.5 * hx)
-    mirrored_x, mirrored_y = _mirrored(tx)
-    return (_edges(arr.n_per_side, _PANEL_PHASE / (grad_x * arr.elem_w), mirrored_x),
-            _edges(arr.n_per_side, _PANEL_PHASE / (grad_y * arr.elem_h), mirrored_y))
+    per = max(1, _BLOCK_NODES // (_PROBES + 1) ** 2)
+    edges = []
+    for t in range(0, len(points), per):
+        rows = points[t:t + per]
+        phase, depths = focusing(rows)
+        tx_x, tx_y = (c[:, None, None] for c in rows.T[:2])
+        # libm's pow, as _distance squares a scalar z: numpy's square can round apart
+        z2 = np.array([z ** 2 for z in rows[:, 2].tolist()])[:, None, None]
+        residual = -k * np.sqrt((px[:, None] - tx_x) ** 2 + (py - tx_y) ** 2 + z2)
+        if phase is not None:
+            residual += phase(px[:, None], py)
+        slopes_x = np.abs(residual[:, 1:] - residual[:, :-1]).max(axis=(1, 2)) / hx
+        slopes_y = np.abs(residual[:, :, 1:] - residual[:, :, :-1]).max(axis=(1, 2)) / hy
+        del residual
+        for position, depth, sx, sy in zip(rows.tolist(), depths, slopes_x.tolist(),
+                                           slopes_y.tolist()):
+            curvature = k * (1.0 / position[2] + 1.0 / depth)
+            grads = sx + curvature * (hx + 0.5 * hy), sy + curvature * (hy + 0.5 * hx)
+            edges.append(tuple(
+                _edges(arr.n_per_side, _PANEL_PHASE / (grad * size), fold)
+                for grad, size, fold in zip(grads, (arr.elem_w, arr.elem_h),
+                                            _mirrored(position))))
+    return edges
 
 
 def _edges(n: int, elements: float, centred: bool) -> np.ndarray:
@@ -203,9 +239,9 @@ def _edges(n: int, elements: float, centred: bool) -> np.ndarray:
 def _disk_blocks(circ: CircArray, dists, order: int, focus_phase):
     """Polar blocks over the disk for on-axis transmitters at the distances
     ``dists``, each block of consecutive transmitters yielded as its slice of
-    ``dists`` followed by what ``_aperture_blocks`` yields, with a (points,
-    radii, angles) amplitude and field.  A block takes as many transmitters as
-    keep it within _BLOCK_NODES nodes, and at least one.
+    ``dists``, its radial and angular node weights, and its (points, radii,
+    angles) amplitude and field.  A block takes as many transmitters as keep
+    it within _BLOCK_NODES nodes, and at least one.
 
     The rule is 6*order Gauss-Legendre radii (weights carry the rho Jacobian)
     by the order-point trapezoid in angle.  For a transmitter on the axis and a
@@ -271,7 +307,8 @@ def _element_channels(arr: RectArray, bx, by, tx: TxGeometry,
         return np.concatenate([
             np.einsum("ai,bj,aibj->ab", wx.reshape(-1, order), wy.reshape(-1, order),
                       field.reshape(-1, order, len(by) - 1, order))
-            for wx, wy, _, field in _aperture_blocks(arr, bx, by, tx, order)
+            for _, wx, wy, _, field in _aperture_blocks(arr, bx, by, np.array([tx.position]),
+                                                        order)
         ]) / math.sqrt(arr.elem_area)
 
     result, gap = _refined(lambda order, _: channels(order), (len(bx) - 1, len(by) - 1),
@@ -338,7 +375,7 @@ def mean_abs_distance_errors(arr: RectArray, tx: TxGeometry,
             raise ValueError(f"variant must be 'direct' or 'indirect', got {variant!r}")
     xs, ys = element_grid(arr)
     weights = 1.0
-    if _mirrored(tx)[1]:
+    if _mirrored(tx.position)[1]:
         ys = ys[ys >= 0.0]
         weights = np.where(ys == 0.0, 1.0, 2.0)
     X = xs[:, None]

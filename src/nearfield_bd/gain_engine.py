@@ -7,12 +7,14 @@ sized by the residual phase; along each axis the transmitter lies on, over
 one mirror half of the aperture); closed-form gains evaluate the
 Fresnel-integral expressions for rectangular apertures (broadside and
 slanted transmitters) and the sinc^2 expression for circular apertures.
-``run_sweep`` evaluates any sweep point by point, threaded if its caller
-asks, and aggregates per-point failures; ``gain_profile`` uses it over
-distance grids in the calling thread, except for two kinds that take all
-their distances at once, with the same per-point values and failures: an
-exact disk profile, one batched quadrature per order, and an analytic
-profile, one array pass over the closed forms.
+Each exact gain function takes one transmitter (a distance for the disk) or
+a sequence of them, integrated together as one batched quadrature per order
+in which no point's nodes, order or failure depend on the others.
+``gain_profile`` takes every distance of a grid at once, with the same
+per-point values and failures as single-point calls: one call of the kind's
+exact gain function, or for an analytic profile one array pass over the
+closed forms.  ``run_sweep`` evaluates any other sweep point by point,
+threaded if its caller asks, and aggregates per-point failures.
 
 Two focusing conventions are provided. ``exact_array_gain`` and
 ``disk_gain_exact`` inject the broadside quadratic phase
@@ -88,11 +90,13 @@ def radiative_floor(geometry) -> float:
 def _aperture_gains(geometry, dists, focus: float, quad: QuadratureSpec, rule) -> list:
     """For the transmitter at each distance of ``dists``, in order, its gain
     |sum w E e^{j phase}|^2 / (A sum w |E|^2) or the ValueError or RuntimeError
-    it met.  Once the distances and the focus have been checked, ``rule()``
-    builds ``blocks``: ``blocks(z, order)`` yields, for the transmitters at the
-    distances ``z``, blocks ``(at, wx, wy, amp, field)`` whose sums add to the
-    entries ``at`` of ``z``.  Each transmitter's order is refined per ``quad`` on
-    its own, and each doubling evaluates only the transmitters still pending."""
+    it met.  Once the distances and the focus have been checked, ``rule(valid,
+    ranges)`` builds ``blocks`` for the transmitters at the indices ``valid``
+    of ``dists``, at the checked distances ``ranges``: ``blocks(at, order)``
+    yields, for the transmitters at the positions ``at`` of ``valid``, blocks
+    ``(s, wx, wy, amp, field)`` whose sums add to the entries ``s`` of ``at``.
+    Each transmitter's order is refined per ``quad`` on its own, and each
+    doubling evaluates only the transmitters still pending."""
     limit = radiative_floor(geometry)
     outcomes = []
     for dist in dists:
@@ -110,14 +114,14 @@ def _aperture_gains(geometry, dists, focus: float, quad: QuadratureSpec, rule) -
     if not valid:
         return outcomes
     ranges = np.array([outcomes[i] for i in valid])
-    blocks, area = rule(), geometry.aperture_area
+    blocks, area = rule(valid, ranges), geometry.aperture_area
 
     def gain(order, pending):
-        z = ranges[pending]
-        num, den = np.zeros(z.shape, complex), np.zeros(z.shape)
-        for at, wx, wy, amp, field in blocks(z, order):
-            num[at] += wx @ field @ wy
-            den[at] += wx @ (amp * amp) @ wy
+        at = np.flatnonzero(pending)
+        num, den = np.zeros(at.shape, complex), np.zeros(at.shape)
+        for s, wx, wy, amp, field in blocks(at, order):
+            num[s] += wx @ field @ wy
+            den[s] += wx @ (amp * amp) @ wy
             del amp, field  # freed before the next block is built
         gains = np.zeros(ranges.shape)
         # entry by entry: numpy's array abs and ** 2 may round the last bit apart
@@ -140,45 +144,107 @@ def _outcome(out):
     return out
 
 
-def _rect_gain(arr: RectArray, tx: TxGeometry, focus: float,
-               quad: QuadratureSpec, phase, focus_depth: float) -> float:
-    """Gain over the panels ``_panel_edges`` sizes for the focusing ``phase``,
-    whose centre lies at depth ``focus_depth`` in front of the aperture.
-    Along each axis ``_mirrored`` marks, where the integrand is even, only the
-    panels of the u >= 0 half are integrated, with doubled weights."""
-    def rule():
-        mirrored = _mirrored(tx)
-        bx, by = (b[b >= 0.5 * arr.n_per_side] if fold else b
-                  for b, fold in zip(_panel_edges(arr, tx, phase, focus_depth), mirrored))
-        return lambda _, order: (
-            (0, *block) for block in _aperture_blocks(arr, bx, by, tx, order, phase,
-                                                      2.0 ** sum(mirrored)))
-
-    return _outcome(_aperture_gains(arr, [tx.dist], focus, quad, rule)[0])
+def _returned(single: bool, outcomes: list):
+    """The one gain of ``outcomes``, raised if it is an exception, when
+    ``single``; else the array of every gain, or one SweepEvalError with the
+    indices of the exceptions."""
+    return _outcome(outcomes[0]) if single else np.array(_collected(outcomes))
 
 
-def exact_array_gain(arr: RectArray, tx: TxGeometry, focus: float,
-                     quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Gain with the broadside quadratic focusing phase toward (0, 0, F)."""
-    return _rect_gain(arr, tx, focus, quad, _broadside_focus(arr.wavelength, focus),
-                      focus)
+def _rect_gains_exact(arr: RectArray, txs: list, focus: float, quad: QuadratureSpec,
+                      focusing) -> list:
+    """``_aperture_gains`` of each transmitter of ``txs`` over the panels
+    ``_panel_edges`` sizes for it, with ``focusing(points)`` giving, for rows
+    of transmitters' ``_placement``, their focusing phase (broadcasting
+    against their stack, or None) and each one's depth of the phase's centre.
+
+    One probe pass sizes every transmitter's panels.  Along each axis
+    ``_mirrored`` marks, where the integrand is even, only the panels of the
+    u >= 0 half are integrated, with doubled weights.  The transmitters with
+    the same panels and folds share each order's ``_aperture_blocks``; each
+    transmitter's sums are the 2-D products a lone one has, so a gain does not
+    depend on its batch."""
+    def rule(valid, _):
+        points = np.array([_placement(txs[i]) for i in valid])
+        grids, keys = {}, []
+        for position, edges in zip(points.tolist(), _panel_edges(arr, points, focusing)):
+            mirrored = _mirrored(position)
+            bx, by = (b[b >= 0.5 * arr.n_per_side] if fold else b
+                      for b, fold in zip(edges, mirrored))
+            keys.append((tuple(bx.tolist()), tuple(by.tolist()), mirrored))
+            grids.setdefault(keys[-1], (bx, by, 2.0 ** sum(mirrored)))
+
+        def blocks(at, order):
+            groups = {}
+            for s, j in enumerate(at.tolist()):
+                groups.setdefault(keys[j], []).append(s)
+            for key, members in groups.items():
+                bx, by, weight = grids[key]
+                for p, wx, wy, amp, field in _aperture_blocks(
+                        arr, bx, by, points[at[members]], order, focusing, weight):
+                    yield members[p], wx, wy, amp, field
+                    del amp, field  # views that would keep their block alive
+
+        return blocks
+
+    return _aperture_gains(arr, [tx.dist for tx in txs], focus, quad, rule)
 
 
-def exact_array_gain_steered(arr: RectArray, tx: TxGeometry, focus: float,
-                             quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Gain with the true propagation phase conjugated toward the point at
-    range F along the transmitter ray (steered focusing)."""
-    ux, uy, uz = tx.x / tx.dist, tx.y / tx.dist, tx.z / tx.dist
+def _placement(tx: TxGeometry) -> tuple:
+    """(x, y, z) of the transmitter, then its direction cosines x / dist,
+    y / dist and z / dist."""
+    x, y, z = tx.position
+    return x, y, z, x / tx.dist, y / tx.dist, z / tx.dist
 
-    def focus_phase(x, y):
+
+def _rect_gain(arr: RectArray, tx, focus: float, quad: QuadratureSpec, focusing):
+    """``_rect_gains_exact`` of one transmitter, raised if it failed, or of a
+    sequence, as ``_returned`` gives them."""
+    single = isinstance(tx, TxGeometry)
+    return _returned(single, _rect_gains_exact(arr, [tx] if single else list(tx), focus,
+                                               quad, focusing))
+
+
+def _broadside(wavelength: float, focus: float):
+    """``focusing`` of the broadside quadratic phase toward (0, 0, F)."""
+    return lambda points: (_broadside_focus(wavelength, focus), [focus] * len(points))
+
+
+def _steered(wavelength: float, focus: float):
+    """``focusing`` of the true propagation phase conjugated toward the point
+    at range F along each transmitter's own ray, from its own direction
+    cosines."""
+    k = 2.0 * np.pi / wavelength
+
+    def focusing(points):
+        ux, uy, uz = (u[:, None, None] for u in points.T[3:])
+        depths = (focus * uz).ravel().tolist()
         if math.isinf(focus):
             # plane wave arriving from the ray direction
-            return -(2.0 * np.pi / arr.wavelength) * (x * ux + y * uy)
+            return (lambda x, y: -k * (x * ux + y * uy)), depths
         fx, fy, fz = focus * ux, focus * uy, focus * uz
-        rho = np.sqrt((x - fx) ** 2 + (y - fy) ** 2 + fz * fz)
-        return (2.0 * np.pi / arr.wavelength) * rho
+        return (lambda x, y: k * np.sqrt((x - fx) ** 2 + (y - fy) ** 2 + fz * fz)), depths
 
-    return _rect_gain(arr, tx, focus, quad, focus_phase, focus * uz)
+    return focusing
+
+
+def exact_array_gain(arr: RectArray, tx, focus: float,
+                     quad: QuadratureSpec = QuadratureSpec()):
+    """Gain with the broadside quadratic focusing phase toward (0, 0, F).
+
+    For a sequence of transmitters, the array of their gains, integrated
+    together as one batched quadrature per order; the points that fail raise
+    one SweepEvalError with their indices.  Each point gets the gain, order
+    and error it has alone."""
+    return _rect_gain(arr, tx, focus, quad, _broadside(arr.wavelength, focus))
+
+
+def exact_array_gain_steered(arr: RectArray, tx, focus: float,
+                             quad: QuadratureSpec = QuadratureSpec()):
+    """Gain with the true propagation phase conjugated toward the point at
+    range F along the transmitter ray (steered focusing); for a sequence of
+    transmitters, their gains as ``exact_array_gain`` gives them."""
+    return _rect_gain(arr, tx, focus, quad, _steered(arr.wavelength, focus))
 
 
 def analytic_gain_rect(eta: float, a: float) -> float:
@@ -342,10 +408,12 @@ def disk_gain_exact(circ: CircArray, z: float, focus: float,
     together as one batched quadrature per order; the points that fail raise
     one SweepEvalError with their indices.  Each point gets the gain, order
     and error it has alone."""
+    def rule(_, ranges):
+        phase = _broadside_focus(circ.wavelength, focus)
+        return lambda at, order: _disk_blocks(circ, ranges[at], order, phase)
+
     single = np.ndim(z) == 0
-    outcomes = _aperture_gains(circ, [z] if single else z, focus, quad, lambda: partial(
-        _disk_blocks, circ, focus_phase=_broadside_focus(circ.wavelength, focus)))
-    return _outcome(outcomes[0]) if single else np.array(_collected(outcomes))
+    return _returned(single, _aperture_gains(circ, [z] if single else z, focus, quad, rule))
 
 
 def disk_gain_fresnel(circ: CircArray, z: float, focus: float) -> float:
@@ -368,12 +436,22 @@ def disk_gain_fresnel(circ: CircArray, z: float, focus: float) -> float:
     return float(num / circ.aperture_area ** 2)
 
 
-def projected_gain_approx(arr: RectArray, tx: TxGeometry, focus: float,
-                          quad: QuadratureSpec = QuadratureSpec()) -> float:
+def projected_gain_approx(arr: RectArray, tx, focus: float,
+                          quad: QuadratureSpec = QuadratureSpec()):
     """Broadside gain of the width-compressed array at the transmitter range,
-    approximating the steered slanted gain."""
-    flat = project_array(arr, tx.azimuth)
-    return exact_array_gain(flat, TxGeometry(tx.dist), focus, quad)
+    approximating the steered slanted gain; for a sequence of transmitters,
+    their gains as ``exact_array_gain`` gives them, one batch per azimuth."""
+    single = isinstance(tx, TxGeometry)
+    txs = [tx] if single else list(tx)
+    outcomes = [None] * len(txs)
+    for azimuth in dict.fromkeys(t.azimuth for t in txs):
+        at = [i for i, t in enumerate(txs) if t.azimuth == azimuth]
+        flat = project_array(arr, azimuth)
+        for i, out in zip(at, _rect_gains_exact(
+                flat, [TxGeometry(txs[i].dist) for i in at], focus, quad,
+                _broadside(flat.wavelength, focus))):
+            outcomes[i] = out
+    return _returned(single, outcomes)
 
 
 @dataclass(frozen=True)
@@ -410,11 +488,11 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     ``kind`` selects the estimator: for rectangular arrays one of
     exact | analytic | steered | projected, for circular arrays
     exact | analytic. Per-point failures are aggregated into a
-    SweepEvalError carrying the offending sweep indices. Exact, steered and
-    projected rectangular profiles evaluate point by point; an analytic
-    profile is one array pass over the closed forms, with each point equal to
-    its scalar closed form bit for bit, and an exact circular profile one
-    batched quadrature per order.
+    SweepEvalError carrying the offending sweep indices. An exact, steered,
+    projected or exact circular profile is one call of its gain function with
+    every transmitter, one batched quadrature per order; an analytic profile
+    is one array pass over the closed forms.  Each point equals its
+    single-point gain bit for bit (an exact circular one to within 1e-14).
     """
     if isinstance(geometry, RectArray):
         if kind not in _RECT_KINDS:
@@ -427,23 +505,35 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     else:
         raise TypeError(f"unsupported geometry: {geometry!r}")
 
-    def eval_point(dist):
-        tx = TxGeometry(dist, azimuth=azimuth, elevation=elevation)
-        if kind == "steered":
-            return exact_array_gain_steered(geometry, tx, focus, quad)
-        if kind == "projected":
-            return projected_gain_approx(geometry, tx, focus, quad)
-        return exact_array_gain(geometry, tx, focus, quad)
-
     dgrid = [float(d) for d in distances]
     if kind == "analytic":
         gains = _collected(_analytic_gains(geometry, dgrid, focus, azimuth, elevation))
     elif isinstance(geometry, CircArray):
         gains = disk_gain_exact(geometry, dgrid, focus, quad)
     else:
-        gains = run_sweep(eval_point, dgrid)
+        gains = _rect_profile(kind, geometry, dgrid, focus, azimuth, elevation, quad)
     return GainProfile(focus=focus, distances=np.array(dgrid),
                        gains=np.array(gains), kind=kind)
+
+
+def _rect_profile(kind: str, arr: RectArray, dists: list, focus: float, azimuth: float,
+                  elevation: float, quad: QuadratureSpec) -> list:
+    """The gains of ``kind`` at ``dists``, from one call of its gain function
+    with every transmitter that can be placed, or one SweepEvalError for the
+    points that fail, there or in placing them."""
+    gain = {"steered": exact_array_gain_steered,
+            "projected": projected_gain_approx}.get(kind, exact_array_gain)
+    outcomes = [_attempt(partial(TxGeometry, azimuth=azimuth, elevation=elevation), d)
+                for d in dists]
+    placed = [i for i, tx in enumerate(outcomes) if isinstance(tx, TxGeometry)]
+    try:
+        for i, g in zip(placed, gain(arr, [outcomes[i] for i in placed], focus, quad)):
+            outcomes[i] = g
+    except SweepEvalError as err:
+        # _collected then raises, so the points that did not fail stay unread
+        for j, exc in err.failures:
+            outcomes[placed[j]] = exc
+    return _collected(outcomes)
 
 
 def _analytic_gains(geometry, dists, focus: float, azimuth: float,

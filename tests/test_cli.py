@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -614,6 +615,38 @@ def test_seed_override_lands_in_rows(tmp_path):
     assert all(r[-1] == "7" for r in rows1)
     assert all(r[-1] == "8" for r in rows2)
     assert [r[3] for r in rows1] != [r[3] for r in rows2]
+
+
+def test_main_parses_with_one_parser_and_no_carried_state(tmp_path, monkeypatch, capsys):
+    """Repeated main calls build one argument parser, on the first call, and
+    no parse carries over to the next: a --seed given to one run is absent
+    from the next, and presets followed by run still runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    try:
+        cfg = {"geometry": SMALL_WIDE_GEOM, "experiment": "sum-rate-vs-users",
+               "sweep": {"k_min": 1, "k_max": 2, "snr_db": 10.0, "n_trials": 4,
+                         "z_min": "40 dF", "z_max": "150 dF"}}
+        path = write_config(tmp_path, cfg)
+        seeded, unseeded, after = (tmp_path / f"{n}.csv" for n in ("a", "b", "c"))
+        assert run_cli("run", "--config", path, "--out", str(seeded), "--seed", "7") == 0
+        assert run_cli("run", "--config", path, "--out", str(unseeded)) == 0
+        assert run_cli("presets") == 0
+        assert "fig2" in capsys.readouterr().out
+        assert run_cli("run", "--config", path, "--out", str(after)) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built.count("nearfield-bd") == 1
+    assert {r[-1] for r in read_rows(seeded)[1]} == {"7"}
+    assert {r[-1] for r in read_rows(unseeded)[1]} == {str(cli.DEFAULT_SEED)}
+    assert read_rows(after) == read_rows(unseeded)
 
 
 PROFILE_AT = {"z_min": "2 m", "z_max": "8 m", "n_points": 6, "focus": "4 m",

@@ -253,7 +253,7 @@ def test_panels_bound_the_residual_phase(n, diag, tx_at, focus_at, panels):
     tx = TxGeometry(dist * arr.aperture_len, azimuth=azimuth, elevation=elevation)
     focus = focus_at * arr.aperture_len
     phase = _broadside_focus(LAM, focus)
-    edges = _panel_edges(arr, tx, phase, focus)
+    edges, = _panel_edges(arr, np.array([tx.position]), lambda _: (phase, [focus]))
     steps = np.arange(8 * n + 1) / 8.0 - 0.5 * n
     x, y = steps[:, None] * arr.elem_w, steps * arr.elem_h
     residual = -2.0 * np.pi / LAM * np.sqrt((x - tx.x) ** 2 + (y - tx.y) ** 2 + tx.z ** 2)

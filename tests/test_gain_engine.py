@@ -16,11 +16,14 @@ from nearfield_bd.array_geometry import (
     wavelength_from_carrier,
 )
 from nearfield_bd.field_model import (_BLOCK_NODES, QuadratureSpec, _broadside_focus,
-                                      _disk_blocks, _spherical_wave, exact_field,
-                                      matched_filter_phase)
+                                      _disk_blocks, _panel_edges, _spherical_wave,
+                                      exact_field, matched_filter_phase)
 from nearfield_bd.gain_engine import (
     GainProfile,
     SweepEvalError,
+    _broadside,
+    _placement,
+    _steered,
     analytic_gain_circ,
     analytic_gain_nonbroadside,
     analytic_gain_rect,
@@ -714,3 +717,121 @@ def test_slanted_gain_next_to_its_focus():
             z = focus * (1.0 + sign * k * 2.0 ** -52)
             gain = rect_gain_slanted(arr, TxGeometry(z, azimuth=0.3), focus)
             assert abs(gain - limit) <= 0.1 * abs(z / focus - 1.0)
+
+
+RECT_KINDS = {"exact": exact_array_gain, "steered": exact_array_gain_steered,
+              "projected": projected_gain_approx}
+
+
+def _alone(kind, arr, dists, focus, quad, azimuth=0.0, elevation=0.0):
+    """The single-point gain of ``kind`` at each distance, or the message of
+    the error it raises, placing the transmitter included."""
+    outcomes = []
+    for dist in dists:
+        try:
+            outcomes.append(RECT_KINDS[kind](
+                arr, TxGeometry(dist, azimuth, elevation), focus, quad))
+        except (ValueError, RuntimeError) as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _failures(call):
+    with pytest.raises(SweepEvalError) as info:
+        call()
+    return [(i, str(exc)) for i, exc in info.value.failures]
+
+
+@pytest.mark.parametrize("kind, azimuth, elevation", [
+    ("exact", 0.0, 0.0), ("exact", 0.0, 0.25), ("exact", 0.3, -0.2),
+    ("steered", 0.3, -0.2), ("steered", -0.4, 0.0), ("projected", 0.35, 0.0)])
+def test_rect_profile_matches_single_point_gains(kind, azimuth, elevation):
+    """A rectangular profile is one batched quadrature per order over points
+    whose panel grids differ, some shared by several points: each point's gain
+    equals its single-point call (==), folded on both axes, on one or on none,
+    at a finite and an infinite focus, with and without refinement.  The
+    sequence call returns the same array."""
+    arr = make_rect_array(40, 1.5, FixedElementDiagonal(LAM / 2), LAM)
+    floor = radiative_floor(arr)
+    grid = np.geomspace(1.01, 30.0, 12) * floor
+    txs = [TxGeometry(d, azimuth, elevation) for d in grid]
+    for focus in (2.5 * floor, math.inf):
+        for quad in (QuadratureSpec(8, 0), QuadratureSpec(4, 1), QuadratureSpec(3, 2)):
+            ref = _alone(kind, arr, grid, focus, quad, azimuth, elevation)
+            prof = gain_profile(kind, arr, grid, focus, azimuth=azimuth,
+                                elevation=elevation, quad=quad)
+            npt.assert_array_equal(prof.gains, ref)
+            npt.assert_array_equal(RECT_KINDS[kind](arr, txs, focus, quad), ref)
+    if kind != "projected":
+        edges = _panel_edges(arr, np.array([_placement(tx) for tx in txs]),
+                             (_steered if kind == "steered" else _broadside)(LAM, 2.5 * floor))
+        grids = [tuple(len(b) for b in e) for e in edges]
+        assert 1 < len(set(grids)) < len(grids)
+
+
+@pytest.mark.parametrize("kind", list(RECT_KINDS))
+def test_rect_profile_reports_each_failing_point(kind):
+    """A point below the radiative floor and a NaN distance fail a profile at
+    exactly their indices, each with the message its single-point call gives;
+    the other points keep their single-point gains.  A sequence call names the
+    failing transmitter's index in the sequence."""
+    arr = make_rect_array(40, 1.5, FixedElementDiagonal(LAM / 2), LAM)
+    floor = radiative_floor(arr)
+    grid = [0.5 * floor, 1.5 * floor, math.nan, 4.0 * floor, 9.0 * floor]
+    focus, quad = 2.5 * floor, QuadratureSpec(8, 1)
+    ref = _alone(kind, arr, grid, focus, quad, azimuth=0.2)
+    assert [i for i, out in enumerate(ref) if isinstance(out, str)] == [0, 2]
+    assert ref[2] == "dist: nan is not a finite number"
+    assert _failures(lambda: gain_profile(kind, arr, grid, focus, azimuth=0.2,
+                                          quad=quad)) == [(0, ref[0]), (2, ref[2])]
+    good = [1, 3, 4]
+    npt.assert_array_equal(gain_profile(kind, arr, [grid[i] for i in good], focus,
+                                        azimuth=0.2, quad=quad).gains,
+                           [ref[i] for i in good])
+    txs = [TxGeometry(grid[i], azimuth=0.2) for i in (1, 0, 3)]
+    assert _failures(lambda: RECT_KINDS[kind](arr, txs, focus, quad)) == [(1, ref[0])]
+
+
+def test_rect_profile_keeps_each_points_order():
+    """With 32-wavelength elements, 2 a side, on-axis points at 1.01 and 8.5 x
+    the floor first agree at orders 16 and 32, those at 1.55 and 2.37 x at
+    orders 8 and 16.  Under QuadratureSpec(4, 3) each keeps the gain of its own
+    order, the one it has alone; under QuadratureSpec(4, 1) the first two fail,
+    each with its own gap, and the others do not."""
+    arr = make_rect_array(2, 1.0, FixedElementDiagonal(32 * LAM), LAM)
+    floor = radiative_floor(arr)
+    grid = np.array([1.01, 1.547, 2.37, 8.522]) * floor
+    focus = 2 * floor
+    at = {o: _alone("exact", arr, grid, focus, QuadratureSpec(o // 2, 0)) for o in (16, 32)}
+    gains = gain_profile("exact", arr, grid, focus, quad=QuadratureSpec(4, 3)).gains
+    npt.assert_array_equal(gains, [at[32][0], at[16][1], at[16][2], at[32][3]])
+    npt.assert_array_equal(gains, _alone("exact", arr, grid, focus, QuadratureSpec(4, 3)))
+    assert all(a != b for a, b in zip(at[16], at[32]))
+    ref = _alone("exact", arr, grid, focus, QuadratureSpec(4, 1))
+    assert _failures(lambda: gain_profile("exact", arr, grid, focus,
+                                          quad=QuadratureSpec(4, 1))) == [
+        (0, ref[0]), (3, ref[3])]
+    assert ref[0] != ref[3] and "did not converge" in ref[0]
+    npt.assert_array_equal(ref[1:3], at[16][1:3])
+
+
+def test_rect_profile_memory_is_bounded_per_block():
+    """A rectangular profile is integrated in blocks of at most _BLOCK_NODES
+    nodes per order, counted over its points: 1024 on-axis points of an
+    n = 200 array (2304 nodes each after the fold, 113 a block) peak below
+    four complex grids of _BLOCK_NODES nodes (16.8 MB), and within 1 MB of the
+    profile of their first 512."""
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            gain_profile("exact", arr, grid, 4 * floor, quad=FAST_QUAD)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    arr = make_rect_array(200, 1.0, FixedElementDiagonal(LAM / 2), LAM)
+    floor = radiative_floor(arr)
+    grid = np.geomspace(20.0, 200.0, 1024) * floor
+    many = peak(grid)
+    assert many <= 4 * 16 * _BLOCK_NODES
+    assert many <= peak(grid[:512]) + 2 ** 20
