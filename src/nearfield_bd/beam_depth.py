@@ -22,8 +22,8 @@ from .gain_engine import (GainProfile, _broadside_gain, analytic_gain_circ,
                           analytic_gain_rect)
 
 # Half-power width coefficient of sinc^2, kept at the customary printed
-# precision for formula-faithful output; fresnel_core.half_power_width_coeff()
-# recomputes it and the test suite checks the two agree to 2e-4.
+# precision for formula-faithful output; the test suite recomputes it as
+# 2x/pi from the root x of sinc(x)^2 = 1/2 and checks the two agree to 2e-4.
 SINC_HALF_POWER_COEFF = 0.886
 
 STATUS_FINITE = "finite"
@@ -175,9 +175,12 @@ def numeric_bd(profile: GainProfile,
     method to ``rel_tol`` relative accuracy; ``gain_fn`` supplies the
     continuous curve and defaults to linear interpolation of the samples.
     A ``gain_fn`` that does not cross half the peak between the two samples
-    that bracket a crossing raises ``ValueError``.  When the gain never
-    falls to half beyond the peak, the result is INFINITE if the grid extends
-    past 100x a supplied ``finite_limit`` and undetermined otherwise.
+    that bracket a crossing raises ``ValueError``, and so does a peak whose
+    neighbouring samples all lie below half of it: the main lobe then spans
+    less than two grid steps, so the sampled peak, and the half-power level
+    taken from it, may be far below the lobe's.  When the gain never falls
+    to half beyond the peak, the result is INFINITE if the grid extends past
+    100x a supplied ``finite_limit`` and undetermined otherwise.
     """
     _real("rel_tol", rel_tol)
     z = profile.distances
@@ -187,6 +190,11 @@ def numeric_bd(profile: GainProfile,
     if peak < 0.9:
         raise ValueError("profile peak below 0.9; not a focused profile")
     half = 0.5 * peak
+    neighbours = [g[i] for i in (peak_idx - 1, peak_idx + 1) if 0 <= i < len(g)]
+    if neighbours and max(neighbours) < half:
+        raise ValueError(f"the grid does not resolve the peak at z = "
+                         f"{float(z[peak_idx])!r}: every neighbouring sample "
+                         f"lies below half of it")
     if gain_fn is None:
         gain_fn = lambda x: float(np.interp(x, z, g))
     limit_out = finite_limit if finite_limit is not None else math.nan

@@ -374,14 +374,12 @@ def _rate_snr_rows(ctx, _):
 def _rate_users_rows(ctx, _):
     if not ctx.k_min <= ctx.k_max:
         raise ConfigError("sweep requires 1 <= k_min <= k_max")
-    region = _region(ctx)
-
-    def one(k):
-        mc = monte_carlo_sum_rate(ctx.geometry, k, region, ctx.n_trials, ctx.snr_db,
-                                  ctx.seed)
-        return (ctx.snr_db, k, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed)
-
-    return run_sweep(one, range(ctx.k_min, ctx.k_max + 1), ctx.threads)
+    ks = range(ctx.k_min, ctx.k_max + 1)
+    # one pass for every count: one seeded draw and one phase table per user
+    mcs = monte_carlo_sum_rate(ctx.geometry, ks, _region(ctx), ctx.n_trials, ctx.snr_db,
+                               ctx.seed)
+    return [(ctx.snr_db, k, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed)
+            for k, mc in zip(ks, mcs)]
 
 
 def _rate_eta_rows(ctx, _):
@@ -695,8 +693,8 @@ def _parser():
     runp.add_argument("--preset", help="preset name (see 'presets')")
     runp.add_argument("--out", help="output CSV path")
     runp.add_argument("--threads", type=int, default=1,
-                      help="worker threads over the rows of sum-rate-vs-users, "
-                           "sum-rate-vs-eta and sum-rate-vs-phi")
+                      help="worker threads over the rows of sum-rate-vs-eta "
+                           "and sum-rate-vs-phi")
     runp.add_argument("--seed", type=int, help="PRNG seed override")
     sub.add_parser("presets", help="list available presets")
     return parser

@@ -23,10 +23,11 @@ _PLAN_EDGE_RTOL = 1e-9
 
 # Monte Carlo trials are evaluated in blocks of at most this many per-user
 # phase-table values (trials x users x half the elements per side), and a
-# block's pair products reuse buffers no larger than its table, so memory
-# stays bounded for any user count and array size.  Blocks this small keep
-# the table and its pair products in cache: at n_per_side = 200, K = 1-8,
-# the Monte Carlo calls ran in 62 ms against 73 ms with 2^16 values.
+# block's pair products reuse buffers no larger than its table; the tables
+# are built in chunks of as many values.  So memory stays bounded for any
+# trial count, user count and array size.  Blocks this small keep the table
+# and its pair products in cache: at n_per_side = 200, K = 1-8, the Monte
+# Carlo calls ran in 62 ms against 73 ms with 2^16 values.
 _GRAM_BLOCK_VALUES = 2 ** 14
 
 
@@ -276,45 +277,46 @@ def _phase_gram(arr: RectArray, dists: np.ndarray) -> np.ndarray:
     phases, so a K x K Gram costs O(K n_per_side) sines and cosines and
     O(K^2 n_per_side) products instead of O(K^2 N) exponentials.  Only the
     strict upper triangle is summed, from per-user phase tables (see
-    ``_half_angle_sums``); the lower triangle is its conjugate and the
-    diagonal is exactly N.  Each axis sums over the mirror half of the
-    element grid; equal element sides give bit-identical axes, so one sum
-    serves both.
+    ``_phase_table`` and ``_pair_sums``); the lower triangle is its conjugate
+    and the diagonal is exactly N.  Each axis sums over the mirror half of
+    the element grid; equal element sides give bit-identical axes, so one
+    table serves both.
     """
     dists = np.asarray(dists, dtype=float)
-    k = dists.shape[-1]
-    i, j = np.triu_indices(k, 1)
-    xs = _half_angle_sums(arr, dists, 0)
-    ys = xs if arr.elem_w == arr.elem_h else _half_angle_sums(arr, dists, 1)
-    upper = np.exp(2j * np.pi / arr.wavelength * (dists[..., i] - dists[..., j])) * xs * ys
-    gram = np.empty(dists.shape + (k,), dtype=complex)
-    gram[..., i, j] = upper
-    gram[..., j, i] = upper.conj()
-    diag = np.arange(k)
-    gram[..., diag, diag] = arr.n_per_side ** 2
-    return gram
+    # users lead the tables, so each pair product reads contiguous rows
+    users = np.moveaxis(dists, -1, 0)
+    xt = _phase_table(arr, users, 0)
+    yt = xt if arr.elem_w == arr.elem_h else _phase_table(arr, users, 1)
+    return _table_gram(arr, dists, xt, yt, np.triu_indices(dists.shape[-1], 1))
 
 
-def _half_angle_sums(arr: RectArray, dists: np.ndarray, axis: int) -> np.ndarray:
-    """sum over one axis's element coordinates u of exp(i theta), theta =
-    pi/lambda (1/d_i - 1/d_j) u^2, for every user pair i < j of ``dists``
-    (..., K), in np.triu_indices order.
-
-    Mirror pairs +-u add 2 cos theta = 2 - 4 s^2 and the centre (odd n) adds
-    1, where s = sin(psi_i - psi_j) with the half angles psi_k = pi u^2 /
-    (2 lambda d_k); with c = cos(psi_i - psi_j) the sum is n - 4 sum s^2 +
-    4i sum s c over the u > 0 half.  Each user's table E_k = e^{i psi_k}
-    takes one cos/sin pair per element, and a pair's q = conj(E_i) E_j gives
-    c = Re q and s = -Im q with no further sine.  The real part never goes
-    through a rounded cos theta, which loses the 1 - cos theta of
-    near-collinear users."""
+def _phase_table(arr: RectArray, dists: np.ndarray, axis: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """E_d(u) = e^{i psi_d(u)}, psi_d = pi u^2 / (2 lambda d), over one axis's
+    element coordinates u > 0, for each distance d of ``dists``: shape
+    dists.shape + (n_per_side // 2,), written into ``out`` when given.  One
+    cos/sin pair per distance and half-grid element."""
     half = element_grid(arr)[axis]
     half = half[half > 0]
-    # users lead the table, so each pair product reads contiguous rows
-    psi = np.pi / (2.0 * arr.wavelength) * half ** 2 / np.moveaxis(dists, -1, 0)[..., None]
-    table = np.empty(psi.shape, dtype=complex)
+    psi = np.pi / (2.0 * arr.wavelength) * half ** 2 / dists[..., None]
+    table = np.empty(psi.shape, dtype=complex) if out is None else out
     np.cos(psi, out=table.real)
     np.sin(psi, out=table.imag)
+    return table
+
+
+def _pair_sums(table: np.ndarray, n: int) -> np.ndarray:
+    """sum over one axis's element coordinates u of exp(i theta), theta =
+    pi/lambda (1/d_i - 1/d_j) u^2, for every user pair i < j of the
+    ``_phase_table`` ``table`` (K, ..., n // 2) of an axis of n elements,
+    users leading; the result is (..., K(K-1)/2), in np.triu_indices order.
+
+    Mirror pairs +-u add 2 cos theta = 2 - 4 s^2 and the centre (odd n) adds
+    1, where s = sin(psi_i - psi_j); with c = cos(psi_i - psi_j) the sum is
+    n - 4 sum s^2 + 4i sum s c over the u > 0 half.  A pair's q =
+    conj(E_i) E_j gives c = Re q and s = -Im q with no further sine.  The
+    real part never goes through a rounded cos theta, which loses the
+    1 - cos theta of near-collinear users."""
     k = len(table)
     # one buffer each for the pair products and their squares, reused for
     # every first user a of the pairs (a, a+1..K-1)
@@ -329,20 +331,40 @@ def _half_angle_sums(arr: RectArray, dists: np.ndarray, axis: int) -> np.ndarray
         np.square(qa.imag, out=work[:m]).sum(-1, out=deficit[start:start + m])
         np.multiply(qa.imag, qa.real, out=work[:m]).sum(-1, out=cross[start:start + m])
         start += m
-    return np.moveaxis(arr.n_per_side - 4.0 * deficit - 4j * cross, 0, -1)
+    return np.moveaxis(n - 4.0 * deficit - 4j * cross, 0, -1)
 
 
-def _mmse_table(gram: np.ndarray) -> tuple:
+def _table_gram(arr: RectArray, dists: np.ndarray, xt: np.ndarray,
+                yt: np.ndarray, pairs: tuple) -> np.ndarray:
+    """``_phase_gram`` of ``dists`` (..., K) from its users-leading x and y
+    phase tables (``yt`` is ``xt`` on a square array) and the strict upper
+    triangle ``pairs`` = np.triu_indices(K, 1)."""
+    i, j = pairs
+    xs = _pair_sums(xt, arr.n_per_side)
+    ys = xs if yt is xt else _pair_sums(yt, arr.n_per_side)
+    upper = np.exp(2j * np.pi / arr.wavelength * (dists[..., i] - dists[..., j])) * xs * ys
+    k = dists.shape[-1]
+    gram = np.empty(dists.shape + (k,), dtype=complex)
+    gram[..., i, j] = upper
+    gram[..., j, i] = upper.conj()
+    diag = np.arange(k)
+    gram[..., diag, diag] = arr.n_per_side ** 2
+    return gram
+
+
+def _mmse_table(gram: np.ndarray, identity: Optional[np.ndarray] = None) -> tuple:
     """``_split_diagonal`` of the table |h_k^H w_j|^2 of the unit-power MMSE
     precoder of the channel with K x K Gram matrix ``gram`` (or of each of a
     (..., K, K) stack): H^H W = alpha G (G + I)^{-1}.  The precoder does not
     depend on the SNR, so one table serves every SNR (``_table_rates``).
+    ``identity``, np.eye(K) when given, saves rebuilding it per stack.
 
     With P = G (G + I)^{-1}, the power ||H (G + I)^{-1}||_F^2 =
     trace((G + I)^{-H} P) is the elementwise sum of conj((G + I)^{-1}) P, so
     the one product P serves both the normalization and the table."""
-    k = gram.shape[-1]
-    eye = np.broadcast_to(np.eye(k), gram.shape)
+    if identity is None:
+        identity = np.eye(gram.shape[-1])
+    eye = np.broadcast_to(identity, gram.shape)
     inv = np.linalg.solve(gram + eye, eye)
     prod = gram @ inv
     alpha_sq = 1.0 / (inv.conj() * prod).sum((-2, -1)).real
@@ -366,9 +388,8 @@ def _table_rates(table: tuple, power: float):
     return np.sum(np.log2(1.0 + p * gains / (cross @ p + 1.0)), axis=-1)
 
 
-def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
-                         n_trials: int, snr_db: float,
-                         seed: int) -> MonteCarloResult:
+def monte_carlo_sum_rate(arr: RectArray, k_users, region: tuple,
+                         n_trials: int, snr_db: float, seed: int):
     """Mean sum rate over random co-directional user drops.
 
     Distances are drawn uniformly in reciprocal distance over the region
@@ -376,17 +397,45 @@ def monte_carlo_sum_rate(arr: RectArray, k_users: int, region: tuple,
     broadside, with a PCG64 generator seeded for reproducibility.  Trials
     are evaluated in blocks of at most ``_GRAM_BLOCK_VALUES`` phase-table
     values and reduced in trial order.
+
+    ``k_users`` is one user count, which returns one ``MonteCarloResult``,
+    or a sequence of them, which returns one result per entry, each equal
+    to its single-count call: a (T, k) draw is the first T k values of the
+    seeded stream, so one draw of k_max T distances and one phase table per
+    distance serve every count (see ``_monte_carlo``).
     """
-    return monte_carlo_sum_rates(arr, k_users, region, n_trials, (snr_db,), seed)[0]
+    if np.ndim(k_users) == 0:
+        return _monte_carlo(arr, [k_users], region, n_trials, (snr_db,), seed)[0][0]
+    ks = list(k_users)
+    if not ks:
+        raise ValueError(f"k_users must hold at least one user count, got {k_users!r}")
+    return [rates[0] for rates in _monte_carlo(arr, ks, region, n_trials, (snr_db,), seed)]
 
 
 def monte_carlo_sum_rates(arr: RectArray, k_users: int, region: tuple,
                           n_trials: int, snrs_db: Sequence[float],
                           seed: int) -> list[MonteCarloResult]:
-    """``monte_carlo_sum_rate`` at each SNR of ``snrs_db``, in order.  Every
-    SNR sees the same draws, and each block's Gram stack and its MMSE table
-    (one solve) are built once and serve all of them."""
-    k_users = _integer("k_users", k_users)
+    """``monte_carlo_sum_rate`` of one user count at each SNR of ``snrs_db``,
+    in order.  Every SNR sees the same draws, and each block's Gram stack and
+    its MMSE table (one solve) are built once and serve all of them."""
+    return _monte_carlo(arr, [k_users], region, n_trials, snrs_db, seed)[0]
+
+
+def _monte_carlo(arr: RectArray, ks: Sequence[int], region: tuple, n_trials: int,
+                 snrs_db: Sequence[float], seed: int) -> list[list[MonteCarloResult]]:
+    """Monte Carlo sum rates of every user count of ``ks``, at every SNR of
+    ``snrs_db``: one list of results per entry of ``ks``, in order.
+
+    Count k's trial t takes the users t k .. t k + k - 1 of one seeded
+    stream of k_max T distances, so its draws are those of a (T, k) draw
+    alone.  The stream's x (and, for unequal element sides, y) phase tables
+    are built once per distance, in chunks of ``_GRAM_BLOCK_VALUES`` values,
+    into one buffer that also carries the rows pending trials still need:
+    at most one chunk plus one block, whatever T, K and n are.  Each count
+    keeps its own blocks of ``_GRAM_BLOCK_VALUES // (k * ((n + 1) // 2))``
+    trials, copied users-leading, so its pair sums, Gram, MMSE table and
+    rates are the arithmetic of a single-count call on the same values."""
+    ks = [_integer("k_users", k) for k in ks]
     n_trials = _integer("n_trials", n_trials)
     z_min, z_max = region
     try:
@@ -401,16 +450,55 @@ def monte_carlo_sum_rates(arr: RectArray, k_users: int, region: tuple,
         raise ValueError(f"region starts in the reactive near-field "
                          f"(z_min {z_min:.4g} m < {floor:.4g} m)")
     powers = [_snr_power(snr_db) for snr_db in snrs_db]
+    width = (arr.n_per_side + 1) // 2
+    blocks = {k: max(1, _GRAM_BLOCK_VALUES // (k * width)) for k in ks}
     rng = np.random.default_rng(seed)
-    draws = 1.0 / rng.uniform(1.0 / z_max, 1.0 / z_min, size=(n_trials, k_users))
-    block = max(1, _GRAM_BLOCK_VALUES // (k_users * ((arr.n_per_side + 1) // 2)))
-    rates = np.empty((len(powers), n_trials))
-    for start in range(0, n_trials, block):
-        table = _mmse_table(_phase_gram(arr, draws[start:start + block]))
-        for row, power in zip(rates, powers):
-            row[start:start + block] = _table_rates(table, power)
-    results = []
-    for row in rates:
-        stderr = float(row.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
-        results.append(MonteCarloResult(float(row.mean()), stderr, n_trials))
-    return results
+    dists = 1.0 / rng.uniform(1.0 / z_max, 1.0 / z_min, size=max(blocks) * n_trials)
+    axes = (0,) if arr.elem_w == arr.elem_h else (0, 1)
+    chunk = max(1, _GRAM_BLOCK_VALUES // width)
+    span = max(k * block for k, block in blocks.items())
+    half = arr.n_per_side // 2           # elements u > 0 of an axis
+    phases = np.empty((len(axes), chunk + span - 1, half), dtype=complex)
+    scratch = np.empty((len(axes), span * half), dtype=complex)
+    constants = {k: (np.triu_indices(k, 1), np.eye(k)) for k in blocks}
+    rates = {k: np.empty((len(powers), n_trials)) for k in blocks}
+    done = dict.fromkeys(blocks, 0)      # trials evaluated, per count
+    lo = built = 0                       # stream index of the first buffered row; rows built
+    while built < len(dists):
+        # drop the rows that no pending trial needs
+        keep = min(done[k] * k for k in blocks if done[k] < n_trials)
+        if keep > lo:
+            phases[:, :built - keep] = phases[:, keep - lo:built - lo]
+            lo = keep
+        stop = min(len(dists), built + chunk)
+        for axis, buffered in zip(axes, phases):
+            _phase_table(arr, dists[built:stop], axis, out=buffered[built - lo:stop - lo])
+        built = stop
+        for k, block in blocks.items():
+            pairs, identity = constants[k]
+            while done[k] < n_trials and min(n_trials, done[k] + block) * k <= built:
+                t0, t1 = done[k], min(n_trials, done[k] + block)
+                rows = slice(t0 * k - lo, t1 * k - lo)
+                users = [_users_leading(buffered[rows], k, out)
+                         for buffered, out in zip(phases, scratch)]
+                xt, yt = users if len(users) == 2 else users * 2
+                gram = _table_gram(arr, dists[t0 * k:t1 * k].reshape(t1 - t0, k),
+                                   xt, yt, pairs)
+                table = _mmse_table(gram, identity)
+                for rate, power in zip(rates[k], powers):
+                    rate[t0:t1] = _table_rates(table, power)
+                done[k] = t1
+    results = {k: [MonteCarloResult(
+        float(rate.mean()),
+        float(rate.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0,
+        n_trials) for rate in per_snr] for k, per_snr in rates.items()}
+    return [results[k] for k in ks]
+
+
+def _users_leading(rows: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """The (b k, h) phase-table ``rows`` of b consecutive trials of k users,
+    copied into the flat buffer ``out`` as a contiguous (k, b, h) table."""
+    b, h = len(rows) // k, rows.shape[1]
+    table = out[:rows.size].reshape(k, b, h)
+    np.copyto(table, rows.reshape(b, k, h).swapaxes(0, 1))
+    return table

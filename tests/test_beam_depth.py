@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from half_power import half_power_width_coeff
 from nearfield_bd.array_geometry import (
     CircArray,
     FixedApertureArea,
@@ -29,7 +30,6 @@ from nearfield_bd.beam_depth import (
     numeric_bd,
     solve_a3db,
 )
-from nearfield_bd.fresnel_core import half_power_width_coeff
 from nearfield_bd.gain_engine import (
     GainProfile,
     analytic_gain_rect,
@@ -383,6 +383,26 @@ def test_numeric_gain_fn_must_cross_half_power():
     with pytest.raises(ValueError, match="does not cross the half-power level "
                                          "between the samples z = "):
         numeric_bd(prof, gain_fn=lambda z: 0.0)
+
+
+def test_numeric_refuses_an_unresolved_peak():
+    """A grid whose samples next to the focus both lie outside the closed-form
+    half-power interval does not resolve the main lobe: refused, on either
+    side of the peak and at the grid's edge.  One more sample inside the
+    interval resolves it again."""
+    arr = square_array()
+    focus = 50 * LAM
+    ref = bd_rect(arr, focus)
+    coarse = np.array([0.5 * ref.z_lo, focus, 2.0 * ref.z_hi, 4.0 * ref.z_hi])
+    for grid in (coarse, coarse[1:], coarse[:2]):
+        prof = gain_profile("analytic", arr, grid, focus)
+        assert prof.gains.max() == prof.gains[grid == focus][0]
+        with pytest.raises(ValueError, match="does not resolve the peak at z = "):
+            numeric_bd(prof, gain_fn=lambda z: rect_gain_broadside(arr, z, focus))
+    resolved = np.sort(np.append(coarse, 0.5 * (focus + ref.z_hi)))
+    res = numeric_bd(gain_profile("analytic", arr, resolved, focus),
+                     gain_fn=lambda z: rect_gain_broadside(arr, z, focus))
+    npt.assert_allclose(res.z_hi, ref.z_hi, rtol=0.001)
 
 
 def test_result_type_validation():

@@ -302,6 +302,11 @@ def test_bare_number_distance_rejected(tmp_path, capsys):
     ({"experiment": "sum-rate-vs-users", "geometry": SMALL_WIDE_GEOM,
       "sweep": {"k_max": 2, "n_trials": 3, "z_max": "1e999 dF"}},
      "sweep.z_max: '1e999 dF' is not a finite number"),
+    # one Monte Carlo pass serves every user count, so a region inside the
+    # reactive near field is refused once, as sum-rate-vs-snr refuses it
+    ({"experiment": "sum-rate-vs-users", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"k_max": 2, "n_trials": 3, "z_min": "10 dF", "z_max": "150 dF"}},
+     "region starts in the reactive near-field"),
     ({"geometry": dict(TINY_GEOM, sizing={"mode": "element-diag", "value": "1e999 m"})},
      "sizing.value: '1e999 m' is not a finite number"),
     ({"geometry": dict(TINY_GEOM, sizing={"mode": "aperture-area", "value": "1e999 m2"})},
@@ -670,9 +675,11 @@ THREAD_POLICY = {
     "sum-rate-vs-snr": (dict(SMALL_WIDE_GEOM, n_per_side=100), "sum-rate-vs-snr",
                         {"snr_values_db": [0.0, 10.0, 20.0], "k_users": 3,
                          "n_trials": 4, "z_min": "200.5 dF", "z_max": "202 dF"}, 0),
+    # every user count takes one pass over one seeded draw, not one thread
+    # per count
     "sum-rate-vs-users": (SMALL_WIDE_GEOM, "sum-rate-vs-users",
                           {"k_min": 1, "k_max": 4, "snr_db": 10.0, "n_trials": 4,
-                           "z_min": "40 dF", "z_max": "150 dF"}, 1),
+                           "z_min": "40 dF", "z_max": "150 dF"}, 0),
     "sum-rate-vs-eta": (dict(SMALL_WIDE_GEOM, n_per_side=100), "sum-rate-vs-eta",
                         {"eta_values": [1.0, 2.0], "z_min": "200.5 dF",
                          "z_max": "202 dF"}, 1),
@@ -683,9 +690,10 @@ THREAD_POLICY = {
 
 @pytest.mark.parametrize("name", list(THREAD_POLICY))
 def test_threads_split_only_the_rate_rows(tmp_path, monkeypatch, name):
-    """--threads opens one worker pool, over the rows of the rate sweeps
-    (users, eta and phi); every gain, depth and error sweep runs in the calling
-    thread at any count. Either way the run writes the bytes of --threads 1."""
+    """--threads opens one worker pool, over the rows of the planned rate
+    sweeps (eta and phi); every gain, depth, error and Monte Carlo sweep runs
+    in the calling thread at any count. Either way the run writes the bytes of
+    --threads 1."""
     geometry, experiment, sweep, pools = THREAD_POLICY[name]
     opened = []
 

@@ -8,15 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import fresnel as scipy_fresnel
 
-from nearfield_bd.fresnel_core import (
-    HALF_POWER_SINC_ARG,
-    fresnel_c,
-    fresnel_cs,
-    fresnel_s,
-    half_power_width_coeff,
-    sinc,
-    solve_half_power_sinc_arg,
-)
+from half_power import HALF_POWER_SINC_ARG, half_power_width_coeff, solve_half_power_sinc_arg
+from nearfield_bd.fresnel_core import fresnel_c, fresnel_cs, fresnel_s, sinc
 
 # Frozen from adaptive quadrature of cos/sin(pi t^2 / 2) on [0, x]
 # (scipy.integrate.quad, epsabs=1e-14, limit=800).

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,9 +33,10 @@ from nearfield_bd.multiplexing import (
     sum_rate,
     user_sinrs,
     _channel_gram,
-    _half_angle_sums,
     _mmse_table,
+    _pair_sums,
     _phase_gram,
+    _phase_table,
     _split_diagonal,
     _table_rates,
 )
@@ -461,7 +463,7 @@ def test_half_angle_sums_match_long_double(gap):
     for _ in range(100):
         d_i = 1.0 / rng.uniform(1 / far, 1 / near)
         d_j = 1.0 / rng.uniform(1 / far, 1 / near) if gap is None else d_i * (1 + gap)
-        got = _half_angle_sums(arr, np.array([d_i, d_j]), 0)[0]
+        got = _pair_sums(_phase_table(arr, np.array([d_i, d_j]), 0), n)[0]
         real, imag = _long_double_axis_sum(arr, d_i, d_j)
         real_err = max(real_err, float(abs(np.longdouble(got.real) - real)))
         imag_err = max(imag_err, float(abs((np.longdouble(got.imag) - imag) / imag)))
@@ -554,19 +556,76 @@ def test_one_mmse_solve_per_block_serves_every_snr(monkeypatch):
     (project_array(wide_array(), 0.5), [0, 1]),
 ])
 def test_square_arrays_fold_one_axis_sum(monkeypatch, arr, axes):
-    """Equal element sides give bit-identical axes, so _phase_gram sums one
-    of them; test_phase_gram_matches_pairwise_definition checks the values."""
+    """Equal element sides give bit-identical axes, so the Monte Carlo and
+    _phase_gram build the phase table of one of them;
+    test_phase_gram_matches_pairwise_definition checks the values."""
     calls = []
-    summed = multiplexing._half_angle_sums
+    built = multiplexing._phase_table
 
-    def counted(arr, dists, axis):
+    def counted(arr, dists, axis, out=None):
         calls.append(axis)
-        return summed(arr, dists, axis)
+        return built(arr, dists, axis, out)
 
-    monkeypatch.setattr(multiplexing, "_half_angle_sums", counted)
+    monkeypatch.setattr(multiplexing, "_phase_table", counted)
     monte_carlo_sum_rate(arr, 4, wide_region(arr), 40, 25.0, seed=3)  # one block
     _phase_gram(arr, np.array([2.0, 3.0]) * arr.d_b)
     assert calls == axes * 2
+
+
+def _single_count_calls(arr, ks, region, n_trials, snr_db, seed):
+    return [monte_carlo_sum_rate(arr, k, region, n_trials, snr_db, seed) for k in ks]
+
+
+@pytest.mark.parametrize("arr, ks", [
+    (wide_array(), range(1, 9)),
+    (wide_array(), [5, 2, 7, 2, 3]),                       # out of order, repeated
+    (make_rect_array(51, 1.0, FixedElementDiagonal(LAM / 2), LAM), [3, 4, 6]),  # odd n
+    (wide_array(0.3), [8, 1, 4]),                          # unequal sides: y tables
+    (make_rect_array(33, 2.5, FixedElementDiagonal(LAM / 2), LAM), [2, 6, 5]),
+])
+def test_user_count_sweep_equals_single_count_calls(monkeypatch, arr, ks):
+    """A sequence of user counts returns, per entry, the bits of that
+    count's own call, also when a block or a chunk holds a single value.
+    301 trials is a multiple of no block here (20-163 trials at n = 200)."""
+    region = wide_region(arr)
+    for seed, n_trials in ((5, 301), (17, 3)):
+        swept = monte_carlo_sum_rate(arr, ks, region, n_trials, 20.0, seed)
+        assert swept == _single_count_calls(arr, ks, region, n_trials, 20.0, seed)
+        monkeypatch.setattr(multiplexing, "_GRAM_BLOCK_VALUES", 1)
+        assert monte_carlo_sum_rate(arr, ks, region, n_trials, 20.0, seed) == swept
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("arr, axes", [(wide_array(), [0]), (wide_array(0.3), [0, 1])])
+def test_user_count_sweep_builds_one_table_row_per_distance(monkeypatch, arr, axes):
+    """A k = 2..8 sweep of T trials draws k_max T distances and builds each
+    one's phase-table row once per axis it needs, over several chunks."""
+    rows = []
+    built = multiplexing._phase_table
+
+    def counted(arr, dists, axis, out=None):
+        rows.append((axis, len(dists)))
+        return built(arr, dists, axis, out)
+
+    monkeypatch.setattr(multiplexing, "_phase_table", counted)
+    n_trials = 301
+    monte_carlo_sum_rate(arr, range(2, 9), wide_region(arr), n_trials, 20.0, seed=5)
+    assert len(rows) > 2 * len(axes)
+    for axis in axes:
+        assert sum(n for a, n in rows if a == axis) == 8 * n_trials
+    assert {a for a, _ in rows} == set(axes)
+
+
+def test_user_count_sweep_memory_does_not_grow_with_trials():
+    """The phase-table buffer holds one chunk and one block whatever the trial
+    count; only the draws and the rates (a few floats per trial) grow."""
+    arr = wide_array()
+    region = wide_region(arr)
+
+    def peak(trials):
+        return _traced_peak(monte_carlo_sum_rate, arr, range(1, 9), region, trials, 20.0, 5)
+
+    assert peak(3000) <= 1.5 * peak(300)
 
 
 def test_monte_carlo_k_sweep_peaks_at_five():
@@ -631,6 +690,11 @@ def test_monte_carlo_validation():
             monte_carlo_sum_rate(arr, 2, region, 10, snr_db, seed=1)
     with pytest.raises(ValueError, match="region bounds must be finite"):
         monte_carlo_sum_rate(arr, 3, (arr.d_b, math.inf), 20, 20.0, seed=1)
+    with pytest.raises(ValueError, match=r"^k_users must hold at least one user count, got \[\]"):
+        monte_carlo_sum_rate(arr, [], region, 10, 25.0, seed=1)
+    for bad in (0, 2.5, math.nan, True):
+        with pytest.raises(ValueError, match=rf"^k_users[: ].*{re.escape(repr(bad))}"):
+            monte_carlo_sum_rate(arr, [2, bad], region, 10, 25.0, seed=1)
     # build_channel_matrix refuses these users, so the rate path does too
     with pytest.raises(ValueError, match="reactive near-field"):
         monte_carlo_sum_rate(arr, 3, (0.12, 6.0), 5, 20.0, seed=1)
@@ -700,3 +764,17 @@ def test_monte_carlo_sum_rates_in_domain(arr, k, n_trials, snrs_db, seed):
         assert result.n_trials == n_trials
         assert math.isfinite(result.mean_rate) and result.mean_rate >= 0
         assert math.isfinite(result.stderr) and result.stderr >= 0
+
+
+@given(in_domain_arrays(), st.lists(st.integers(1, 8), min_size=1, max_size=4),
+       st.integers(1, 20), st.floats(-20.0, 40.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_monte_carlo_user_counts_in_domain(arr, ks, n_trials, snr_db, seed):
+    """A sequence of user counts over the region from the radiative floor to
+    d_FA/10 gives, per entry, the result of that count's own call."""
+    region = (radiative_floor(arr), arr.d_fa / 10)
+    results = monte_carlo_sum_rate(arr, ks, region, n_trials, snr_db, seed)
+    assert results == _single_count_calls(arr, ks, region, n_trials, snr_db, seed)
+    for result in results:
+        assert result.n_trials == n_trials
+        assert math.isfinite(result.mean_rate) and result.mean_rate >= 0
