@@ -45,6 +45,15 @@ def _integer(name, value, low=1) -> int:
     return int(value)
 
 
+def _angle(name, value) -> float:
+    """``value`` as a finite float strictly between -pi/2 and pi/2, an azimuth
+    or elevation from broadside; anything else raises ValueError naming ``name``."""
+    value = _real(name, value, -math.inf, strict=False)
+    if not abs(value) < math.pi / 2:
+        raise ValueError(f"{name} must lie in (-pi/2, pi/2), got {value!r}")
+    return value
+
+
 def wavelength_from_carrier(carrier_hz: float) -> float:
     return SPEED_OF_LIGHT / _real("carrier frequency", carrier_hz)
 
@@ -152,10 +161,8 @@ class TxGeometry:
 
     def __post_init__(self):
         _real("dist", self.dist)
-        if not abs(self.azimuth) < math.pi / 2:
-            raise ValueError(f"azimuth must lie in (-pi/2, pi/2), got {self.azimuth}")
-        if not abs(self.elevation) < math.pi / 2:
-            raise ValueError(f"elevation must lie in (-pi/2, pi/2), got {self.elevation}")
+        _angle("azimuth", self.azimuth)
+        _angle("elevation", self.elevation)
 
     @property
     def x(self) -> float:
@@ -197,15 +204,6 @@ def make_rect_array(n_per_side: int, eta: float, sizing, wavelength: float) -> R
                      elem_h=elem_h, elem_w=elem_w, wavelength=wavelength)
 
 
-def element_center(arr: RectArray, n: int, m: int) -> tuple[float, float, float]:
-    """Center of element (n, m), 1-based indices along width and height."""
-    side = arr.n_per_side
-    if not (1 <= n <= side and 1 <= m <= side):
-        raise IndexError(f"element index ({n}, {m}) outside 1..{side}")
-    offset = (side + 1) / 2.0
-    return ((n - offset) * arr.elem_w, (m - offset) * arr.elem_h, 0.0)
-
-
 def element_grid(arr: RectArray) -> tuple[np.ndarray, np.ndarray]:
     """1-D arrays of element-center x and y coordinates along each side."""
     idx = np.arange(1, arr.n_per_side + 1, dtype=float)
@@ -215,10 +213,7 @@ def element_grid(arr: RectArray) -> tuple[np.ndarray, np.ndarray]:
 
 def project_array(arr: RectArray, azimuth: float) -> RectArray:
     """Array seen from azimuth phi: element width compressed by cos(phi)."""
-    if not abs(azimuth) < math.pi / 2:
-        raise ValueError(
-            f"projection degenerates for |azimuth| >= pi/2, got {azimuth}")
-    scale = math.cos(azimuth)
+    scale = math.cos(_angle("azimuth", azimuth))
     elem_w = arr.elem_w * scale
     diag = math.hypot(arr.elem_h, elem_w)
     return RectArray(n_per_side=arr.n_per_side, eta=arr.eta * scale,

@@ -183,6 +183,8 @@ def numeric_bd(profile: GainProfile,
     100x a supplied ``finite_limit`` and undetermined otherwise.
     """
     _real("rel_tol", rel_tol)
+    if finite_limit is not None:
+        finite_limit = _real("finite_limit", finite_limit)
     z = profile.distances
     g = profile.gains
     peak_idx = int(np.argmax(g))

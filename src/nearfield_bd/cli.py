@@ -28,6 +28,7 @@ from .array_geometry import (
     FixedApertureLength,
     FixedElementDiagonal,
     TxGeometry,
+    _angle,
     _integer,
     _real,
     make_rect_array,
@@ -166,7 +167,8 @@ _CHECKS = {
     "snr_values_db": _list_of(_snr_db), "quad_order": _number(_integer, low=2),
     **dict.fromkeys(["geometry", "sweep", "sizing"], _OBJECT),
     **dict.fromkeys(["carrier_hz", "eta", "eta_min", "eta_max"], _REAL),
-    **dict.fromkeys(["azimuth", "elevation", "phi_min", "phi_max"], _FINITE),
+    **dict.fromkeys(["azimuth", "elevation"], _number(_angle)),
+    **dict.fromkeys(["phi_min", "phi_max"], _FINITE),
     **dict.fromkeys(["snr_db", "snr_min_db", "snr_max_db"], _snr_db),
     **dict.fromkeys(["seed", "refinement"], _NATURAL),
     **dict.fromkeys(["n_per_side", "n_points", "k_min", "k_max", "k_users", "max_users",

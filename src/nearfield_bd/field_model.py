@@ -1,10 +1,9 @@
 """Electric-field models over a planar aperture at z = 0.
 
 The exact spherical-wave field, its Fresnel (quadratic-phase)
-approximations for broadside and slanted transmitters, the matched-filter
-phase used to focus the aperture, per-element channel responses, and the
-Taylor distance-approximation error diagnostics used to compare the direct
-and indirect expansions.  Exact gains and channels reduce over the node blocks
+approximation for a slanted transmitter, and the Taylor
+distance-approximation error diagnostics used to compare the direct and
+indirect expansions.  Exact gains and channels reduce over the node blocks
 of ``_aperture_blocks`` or ``_disk_blocks``, which share ``_spherical_wave`` and
 take their Gauss-Legendre rules from ``_gauss_legendre``.
 
@@ -22,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from .array_geometry import (CircArray, RectArray, TxGeometry, _integer, _real,
-                             element_center, element_grid)
+from .array_geometry import CircArray, RectArray, TxGeometry, _integer, element_grid
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
@@ -82,40 +80,12 @@ def _spherical_wave(position, x, y, wavelength: float, focus_phase=None):
     return amp, amp * np.exp(1j * phase)
 
 
-def exact_field(tx: TxGeometry, x, y, wavelength: float):
-    """Spherical-wave field of a unit transmitter at aperture point (x, y, 0).
-
-    Amplitude sqrt(z*((x-x_t)^2 + z^2)) / (sqrt(4 pi) * rho^(5/2)) with rho
-    the Euclidean distance; the phase is exactly -(2 pi / lambda) * rho.
-    """
-    return _spherical_wave(tx.position, np.asarray(x, dtype=float),
-                           np.asarray(y, dtype=float), wavelength)[1]
-
-
-def fresnel_field_broadside(z: float, x, y, wavelength: float):
-    """Quadratic-phase approximation for a transmitter at (0, 0, z):
-    constant amplitude 1/(sqrt(4 pi) z), phase -(2 pi/lambda)(z + (x^2+y^2)/2z)."""
-    return fresnel_field_nonbroadside(TxGeometry(z), x, y, wavelength)
-
-
 def fresnel_field_nonbroadside(tx: TxGeometry, x, y, wavelength: float):
     """Quadratic-phase approximation for a slanted transmitter: phase from
     d + (x^2 + y^2 - 2(x x_t + y y_t))/(2d), amplitude 1/(sqrt(4 pi) z)."""
     phase = _TAYLOR["indirect"](np.asarray(x, dtype=float),
                                 np.asarray(y, dtype=float), tx)
     return np.exp(-2j * np.pi / wavelength * phase) / (SQRT_4PI * tx.z)
-
-
-def matched_filter_phase(focus: float, x, y, wavelength: float):
-    """Unit-modulus focusing phase e^{+j(2 pi/lambda)(x^2+y^2)/(2F)}.
-
-    focus = inf selects the far-field (plane-wave) filter, identically 1.
-    """
-    if math.isinf(_real("focal distance", focus, inf=True)):
-        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
-        return np.ones(shape) if shape else 1.0 + 0.0j
-    phase = _broadside_focus(wavelength, focus)
-    return np.exp(1j * phase(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
 
 
 def _broadside_focus(wavelength: float, focus: float):
@@ -319,19 +289,12 @@ def _element_channels(arr: RectArray, bx, by, tx: TxGeometry,
     return result
 
 
-def element_channel(arr: RectArray, n: int, m: int, tx: TxGeometry,
-                    quad: QuadratureSpec = QuadratureSpec()) -> complex:
-    """Channel of element (n, m): (1/sqrt(A)) * integral of the exact field
-    over the element area."""
-    element_center(arr, n, m)  # IndexError outside the grid
-    return complex(_element_channels(arr, [n - 1, n], [m - 1, m], tx, quad)[0, 0])
-
-
 def _distance(x, y, tx: TxGeometry):
     return np.sqrt((x - tx.x) ** 2 + (y - tx.y) ** 2 + tx.z ** 2)
 
 
-# first-order Taylor expansions of _distance, one per variant
+# first-order Taylor expansions of _distance: "direct" around the broadside
+# axis, "indirect" after recentering on the transmitter range
 _TAYLOR = {
     "direct": lambda x, y, tx: tx.z * (
         1.0 + ((x - tx.x) ** 2 + (y - tx.y) ** 2) / (2.0 * tx.z * tx.z)),
@@ -340,39 +303,14 @@ _TAYLOR = {
 }
 
 
-def distance_exact(arr: RectArray, n: int, m: int, tx: TxGeometry) -> float:
-    """Euclidean distance from the transmitter to the element center."""
-    return float(_distance(*element_center(arr, n, m)[:2], tx))
-
-
-def distance_taylor_direct(arr: RectArray, n: int, m: int, tx: TxGeometry) -> float:
-    """First-order expansion around the broadside axis:
-    z * (1 + ((x - x_t)^2 + (y - y_t)^2) / (2 z^2))."""
-    return _TAYLOR["direct"](*element_center(arr, n, m)[:2], tx)
-
-
-def distance_taylor_indirect(arr: RectArray, n: int, m: int, tx: TxGeometry) -> float:
-    """First-order expansion after recentering on the transmitter range:
-    d + (x^2 + y^2 - 2(x x_t + y y_t)) / (2 d)."""
-    return _TAYLOR["indirect"](*element_center(arr, n, m)[:2], tx)
-
-
-def mean_abs_distance_error(arr: RectArray, tx: TxGeometry, variant: str) -> float:
-    """Mean over all N elements of |exact - Taylor| distance, in meters.
+def mean_abs_distance_errors(arr: RectArray, tx: TxGeometry) -> tuple:
+    """Means over all N element centres of |exact - Taylor| distance, in
+    meters, of the direct and then the indirect expansion, both reduced from
+    one exact-distance grid.
 
     With the transmitter on the y = 0 plane (``_mirrored``), both distances are
     even in y and the element rows are mirror pairs, so only the rows with
     y >= 0 are evaluated: weight 2, and 1 on a centre row at y = 0."""
-    return mean_abs_distance_errors(arr, tx, (variant,))[0]
-
-
-def mean_abs_distance_errors(arr: RectArray, tx: TxGeometry,
-                             variants=("direct", "indirect")) -> tuple:
-    """``mean_abs_distance_error`` of each of ``variants``, in order, all
-    reduced from one exact-distance grid."""
-    for variant in variants:
-        if variant not in _TAYLOR:
-            raise ValueError(f"variant must be 'direct' or 'indirect', got {variant!r}")
     xs, ys = element_grid(arr)
     weights = 1.0
     if _mirrored(tx.position)[1]:
@@ -380,5 +318,5 @@ def mean_abs_distance_errors(arr: RectArray, tx: TxGeometry,
         weights = np.where(ys == 0.0, 1.0, 2.0)
     X = xs[:, None]
     exact = _distance(X, ys, tx)
-    return tuple(float(np.sum(np.abs(exact - _TAYLOR[v](X, ys, tx)) * weights)
-                       / arr.n_elements) for v in variants)
+    return tuple(float(np.sum(np.abs(exact - taylor(X, ys, tx)) * weights)
+                       / arr.n_elements) for taylor in _TAYLOR.values())

@@ -38,16 +38,6 @@ def fresnel_cs(x):
     return cc, ss
 
 
-def fresnel_c(x):
-    """Fresnel cosine integral C(x)."""
-    return fresnel_cs(x)[0]
-
-
-def fresnel_s(x):
-    """Fresnel sine integral S(x)."""
-    return fresnel_cs(x)[1]
-
-
 def sinc(x):
     """Unnormalized sinc: sin(x)/x with the removable singularity sinc(0)=1
     and the limit sinc(+-inf)=0."""

@@ -29,7 +29,7 @@ from nearfield_bd.beam_depth import (
     numeric_bd,
     solve_a3db,
 )
-from nearfield_bd.field_model import QuadratureSpec, mean_abs_distance_error
+from nearfield_bd.field_model import QuadratureSpec, mean_abs_distance_errors
 from nearfield_bd.fresnel_core import fresnel_cs
 from nearfield_bd.gain_engine import (
     GainProfile,
@@ -131,8 +131,7 @@ def test_04_distance_error_crossing_and_ordering():
 
     def errs(phi):
         tx = TxGeometry(d_b / math.cos(phi), azimuth=phi)
-        return (mean_abs_distance_error(arr, tx, "direct"),
-                mean_abs_distance_error(arr, tx, "indirect"))
+        return mean_abs_distance_errors(arr, tx)
 
     lo, _ = errs(math.pi / 16)
     hi, _ = errs(math.pi / 8)

@@ -13,7 +13,6 @@ from nearfield_bd.array_geometry import (
     FixedElementDiagonal,
     RectArray,
     TxGeometry,
-    element_center,
     element_grid,
     make_rect_array,
     project_array,
@@ -72,7 +71,7 @@ def test_fixed_length_round_trip(eta, length):
 def test_single_element_degenerate():
     arr = make_rect_array(1, 1.0, FixedElementDiagonal(0.05), LAM)
     assert arr.aperture_len == arr.elem_diag
-    assert element_center(arr, 1, 1) == (0.0, 0.0, 0.0)
+    assert [v.tolist() for v in element_grid(arr)] == [[0.0], [0.0]]
 
 
 def test_fixed_area_length_minimized_at_square():
@@ -83,14 +82,14 @@ def test_fixed_area_length_minimized_at_square():
     assert min(lengths) >= math.sqrt(2.0) - 1e-12
 
 
-def test_element_center_values():
+def test_element_grid_values():
     arr = quarter_wave_square()
-    x, y, z = element_center(arr, 1, 1)
-    npt.assert_allclose(x, -49.5 * arr.elem_w, rtol=1e-12)
-    npt.assert_allclose(y, -49.5 * arr.elem_h, rtol=1e-12)
-    assert z == 0.0
+    xs, ys = element_grid(arr)
+    npt.assert_allclose(xs[0], -49.5 * arr.elem_w, rtol=1e-12)
+    npt.assert_allclose(ys[0], -49.5 * arr.elem_h, rtol=1e-12)
     odd = make_rect_array(7, 1.0, FixedElementDiagonal(0.01), LAM)
-    assert element_center(odd, 4, 4) == (0.0, 0.0, 0.0)
+    xs, ys = element_grid(odd)
+    assert (xs[3], ys[3]) == (0.0, 0.0)
 
 
 def test_element_centers_sum_to_zero():
@@ -98,16 +97,6 @@ def test_element_centers_sum_to_zero():
     xs, ys = element_grid(arr)
     assert abs(xs.sum()) < 1e-9 * arr.aperture_len
     assert abs(ys.sum()) < 1e-9 * arr.aperture_len
-    x11, y11, _ = element_center(arr, 1, 1)
-    assert xs[0] == x11 and ys[0] == y11
-
-
-def test_element_center_bounds():
-    arr = quarter_wave_square()
-    with pytest.raises(IndexError):
-        element_center(arr, 0, 1)
-    with pytest.raises(IndexError):
-        element_center(arr, 1, 101)
 
 
 def test_bd_limit_scale_invariance():

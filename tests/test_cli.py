@@ -325,6 +325,11 @@ def test_bare_number_distance_rejected(tmp_path, capsys):
       "sweep": {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m",
                 "kinds": ["analytic"], "azimuth": [1]}},
      "sweep.azimuth: [1] is not a finite number"),
+    # a profile's angle is one setting all its points share: refused once
+    ({"experiment": "gain-profile",
+      "sweep": {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m",
+                "kinds": ["analytic"], "azimuth": 2.0}},
+     "config error: sweep.azimuth must lie in (-pi/2, pi/2), got 2.0"),
     # non-finite sweep values are config errors, not numerical failures
     ({"experiment": "bd-vs-eta", "sweep": {"eta_values": [math.nan]}},
      "sweep.eta_values: nan is not a finite number"),
@@ -536,6 +541,18 @@ def test_numerical_failure_reports_sweep_indices(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sweep index 0" in err
     assert "sweep index 1" in err
+
+
+def test_swept_azimuth_out_of_range_fails_at_its_index(tmp_path, capsys):
+    """A swept azimuth is one point's input: an entry outside (-pi/2, pi/2)
+    fails alone, with its sweep index, as a swept eta does."""
+    cfg = {"geometry": TINY_GEOM, "experiment": "bd-vs-phi",
+           "sweep": {"phi_values": [0.1, 2.0], "focus": "4 m"}}
+    assert run_cli("run", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "x.csv")) == 3
+    err = capsys.readouterr().err
+    assert "sweep index 1: azimuth must lie in (-pi/2, pi/2), got 2.0" in err
+    assert "sweep index 0" not in err
 
 
 def test_planning_failure_reports_sweep_index(tmp_path, capsys):

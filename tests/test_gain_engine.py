@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.special import roots_legendre
 
+from fields import quadratic_focus, spherical_wave
 from nearfield_bd.array_geometry import (
     CircArray,
     FixedApertureLength,
@@ -16,8 +17,7 @@ from nearfield_bd.array_geometry import (
     wavelength_from_carrier,
 )
 from nearfield_bd.field_model import (_BLOCK_NODES, QuadratureSpec, _broadside_focus,
-                                      _disk_blocks, _panel_edges, _spherical_wave,
-                                      exact_field, matched_filter_phase)
+                                      _disk_blocks, _panel_edges, _spherical_wave)
 from nearfield_bd.gain_engine import (
     GainProfile,
     SweepEvalError,
@@ -306,7 +306,8 @@ def test_reactive_near_field_rejected():
 
 
 def test_single_element_matches_antenna_gain():
-    """N = 1 degenerates to the plain aperture gain of the element."""
+    """N = 1 degenerates to the plain aperture gain of the element, integrated
+    by adaptive quadrature of the literal spherical wave and focusing factor."""
     one = make_rect_array(1, 1.0, FixedElementDiagonal(2 * LAM), LAM)
     tx = TxGeometry(10 * LAM)
     focus = 7 * LAM
@@ -314,15 +315,15 @@ def test_single_element_matches_antenna_gain():
     half_h = one.elem_h / 2
 
     def integrand_re(y, x):
-        val = exact_field(tx, x, y, LAM) * matched_filter_phase(focus, x, y, LAM)
+        val = spherical_wave(tx, x, y, LAM) * quadratic_focus(focus, x, y, LAM)
         return val.real
 
     def integrand_im(y, x):
-        val = exact_field(tx, x, y, LAM) * matched_filter_phase(focus, x, y, LAM)
+        val = spherical_wave(tx, x, y, LAM) * quadratic_focus(focus, x, y, LAM)
         return val.imag
 
     def integrand_sq(y, x):
-        return abs(exact_field(tx, x, y, LAM)) ** 2
+        return abs(spherical_wave(tx, x, y, LAM)) ** 2
 
     re_v, _ = dblquad(integrand_re, -half_w, half_w, -half_h, half_h, epsabs=1e-14)
     im_v, _ = dblquad(integrand_im, -half_w, half_w, -half_h, half_h, epsabs=1e-14)
@@ -395,8 +396,8 @@ def test_disk_gain_refines_order_until_gains_agree():
 def _full_circle_gain(circ, z, focus, order):
     """The disk rule of disk_gain_exact at one order, 6*order Gauss-Legendre
     radii by the order-point trapezoid over the full circle.  The field is
-    exact_field's, with the focusing phase added inside its one exponential
-    (_spherical_wave) as the kernel does: a separate e^{j phase} factor rounds
+    _spherical_wave's, with the focusing phase added inside its one exponential
+    as the kernel does: a separate e^{j phase} factor rounds
     each node's phase differently, by up to eps * k * r (1.7e-13 in the gain
     at z = 3000 lambda), which would hide what the fold changes."""
     nodes, wts = roots_legendre(6 * order)

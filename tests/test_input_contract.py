@@ -16,6 +16,7 @@ from nearfield_bd.array_geometry import (
     FixedElementDiagonal,
     TxGeometry,
     make_rect_array,
+    project_array,
     wavelength_from_carrier,
 )
 from nearfield_bd.beam_depth import (
@@ -26,7 +27,7 @@ from nearfield_bd.beam_depth import (
     numeric_bd,
     solve_a3db,
 )
-from nearfield_bd.field_model import QuadratureSpec, matched_filter_phase
+from nearfield_bd.field_model import QuadratureSpec
 from nearfield_bd.gain_engine import (
     GainProfile,
     analytic_gain_circ,
@@ -63,6 +64,7 @@ NON_NEGATIVE_COUNT = (NAN, INF, -INF, -1.0, 2.5, True)
 FOCUS = (NAN, -INF, 0.0, -1.0)  # +inf selects the far-field filter
 NON_NEGATIVE = (NAN, INF, -INF, -1.0)
 FINITE = (NAN, INF, -INF)
+ANGLE = FINITE + (math.pi / 2, -math.pi / 2, 2.0)  # azimuth or elevation
 OVERFLOWING_ETA = (1e160, 1e200)
 
 ARR = make_rect_array(20, 1.0, FixedElementDiagonal(0.5 * LAM), LAM)
@@ -73,6 +75,7 @@ REGION = (ARR.d_b, finite_bd_limit_rect(ARR))
 H = ChannelMatrix(np.eye(4, 2, dtype=complex))
 W = mmse_precoder(H)
 PEAKED = GainProfile(1.0, np.array([1.0, 2.0, 3.0]), np.array([0.2, 1.0, 0.2]))
+RISING = GainProfile(1.0, np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.6, 1.0]))
 
 # (entry point and argument, name the error starts with, call, bad values)
 CONTRACT = [
@@ -80,6 +83,9 @@ CONTRACT = [
     ("CircArray.radius", "radius", lambda v: CircArray(v, LAM), POSITIVE),
     ("CircArray.wavelength", "wavelength", lambda v: CircArray(1.0, v), POSITIVE),
     ("TxGeometry.dist", "dist", TxGeometry, POSITIVE),
+    ("TxGeometry.azimuth", "azimuth", lambda v: TxGeometry(1.0, azimuth=v), ANGLE),
+    ("TxGeometry.elevation", "elevation", lambda v: TxGeometry(1.0, elevation=v), ANGLE),
+    ("project_array.azimuth", "azimuth", lambda v: project_array(ARR, v), ANGLE),
     ("make_rect_array.n_per_side", "n_per_side",
      lambda v: make_rect_array(v, 1.0, FixedElementDiagonal(0.01), LAM), COUNT),
     ("make_rect_array.eta", "eta",
@@ -102,8 +108,6 @@ CONTRACT = [
     ("QuadratureSpec.order", "quadrature order", QuadratureSpec, COUNT),
     ("QuadratureSpec.refinement", "refinement", lambda v: QuadratureSpec(8, v),
      NON_NEGATIVE_COUNT),
-    ("matched_filter_phase.focus", "focal distance",
-     lambda v: matched_filter_phase(v, 0.1, 0.1, LAM), FOCUS),
     ("effective_distance.focus", "focal distance",
      lambda v: effective_distance(v, 1.0), FOCUS),
     ("effective_distance.dist", "distance", lambda v: effective_distance(2.0, v),
@@ -154,6 +158,10 @@ CONTRACT = [
      COUNT),
     ("numeric_bd.rel_tol", "rel_tol", lambda v: numeric_bd(PEAKED, rel_tol=v),
      POSITIVE),
+    # None means no limit; RISING never falls to half beyond its peak, where
+    # the limit decides between an infinite and an undetermined depth
+    ("numeric_bd.finite_limit", "finite_limit",
+     lambda v: numeric_bd(RISING, finite_limit=v), POSITIVE + ("x",)),
     ("plan_focal_points.max_users", "max_users",
      lambda v: plan_focal_points(ARR, REGION, max_users=v), COUNT),
     ("user_sinrs.powers", "power", lambda v: user_sinrs(H, W, [1.0, v]), NON_NEGATIVE),
@@ -188,6 +196,8 @@ def test_non_numbers_raise_value_error(value):
         make_rect_array(4, value, FixedElementDiagonal(0.01), LAM)
     with pytest.raises(ValueError, match="^k_max: "):
         circ_lobe_catalog(CIRC, FAR, value)
+    with pytest.raises(ValueError, match="^azimuth: "):
+        TxGeometry(1.0, azimuth=value)
 
 
 def test_integral_floats_are_counts():

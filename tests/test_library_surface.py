@@ -1,0 +1,29 @@
+"""The package's public functions are the ones it runs, plus the few paper
+results and oracles below that no module calls."""
+
+import ast
+from pathlib import Path
+
+import nearfield_bd
+
+SRC = Path(nearfield_bd.__file__).parent
+
+# paper results and independent oracles the tests check the computed paths
+# against; every other public function must be referenced in the package
+ORACLES_AND_RESULTS = {"numeric_bd", "disk_gain_fresnel", "mmse_precoder", "sum_rate",
+                       "bd_circ", "fresnel_field_nonbroadside"}
+
+
+def test_every_public_function_is_referenced_in_the_package():
+    """A public function only tests call is a wrapper to delete, or a result
+    to name above."""
+    trees = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    defined = {node.name: module for module, tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for _, tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    unreferenced = sorted(f"{module}.{name}" for name, module in defined.items()
+                          if name not in referenced | ORACLES_AND_RESULTS)
+    assert not unreferenced, unreferenced
+    assert ORACLES_AND_RESULTS <= defined.keys()
