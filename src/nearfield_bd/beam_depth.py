@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -76,7 +76,10 @@ class LobeEntry:
     gain_db: float
 
 
-def solve_a3db(eta: float, tol: float = 1e-10) -> float:
+_A3DB_TOL = 1e-10  # largest |gain - 1/2| solve_a3db accepts at its root
+
+
+def solve_a3db(eta: float) -> float:
     """Smallest positive half-power argument of the broadside gain curve.
 
     Solves analytic_gain_rect(eta, a) = 0.5 for a with Brent's method.  The
@@ -84,14 +87,15 @@ def solve_a3db(eta: float, tol: float = 1e-10) -> float:
     [1.738, 2.485] for every eta, so the scale-free bracket [1, 3]/(1 + eta^2)
     holds the mainlobe crossing and no sidelobe one.  Past eta ~ 1.3e154,
     where 1 + eta^2 overflows, the bracket collapses to 0 and the call raises
-    RuntimeError.  Roots are cached per validated (eta, tol); ``cache_info``
-    and ``cache_clear`` reach that cache.
+    RuntimeError, as does a root whose gain is further than 1e-10 from half.
+    Roots are cached per validated eta; ``cache_info`` and ``cache_clear``
+    reach that cache.
     """
-    return _solve_a3db(_real("eta", eta), _real("tol", tol))
+    return _solve_a3db(_real("eta", eta))
 
 
 @lru_cache(maxsize=256)
-def _solve_a3db(eta: float, tol: float) -> float:
+def _solve_a3db(eta: float) -> float:
     scale = 1.0 + eta * eta
     try:
         # analytic_gain_rect without its checks: eta is checked once per solve,
@@ -100,7 +104,7 @@ def _solve_a3db(eta: float, tol: float) -> float:
                       1.0 / scale, 3.0 / scale, xtol=1e-14 / scale, rtol=1e-14)
     except ValueError as err:
         raise RuntimeError("bracketing failure in solve_a3db") from err
-    if abs(analytic_gain_rect(eta, root) - 0.5) > tol:
+    if abs(analytic_gain_rect(eta, root) - 0.5) > _A3DB_TOL:
         raise RuntimeError("bracketing failure in solve_a3db")
     return root
 

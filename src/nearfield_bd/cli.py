@@ -77,8 +77,8 @@ class ConfigError(Exception):
 # value at dotted key ``field``, or raises ConfigError or ValueError naming it.
 # ``at`` holds the geometry and its d_F, the unit of 'dF' lengths, once built.
 def _quantity(name, *units):
-    """Check of a ``name``: a number with a mandatory unit, one of ``units``;
-    'dF' only once the geometry is built."""
+    """Check of a ``name``: a positive number with a mandatory unit, one of
+    ``units``; 'dF' only once the geometry is built."""
     def check(field, value, at):
         given = [unit for unit in units if unit != "dF" or at is not None]
         m = _UNIT_RE.match(str(value))
@@ -88,7 +88,7 @@ def _quantity(name, *units):
         num = float(m.group(1)) * (at.d_f if m.group(2) == "dF" else 1)
         if not math.isfinite(num):
             raise ConfigError(f"{field}: {value!r} is not a finite number")
-        return num
+        return _real(field, num)
     return check
 
 

@@ -6,15 +6,17 @@ kernel with one convergence check (rectangular apertures on a panel grid
 sized by the residual phase; along each axis the transmitter lies on, over
 one mirror half of the aperture); closed-form gains evaluate the
 Fresnel-integral expressions for rectangular apertures (broadside and
-slanted transmitters) and the sinc^2 expression for circular apertures.
+slanted transmitters) and the sinc^2 expression for circular apertures, all
+in one array pass of which each scalar closed form is a one-point call.
 Each exact gain function takes one transmitter (a distance for the disk) or
 a sequence of them, integrated together as one batched quadrature per order
 in which no point's nodes, order or failure depend on the others.
-``gain_profile`` takes every distance of a grid at once, with the same
-per-point values and failures as single-point calls: one call of the kind's
-exact gain function, or for an analytic profile one array pass over the
-closed forms.  ``run_sweep`` evaluates any other sweep point by point,
-threaded if its caller asks, and aggregates per-point failures.
+``gain_profile`` checks the settings its points share once and takes every
+distance of a grid at once, with the same per-point values and failures as
+single-point calls: one call of the kind's exact gain function, or for an
+analytic profile that array pass.  ``run_sweep`` evaluates any other sweep
+point by point, threaded if its caller asks, and aggregates per-point
+failures.
 
 Two focusing conventions are provided. ``exact_array_gain`` and
 ``disk_gain_exact`` inject the broadside quadratic phase
@@ -37,6 +39,7 @@ from .array_geometry import (
     CircArray,
     RectArray,
     TxGeometry,
+    _angle,
     _real,
     project_array,
 )
@@ -262,7 +265,7 @@ def analytic_gain_nonbroadside(eta: float, p: float, q: float, q_tilde: float) -
     p = _real("p", p)
     q = _real("q", q, -math.inf, strict=False)
     q_tilde = _real("q_tilde", q_tilde, -math.inf, strict=False)
-    return _rect_gains(eta, [p], [q], [q_tilde])[0]
+    return _rect_gains(eta, *(np.array([u]) for u in (p, q, q_tilde)))[0]
 
 
 def analytic_gain_circ(l: float) -> float:
@@ -273,69 +276,28 @@ def analytic_gain_circ(l: float) -> float:
 
 def rect_gain_broadside(arr: RectArray, z: float, focus: float) -> float:
     """Closed-form gain for a broadside transmitter at distance z."""
-    z_eff = effective_distance(focus, z)
-    if math.isinf(z_eff):
-        return 1.0
-    return analytic_gain_rect(arr.eta, _phase_parameter(arr, z_eff))
+    return _outcome(_analytic_gains(arr, [_real("distance", z)], focus)[0])
 
 
 def rect_gain_slanted(arr: RectArray, tx: TxGeometry, focus: float) -> float:
     """Closed-form gain for a slanted transmitter at range d == tx.dist,
     focusing filter toward (0, 0, F)."""
-    d = tx.dist
-    eta = arr.eta
-    sin_az = tx.x / d
-    sin_el = tx.y / d
-    d_eff = effective_distance(focus, d)
-    if math.isinf(d_eff):
-        # p -> 0 while the products p*q stay finite; the bracket terms
-        # collapse to sincs of those products
-        root = math.sqrt(2.0 * arr.d_fa / (arr.wavelength * (1.0 + eta * eta)))
-        pq, pqt = 0.5 * sin_az * root, 0.5 * sin_el * root
-        azimuth, elevation = _sinc_squares(np.array([math.pi * eta * pq, math.pi * pqt]))
-        return azimuth * elevation
-    p, q, q_tilde = _slanted_parameters(arr, np.array([d_eff]), np.array([sin_az]),
-                                        np.array([sin_el]))
-    return analytic_gain_nonbroadside(eta, p[0], q[0], q_tilde[0])
+    return _outcome(_analytic_gains(arr, [tx.dist], focus, tx.azimuth, tx.elevation)[0])
 
 
 def circ_gain_broadside(circ: CircArray, z: float, focus: float) -> float:
     """Closed-form gain for a circular aperture, broadside transmitter."""
-    z_eff = effective_distance(focus, z)
-    if math.isinf(z_eff):
-        return 1.0
-    return analytic_gain_circ(_sinc_parameter(circ, z_eff))
+    return _outcome(_analytic_gains(circ, [_real("distance", z)], focus)[0])
 
 
-# The scalar closed forms above and the profiles of ``_analytic_gains`` share
-# the expressions below, so a profile point equals its scalar gain bit for bit.
-# Sinc and Fresnel values come from one array call per evaluation; the rest is
-# Python float arithmetic (x ** 2 is libm's pow, which can round the last bit
-# apart from numpy's square).
+# ``_analytic_gains`` evaluates every closed form in geometry space, and the
+# forms in parameter space above share its expressions below.  Sinc and
+# Fresnel values come from one array call per evaluation; the rest is Python
+# float arithmetic (x ** 2 is libm's pow, which can round the last bit apart
+# from numpy's square), so a point's gain does not depend on its batch.
 
 # Below x^2 = _NEAR_LIMIT |v| a bracket takes its x -> 0 limit (``_brackets``).
 _NEAR_LIMIT = 3.7e-8
-
-
-def _phase_parameter(arr: RectArray, z_eff):
-    """a = d_FA/(4 z_eff (1 + eta^2)), for a float or an array of z_eff."""
-    return arr.d_fa / (4.0 * z_eff * (1.0 + arr.eta ** 2))
-
-
-def _sinc_parameter(circ: CircArray, z_eff):
-    """l = R^2/(2 lambda z_eff), for a float or an array of z_eff."""
-    return circ.radius ** 2 / (2.0 * circ.wavelength * z_eff)
-
-
-def _slanted_parameters(arr: RectArray, d_eff, sin_az, sin_el):
-    """p = (1/2) sqrt(d_FA/(d_eff (1 + eta^2))), and q, q_tilde = sin_az, sin_el
-    times sqrt(2 d_eff/lambda), for arrays of finite d_eff and of the
-    direction sines."""
-    eta = arr.eta
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = 0.5 * np.sqrt(arr.d_fa / (d_eff * (1.0 + eta * eta)))
-        scale = np.sqrt(2.0 * d_eff / arr.wavelength)
-        return p, sin_az * scale, sin_el * scale
 
 
 def _sinc_squares(t) -> list:
@@ -352,19 +314,31 @@ def _broadside_gain(eta: float, root: float) -> float:
     return _bracket(x, c1, c1, s1, s1) * _bracket(root, c2, c2, s2, s2)
 
 
-def _rect_gains(eta: float, p: list, q: list | None = None,
-                q_tilde: list | None = None) -> list:
-    """``analytic_gain_nonbroadside`` at each entry of the lists p > 0, q and
-    q_tilde, or without q and q_tilde ``_broadside_gain`` at root = p: the
-    product of the brackets at (eta p, q) and at (p, q_tilde)."""
+def _rect_gains(eta: float, p, q, q_tilde) -> list:
+    """``analytic_gain_nonbroadside`` at each entry of the arrays p, q and
+    q_tilde: the product of the brackets at (eta p, q) and at (p, q_tilde).
+    At q = q_tilde = 0 it is ``_broadside_gain`` at root = p bit for bit, as
+    x + 0.0 = x - 0.0 = x."""
     n = len(p)
-    b = _brackets([eta * u for u in p] + p, None if q is None else q + q_tilde)
+    with np.errstate(over="ignore"):  # float semantics: eta p and x^2 overflow to inf
+        b = _brackets(np.concatenate([eta * p, p]), np.concatenate([q, q_tilde]))
     return [u * w for u, w in zip(b[:n], b[n:])]
 
 
-def _brackets(x: list, v: list | None = None) -> list:
-    """``_bracket`` at each entry of the lists x >= 0 and v (all 0 if None), from
-    one Fresnel call, of x alone when v is None.
+def _focal_limits(arr: RectArray, sin_az, sin_el) -> list:
+    """The slanted gain at d_eff = inf, for arrays of the direction sines:
+    p -> 0 while the products p q and p q_tilde stay finite, and the brackets
+    collapse to sincs of those products."""
+    eta = arr.eta
+    root = math.sqrt(2.0 * arr.d_fa / (arr.wavelength * (1.0 + eta * eta)))
+    pq, pqt = 0.5 * sin_az * root, 0.5 * sin_el * root
+    s = _sinc_squares(np.concatenate([math.pi * eta * pq, math.pi * pqt]))
+    return [u * w for u, w in zip(s[:len(pq)], s[len(pq):])]
+
+
+def _brackets(x, v) -> list:
+    """``_bracket`` at each entry of the arrays x >= 0 and v, from one Fresnel
+    call.
 
     As x -> 0 at fixed x v the bracket tends to sinc^2(pi x v), and there
     C(x+v) + C(x-v) cancels.  Against 50-digit mpmath (x v from 0.05 to 300,
@@ -374,17 +348,12 @@ def _brackets(x: list, v: list | None = None) -> list:
     which the limit is taken: the result then stays within 2.6e-8 relative and
     6.8e-12 absolute of mpmath over that range, where the Fresnel form alone
     was off by up to 100 %."""
-    if v is None:
-        cc, ss = (u.tolist() for u in fresnel_cs(np.array(x)))
-        return list(map(_bracket, x, cc, cc, ss, ss))
     n = len(x)
-    cc, ss = (u.tolist() for u in fresnel_cs(np.array(
-        [u + w for u, w in zip(x, v)] + [u - w for u, w in zip(x, v)])))
-    out = list(map(_bracket, x, cc[:n], cc[n:], ss[:n], ss[n:]))
-    near = [i for i, (u, w) in enumerate(zip(x, v)) if u * u < _NEAR_LIMIT * abs(w)]
-    if near:
-        limits = _sinc_squares(np.array([math.pi * x[i] * v[i] for i in near]))
-        for i, g in zip(near, limits):
+    cc, ss = (u.tolist() for u in fresnel_cs(np.concatenate([x + v, x - v])))
+    out = list(map(_bracket, x.tolist(), cc[:n], cc[n:], ss[:n], ss[n:]))
+    near = np.flatnonzero(x * x < _NEAR_LIMIT * np.abs(v))
+    if near.size:
+        for i, g in zip(near.tolist(), _sinc_squares(math.pi * x[near] * v[near])):
             out[i] = g
     return out
 
@@ -487,7 +456,9 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
 
     ``kind`` selects the estimator: for rectangular arrays one of
     exact | analytic | steered | projected, for circular arrays
-    exact | analytic. Per-point failures are aggregated into a
+    exact | analytic. The focus, azimuth and elevation, which every point
+    shares, are checked once; a bad one raises a ValueError naming it.
+    Per-point failures are aggregated into a
     SweepEvalError carrying the offending sweep indices. An exact, steered,
     projected or exact circular profile is one call of its gain function with
     every transmitter, one batched quadrature per order; an analytic profile
@@ -504,6 +475,9 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
             raise ValueError("circular profiles support broadside transmitters only")
     else:
         raise TypeError(f"unsupported geometry: {geometry!r}")
+    _real("focal distance", focus, inf=True)
+    _angle("azimuth", azimuth)
+    _angle("elevation", elevation)
 
     dgrid = [float(d) for d in distances]
     if kind == "analytic":
@@ -536,58 +510,67 @@ def _rect_profile(kind: str, arr: RectArray, dists: list, focus: float, azimuth:
     return _collected(outcomes)
 
 
-def _analytic_gains(geometry, dists, focus: float, azimuth: float,
-                    elevation: float) -> list:
-    """For each distance of ``dists``, in order, its closed-form gain or the
-    ValueError its scalar closed form raises.  The distances that pass every
-    check are evaluated together, in one array pass over the scalar forms'
-    own expressions.  The others stay NaN in that pass and go through the
-    scalar form: it names what is wrong, or, for a slanted transmitter at the
-    focus itself (p = 0), takes the d_eff = inf limit."""
-    rect = isinstance(geometry, RectArray)
+def _analytic_gains(geometry, dists, focus: float, azimuth: float = 0.0,
+                    elevation: float = 0.0) -> list:
+    """For each number of ``dists``, in order, the closed-form gain at that
+    distance or the ValueError that names what is wrong with it; a bad focus,
+    or a bad eta of a rectangle, raises at once.
+
+    Every point is evaluated in one array pass.  A rectangle's broadside gain
+    is its slanted form at q = q_tilde = 0, and a slanted transmitter at the
+    focus itself (d_eff = inf, so p = 0) takes that form's limit.  The points
+    the pass cannot take, and only those, then name their fault:
+    ``effective_distance`` a bad distance, and the form in parameter space
+    (``analytic_gain_rect``, ``analytic_gain_nonbroadside`` or
+    ``analytic_gain_circ``) a parameter out of its range."""
+    _real("focal distance", focus, inf=True)
+    circ = isinstance(geometry, CircArray)
+    eta = None if circ else _real("eta", geometry.eta)
     slanted = azimuth != 0.0 or elevation != 0.0
-
-    def scalar(dist):
-        if not rect:
-            return circ_gain_broadside(geometry, dist, focus)
-        tx = TxGeometry(dist, azimuth=azimuth, elevation=elevation)
-        if slanted:
-            return rect_gain_slanted(geometry, tx, focus)
-        return rect_gain_broadside(geometry, dist, focus)
-
-    d = np.array(dists)
-    try:  # settings all points share: one bad one sends every point to the scalar form
-        _real("focal distance", focus, inf=True)
-        if rect:
-            TxGeometry(1.0, azimuth=azimuth, elevation=elevation)
-            _real("eta", geometry.eta)
-        at = np.flatnonzero(np.isfinite(d) & (d > 0.0))
-    except ValueError:
-        at = np.arange(0)
+    d = np.array(dists, dtype=float)
     gains = np.full(d.shape, np.nan)
-    if at.size:
-        # float semantics: overflow to inf, and inf where a distance is the focus
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            dist = d[at]
-            z_eff = dist if math.isinf(focus) else _focused_distance(focus, dist)
-            if not rect:
-                l = _sinc_parameter(geometry, z_eff)
-                params, valid = [math.pi * l], l >= 0.0
-            elif slanted:
-                # the direction sines as TxGeometry's x / dist and y / dist
-                params = list(_slanted_parameters(
-                    geometry, z_eff, dist * math.sin(azimuth) * math.cos(elevation) / dist,
-                    dist * math.sin(elevation) / dist))
-                valid = params[0] > 0.0
-            else:
-                a = _phase_parameter(geometry, z_eff)
-                params, valid = [np.sqrt(a)], a >= 0.0
-            valid &= np.logical_and.reduce([np.isfinite(p) for p in params])
-            params = [p[valid] for p in params]
-            gains[at[valid]] = (_rect_gains(geometry.eta, *(p.tolist() for p in params))
-                                if rect else _sinc_squares(*params))
-    return [_attempt(scalar, dist) if math.isnan(g) else g
-            for dist, g in zip(dists, gains.tolist())]
+    # float semantics: overflow to inf, and inf where a distance is the focus
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        placed = np.isfinite(d) & (d > 0.0)
+        z_eff = d if math.isinf(focus) else _focused_distance(focus, d)
+        if circ:
+            # l = R^2/(2 lambda z_eff)
+            form = analytic_gain_circ
+            params = [geometry.radius ** 2 / (2.0 * geometry.wavelength * z_eff)]
+        elif slanted:
+            form = partial(analytic_gain_nonbroadside, eta)
+            # the direction sines as TxGeometry's x / dist and y / dist, then
+            # p = (1/2) sqrt(d_FA/(d_eff (1 + eta^2))) and q, q_tilde = the
+            # sines times sqrt(2 d_eff/lambda)
+            sines = (d * math.sin(azimuth) * math.cos(elevation) / d,
+                     d * math.sin(elevation) / d)
+            scale = np.sqrt(2.0 * z_eff / geometry.wavelength)
+            params = [0.5 * np.sqrt(geometry.d_fa / (z_eff * (1.0 + eta * eta))),
+                      sines[0] * scale, sines[1] * scale]
+            brackets = params
+            at_focus = placed & (z_eff == math.inf)
+            if at_focus.any():
+                gains[at_focus] = _focal_limits(geometry, *(u[at_focus] for u in sines))
+        else:
+            form = partial(analytic_gain_rect, eta)
+            # a = d_FA/(4 z_eff (1 + eta^2)), and root a for p
+            params = [geometry.d_fa / (4.0 * z_eff * (1.0 + eta ** 2))]
+            zero = np.zeros(d.shape)
+            brackets = [np.sqrt(params[0]), zero, zero]
+        # each parameter in the range its form checks: finite, p > 0, a and l >= 0
+        ok = placed & (params[0] > 0.0 if slanted else params[0] >= 0.0)
+        ok &= np.logical_and.reduce([np.isfinite(u) for u in params])
+        gains[ok] = (_sinc_squares(math.pi * params[0][ok]) if circ else
+                     _rect_gains(eta, *(u[ok] for u in brackets)))
+
+    def failure(i):
+        effective_distance(focus, dists[i])
+        return form(*(float(u[i]) for u in params))
+
+    outcomes = gains.tolist()
+    for i in np.flatnonzero(np.isnan(gains)).tolist():
+        outcomes[i] = _attempt(failure, i)
+    return outcomes
 
 
 def run_sweep(fn, values, threads: int | None = None) -> list:

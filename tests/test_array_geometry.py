@@ -11,7 +11,6 @@ from nearfield_bd.array_geometry import (
     FixedApertureArea,
     FixedApertureLength,
     FixedElementDiagonal,
-    RectArray,
     TxGeometry,
     element_grid,
     make_rect_array,

@@ -446,9 +446,23 @@ PROFILE_SWEEP = {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m"}
       "sweep": {"eta_values": [1.0], "sizing_mode": "element-diag"}}, [],
      "sweep.sizing_mode: unknown sizing_mode 'element-diag'; "
      "must be one of aperture-area, aperture-length"),
+    # a length must be positive: refused once, naming its key
+    ({"experiment": "circular-gain", "geometry": dict(CIRC_GEOM, ref_elem_diag="-0.025 m"),
+      "sweep": dict(PROFILE_SWEEP, kinds=["analytic"])}, [],
+     "geometry.ref_elem_diag must be > 0, got -0.025"),
+    ({"experiment": "gain-profile", "sweep": dict(PROFILE_SWEEP, focus="-5 dF",
+                                                  kinds=["analytic"])}, [],
+     "sweep.focus must be > 0, got -"),
+    ({"experiment": "projection-error",
+      "sweep": {"phi_values": [0.1], "dist": "-1000 dF", "focus": "4 m"}}, [],
+     "sweep.dist must be > 0, got -"),
+    ({"experiment": "distance-error", "sweep": {"phi_values": [0.1], "dist": "-1000 dF"}},
+     [], "sweep.dist must be > 0, got -"),
 ], ids=["output-not-a-string", "seed-overridden", "eta-list-and-range",
         "phi-list-and-range", "snr-list-and-range", "unknown-kind",
-        "kind-of-another-geometry", "sizing-mode-twice", "sizing-mode-not-rebuilt"])
+        "kind-of-another-geometry", "sizing-mode-twice", "sizing-mode-not-rebuilt",
+        "negative-ref-elem-diag", "negative-focus", "negative-projection-dist",
+        "negative-distance-error-dist"])
 def test_config_refused_before_any_row(tmp_path, monkeypatch, capsys, patch, argv,
                                        fragment):
     monkeypatch.chdir(tmp_path)

@@ -31,7 +31,7 @@ from nearfield_bd.field_model import (
     fresnel_field_nonbroadside,
     mean_abs_distance_errors,
 )
-from nearfield_bd.gain_engine import exact_array_gain, gain_profile
+from nearfield_bd.gain_engine import gain_profile
 
 LAM = wavelength_from_carrier(3e9)
 

@@ -675,31 +675,89 @@ def test_analytic_profile_matches_scalar_closed_forms(case):
         assert 0.0 in expected
 
 
-@pytest.mark.parametrize("case, focus, azimuth", [
-    ("broadside", None, None), ("slanted-elevated", None, None), ("circular", None, None),
-    ("broadside", -5.0, None), ("circular", math.nan, None), ("slanted", None, 2.0)])
-def test_analytic_profile_fails_at_the_scalar_points(case, focus, azimuth):
+@pytest.mark.parametrize("case", list(ANALYTIC_CASES))
+def test_analytic_profile_matches_the_parameter_space_forms(case):
+    """Each profile point equals, bit for bit, the closed form in parameter
+    space at its a, (p, q, q_tilde) or l, written out here from their
+    definitions: a broadside rectangle, evaluated as the slanted form at
+    q = q_tilde = 0, equals ``analytic_gain_rect``'s own two-bracket path."""
+    geometry, focus, azimuth, elevation = ANALYTIC_CASES[case]
+    grid = np.geomspace(40 * D_F, 20000 * D_F, 500).tolist()
+    prof = gain_profile("analytic", geometry, grid, focus, azimuth=azimuth,
+                        elevation=elevation)
+    expected = []
+    for d in grid:
+        z = d if math.isinf(focus) else focus * d / abs(focus - d)
+        if isinstance(geometry, CircArray):
+            expected.append(analytic_gain_circ(
+                geometry.radius ** 2 / (2.0 * geometry.wavelength * z)))
+            continue
+        eta, d_fa = geometry.eta, geometry.d_fa
+        if azimuth == elevation == 0.0:
+            expected.append(analytic_gain_rect(eta, d_fa / (4.0 * z * (1.0 + eta ** 2))))
+            continue
+        tx = TxGeometry(d, azimuth, elevation)
+        scale = math.sqrt(2.0 * z / geometry.wavelength)
+        expected.append(analytic_gain_nonbroadside(
+            eta, 0.5 * math.sqrt(d_fa / (z * (1.0 + eta * eta))), tx.x / d * scale,
+            tx.y / d * scale))
+    assert prof.gains.tolist() == expected
+
+
+@pytest.mark.parametrize("case", ["broadside", "slanted-elevated", "circular"])
+def test_analytic_profile_fails_at_the_scalar_points(case):
     """Points whose distance, or a parameter derived from it, is out of range
-    fail at their own indices with the messages of their scalar closed forms;
-    a bad focus or azimuth fails every point the same way."""
-    geometry, good_focus, good_azimuth, elevation = ANALYTIC_CASES[case]
-    focus = good_focus if focus is None else focus
-    azimuth = good_azimuth if azimuth is None else azimuth
-    # 1e-310 m is a valid distance whose a, p or l overflows to inf
-    dists = [100 * D_F, -1.0, math.nan, 0.0, math.inf, 1e-310, 500 * D_F, 1000 * D_F]
+    fail at their own indices: a bad distance with the message of
+    ``effective_distance``, on a rectangle as on a disk, and a parameter out
+    of range with the message of its scalar closed form."""
+    geometry, focus, azimuth, elevation = ANALYTIC_CASES[case]
+    # 1e-310 m is a valid distance whose a, p or l overflows to inf; at
+    # 5e-324 m d_eff underflows to 0, and a, p or l divides by zero
+    dists = [100 * D_F, -1.0, math.nan, 0.0, math.inf, 1e-310, 5e-324, 500 * D_F,
+             1000 * D_F]
     expected = []
     for i, dist in enumerate(dists):
         try:
+            effective_distance(focus, dist)
             _scalar_analytic(geometry, dist, focus, azimuth, elevation)
         except ValueError as exc:
             expected.append((i, str(exc)))
-    assert [i for i, _ in expected] == (
-        [1, 2, 3, 4, 5] if focus == good_focus and azimuth == good_azimuth
-        else list(range(len(dists))))
+    assert [i for i, _ in expected] == [1, 2, 3, 4, 5, 6]
+    assert expected[0][1] == "distance must be > 0, got -1.0"
+    assert expected[-1][1].endswith(": inf is not a finite number")
     with pytest.raises(SweepEvalError) as info:
         gain_profile("analytic", geometry, dists, focus, azimuth=azimuth,
                      elevation=elevation)
     assert [(i, str(exc)) for i, exc in info.value.failures] == expected
+
+
+PROFILE_GEOMETRIES = {"rect": make_rect_array(40, 1.5, FixedElementDiagonal(LAM / 2), LAM),
+                      "circ": CircArray(12.5 * LAM, LAM)}
+
+
+@pytest.mark.parametrize("shape, kind", [
+    *(("rect", kind) for kind in ("exact", "analytic", "steered", "projected")),
+    ("circ", "exact"), ("circ", "analytic")])
+@pytest.mark.parametrize("focus", [math.nan, -5.0])
+def test_profile_wide_focus_fails_once(shape, kind, focus):
+    """A bad focus is one setting of the whole profile: it raises one
+    ValueError naming it, not a SweepEvalError listing every point."""
+    geometry = PROFILE_GEOMETRIES[shape]
+    floor = radiative_floor(geometry)
+    with pytest.raises(ValueError, match="^focal distance"):
+        gain_profile(kind, geometry, [2.0 * floor, 4.0 * floor], focus)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "exact", "steered", "projected"])
+@pytest.mark.parametrize("angle", [{"azimuth": 2.0}, {"elevation": -2.0}])
+def test_profile_wide_angle_fails_once(kind, angle):
+    """An azimuth or elevation out of (-pi/2, pi/2) raises one ValueError
+    naming it, before any transmitter is placed."""
+    arr = PROFILE_GEOMETRIES["rect"]
+    floor = radiative_floor(arr)
+    (name, _), = angle.items()
+    with pytest.raises(ValueError, match=f"^{name} must lie in"):
+        gain_profile(kind, arr, [2.0 * floor, 4.0 * floor], 3.0 * floor, **angle)
 
 
 def test_slanted_gain_next_to_its_focus():

@@ -149,7 +149,6 @@ CONTRACT = [
      lambda v: GainProfile(1.0, np.array([1.0, 2.0]), np.array([0.5, v])),
      NON_NEGATIVE),
     ("solve_a3db.eta", "eta", solve_a3db, POSITIVE),
-    ("solve_a3db.tol", "tol", lambda v: solve_a3db(1.0, v), POSITIVE),
     ("bd_rect.focus", "focus", lambda v: bd_rect(ARR, v), FOCUS),
     ("bd_circ.focus", "focus", lambda v: bd_circ(CIRC, v), FOCUS),
     ("circ_lobe_catalog.focus", "focus", lambda v: circ_lobe_catalog(CIRC, v, 2),

@@ -1,17 +1,22 @@
 """The package's public functions are the ones it runs, plus the few paper
-results and oracles below that no module calls."""
+results and oracles below that no module calls; and no module of the package
+or of its tests imports a name it does not use."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import nearfield_bd
 
 SRC = Path(nearfield_bd.__file__).parent
+TESTS = Path(__file__).parent
 
 # paper results and independent oracles the tests check the computed paths
 # against; every other public function must be referenced in the package
 ORACLES_AND_RESULTS = {"numeric_bd", "disk_gain_fresnel", "mmse_precoder", "sum_rate",
-                       "bd_circ", "fresnel_field_nonbroadside"}
+                       "bd_circ", "fresnel_field_nonbroadside", "rect_gain_broadside",
+                       "rect_gain_slanted", "circ_gain_broadside"}
 
 
 def test_every_public_function_is_referenced_in_the_package():
@@ -27,3 +32,16 @@ def test_every_public_function_is_referenced_in_the_package():
                           if name not in referenced | ORACLES_AND_RESULTS)
     assert not unreferenced, unreferenced
     assert ORACLES_AND_RESULTS <= defined.keys()
+
+
+@pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_unused_module_level_import(path):
+    """Every name a module imports at its top level is read somewhere in it;
+    ``from __future__`` imports are exempt."""
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not sorted(imported - used)
