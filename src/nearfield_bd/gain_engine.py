@@ -11,10 +11,11 @@ in one array pass of which each scalar closed form is a one-point call.
 Each exact gain function takes one transmitter (a distance for the disk) or
 a sequence of them, integrated together as one batched quadrature per order
 in which no point's nodes, order or failure depend on the others.
-``gain_profile`` checks the settings its points share once and takes every
-distance of a grid at once, with the same per-point values and failures as
-single-point calls: one call of the kind's exact gain function, or for an
-analytic profile that array pass.  ``run_sweep`` evaluates any other sweep
+``gain_profile`` checks the settings its points share once, reads each
+distance of a grid once at its index, and takes every readable distance at
+once, with the same per-point values and failures as single-point calls:
+one call of the kind's exact gain function, or for an analytic profile
+that array pass.  ``run_sweep`` evaluates any other sweep
 point by point, threaded if its caller asks, and aggregates per-point
 failures.
 
@@ -67,22 +68,6 @@ class SweepEvalError(RuntimeError):
         return [i for i, _ in self.failures]
 
 
-def effective_distance(focus: float, dist: float) -> float:
-    """F*d/|F - d|: infinite at perfect focus, d under the far-field filter."""
-    _real("distance", dist)
-    if math.isinf(_real("focal distance", focus, inf=True)):
-        return dist
-    if focus == dist:
-        return math.inf
-    return _focused_distance(focus, dist)
-
-
-def _focused_distance(focus: float, dist):
-    """F*d/|F - d| for a finite focus and a float or an array of distances
-    (inf where an array entry equals F, with division warnings off)."""
-    return focus * dist / abs(focus - dist)
-
-
 def radiative_floor(geometry) -> float:
     """Smallest distance at which gains are evaluated: 1.2 x the aperture
     length (the diameter of a circular aperture); closer lies the reactive
@@ -93,23 +78,24 @@ def radiative_floor(geometry) -> float:
 def _aperture_gains(geometry, dists, focus: float, quad: QuadratureSpec, rule) -> list:
     """For the transmitter at each distance of ``dists``, in order, its gain
     |sum w E e^{j phase}|^2 / (A sum w |E|^2) or the ValueError or RuntimeError
-    it met.  Once the distances and the focus have been checked, ``rule(valid,
-    ranges)`` builds ``blocks`` for the transmitters at the indices ``valid``
-    of ``dists``, at the checked distances ``ranges``: ``blocks(at, order)``
-    yields, for the transmitters at the positions ``at`` of ``valid``, blocks
+    it met; a bad focus, which every transmitter shares, raises at once.
+    Once the distances have been checked, ``rule(valid, ranges)`` builds
+    ``blocks`` for the transmitters at the indices ``valid`` of ``dists``, at
+    the checked distances ``ranges``: ``blocks(at, order)`` yields, for the
+    transmitters at the positions ``at`` of ``valid``, blocks
     ``(s, wx, wy, amp, field)`` whose sums add to the entries ``s`` of ``at``.
     Each transmitter's order is refined per ``quad`` on its own, and each
     doubling evaluates only the transmitters still pending."""
+    _real("focal distance", focus, inf=True)
     limit = radiative_floor(geometry)
     outcomes = []
     for dist in dists:
         try:
-            dist = _real("dist", dist)
+            dist = _real("distance", dist)
             if dist < limit:
                 raise ValueError(
                     f"transmitter at {dist:.6g} m is inside the reactive near-field "
                     f"boundary {limit:.6g} m (1.2 x aperture length)")
-            _real("focal distance", focus, inf=True)
         except ValueError as exc:
             dist = exc
         outcomes.append(dist)
@@ -458,12 +444,15 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     exact | analytic | steered | projected, for circular arrays
     exact | analytic. The focus, azimuth and elevation, which every point
     shares, are checked once; a bad one raises a ValueError naming it.
-    Per-point failures are aggregated into a
-    SweepEvalError carrying the offending sweep indices. An exact, steered,
-    projected or exact circular profile is one call of its gain function with
-    every transmitter, one batched quadrature per order; an analytic profile
-    is one array pass over the closed forms.  Each point equals its
-    single-point gain bit for bit (an exact circular one to within 1e-14).
+    Each distance is read once, at its index, and a grid whose distances
+    all read but do not strictly increase raises a ValueError before any
+    point is evaluated.  The readable points are then one call of the kind's
+    gain function with every transmitter, one batched quadrature per order
+    (exact, steered, projected or exact circular), or one array pass over
+    the closed forms (analytic).  Per-point failures, in reading or in
+    evaluating, are aggregated into a SweepEvalError carrying the offending
+    sweep indices.  Each point equals its single-point gain bit for bit (an
+    exact circular one to within 1e-14).
     """
     if isinstance(geometry, RectArray):
         if kind not in _RECT_KINDS:
@@ -479,50 +468,46 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     _angle("azimuth", azimuth)
     _angle("elevation", elevation)
 
-    dgrid = [float(d) for d in distances]
-    if kind == "analytic":
-        gains = _collected(_analytic_gains(geometry, dgrid, focus, azimuth, elevation))
-    elif isinstance(geometry, CircArray):
-        gains = disk_gain_exact(geometry, dgrid, focus, quad)
-    else:
-        gains = _rect_profile(kind, geometry, dgrid, focus, azimuth, elevation, quad)
-    return GainProfile(focus=focus, distances=np.array(dgrid),
-                       gains=np.array(gains), kind=kind)
-
-
-def _rect_profile(kind: str, arr: RectArray, dists: list, focus: float, azimuth: float,
-                  elevation: float, quad: QuadratureSpec) -> list:
-    """The gains of ``kind`` at ``dists``, from one call of its gain function
-    with every transmitter that can be placed, or one SweepEvalError for the
-    points that fail, there or in placing them."""
-    gain = {"steered": exact_array_gain_steered,
-            "projected": projected_gain_approx}.get(kind, exact_array_gain)
-    outcomes = [_attempt(partial(TxGeometry, azimuth=azimuth, elevation=elevation), d)
-                for d in dists]
-    placed = [i for i, tx in enumerate(outcomes) if isinstance(tx, TxGeometry)]
+    dgrid, read, failures = [], [], []
+    for i, d in enumerate(distances):
+        try:
+            dgrid.append(_real("distance", d))
+            read.append(i)
+        except ValueError as exc:
+            failures.append((i, exc))
+    if not failures and not all(a < b for a, b in zip(dgrid, dgrid[1:])):
+        raise ValueError("distances must be strictly increasing")
     try:
-        for i, g in zip(placed, gain(arr, [outcomes[i] for i in placed], focus, quad)):
-            outcomes[i] = g
+        if kind == "analytic":
+            gains = _collected(_analytic_gains(geometry, dgrid, focus, azimuth, elevation))
+        elif isinstance(geometry, CircArray):
+            gains = disk_gain_exact(geometry, dgrid, focus, quad)
+        else:
+            gain = {"steered": exact_array_gain_steered,
+                    "projected": projected_gain_approx}.get(kind, exact_array_gain)
+            gains = gain(geometry, [TxGeometry(d, azimuth, elevation) for d in dgrid],
+                         focus, quad)
     except SweepEvalError as err:
-        # _collected then raises, so the points that did not fail stay unread
-        for j, exc in err.failures:
-            outcomes[placed[j]] = exc
-    return _collected(outcomes)
+        failures += [(read[j], exc) for j, exc in err.failures]
+    if failures:
+        raise SweepEvalError(sorted(failures))
+    return GainProfile(focus=focus, distances=np.array(dgrid), gains=np.array(gains),
+                       kind=kind)
 
 
 def _analytic_gains(geometry, dists, focus: float, azimuth: float = 0.0,
                     elevation: float = 0.0) -> list:
-    """For each number of ``dists``, in order, the closed-form gain at that
-    distance or the ValueError that names what is wrong with it; a bad focus,
-    or a bad eta of a rectangle, raises at once.
+    """For each distance of ``dists``, each one already read (finite and
+    positive), in order, the closed-form gain at that distance or the
+    ValueError that names what is wrong with it; a bad focus, or a bad eta of
+    a rectangle, raises at once.
 
     Every point is evaluated in one array pass.  A rectangle's broadside gain
     is its slanted form at q = q_tilde = 0, and a slanted transmitter at the
     focus itself (d_eff = inf, so p = 0) takes that form's limit.  The points
-    the pass cannot take, and only those, then name their fault:
-    ``effective_distance`` a bad distance, and the form in parameter space
-    (``analytic_gain_rect``, ``analytic_gain_nonbroadside`` or
-    ``analytic_gain_circ``) a parameter out of its range."""
+    the pass cannot take, and only those, then name the parameter out of
+    range by their form in parameter space (``analytic_gain_rect``,
+    ``analytic_gain_nonbroadside`` or ``analytic_gain_circ``)."""
     _real("focal distance", focus, inf=True)
     circ = isinstance(geometry, CircArray)
     eta = None if circ else _real("eta", geometry.eta)
@@ -531,8 +516,8 @@ def _analytic_gains(geometry, dists, focus: float, azimuth: float = 0.0,
     gains = np.full(d.shape, np.nan)
     # float semantics: overflow to inf, and inf where a distance is the focus
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        placed = np.isfinite(d) & (d > 0.0)
-        z_eff = d if math.isinf(focus) else _focused_distance(focus, d)
+        # d_eff = F d/|F - d|, and d under the far-field filter
+        z_eff = d if math.isinf(focus) else focus * d / abs(focus - d)
         if circ:
             # l = R^2/(2 lambda z_eff)
             form = analytic_gain_circ
@@ -548,7 +533,7 @@ def _analytic_gains(geometry, dists, focus: float, azimuth: float = 0.0,
             params = [0.5 * np.sqrt(geometry.d_fa / (z_eff * (1.0 + eta * eta))),
                       sines[0] * scale, sines[1] * scale]
             brackets = params
-            at_focus = placed & (z_eff == math.inf)
+            at_focus = z_eff == math.inf
             if at_focus.any():
                 gains[at_focus] = _focal_limits(geometry, *(u[at_focus] for u in sines))
         else:
@@ -558,13 +543,12 @@ def _analytic_gains(geometry, dists, focus: float, azimuth: float = 0.0,
             zero = np.zeros(d.shape)
             brackets = [np.sqrt(params[0]), zero, zero]
         # each parameter in the range its form checks: finite, p > 0, a and l >= 0
-        ok = placed & (params[0] > 0.0 if slanted else params[0] >= 0.0)
+        ok = params[0] > 0.0 if slanted else params[0] >= 0.0
         ok &= np.logical_and.reduce([np.isfinite(u) for u in params])
         gains[ok] = (_sinc_squares(math.pi * params[0][ok]) if circ else
                      _rect_gains(eta, *(u[ok] for u in brackets)))
 
     def failure(i):
-        effective_distance(focus, dists[i])
         return form(*(float(u[i]) for u in params))
 
     outcomes = gains.tolist()

@@ -418,6 +418,8 @@ def monte_carlo_sum_rates(arr: RectArray, k_users: int, region: tuple,
     """``monte_carlo_sum_rate`` of one user count at each SNR of ``snrs_db``,
     in order.  Every SNR sees the same draws, and each block's Gram stack and
     its MMSE table (one solve) are built once and serve all of them."""
+    if np.ndim(snrs_db) == 0 or not len(snrs_db):
+        raise ValueError(f"snrs_db must hold at least one SNR, got {snrs_db!r}")
     return _monte_carlo(arr, [k_users], region, n_trials, snrs_db, seed)[0]
 
 

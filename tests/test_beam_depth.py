@@ -34,7 +34,6 @@ from nearfield_bd.gain_engine import (
     GainProfile,
     analytic_gain_rect,
     circ_gain_broadside,
-    effective_distance,
     exact_array_gain,
     gain_profile,
     rect_gain_broadside,
@@ -425,7 +424,8 @@ def test_lobe_catalog_structure():
         assert e.gain_db == -math.inf
         npt.assert_allclose(e.z_eff_value,
                             circ.radius ** 2 / (2 * LAM * e.index), rtol=1e-12)
-        npt.assert_allclose(effective_distance(focus, e.z_value),
+        # z_eff = F z/|F - z|
+        npt.assert_allclose(focus * e.z_value / abs(focus - e.z_value),
                             e.z_eff_value, rtol=1e-12)
 
 

@@ -8,11 +8,13 @@ from scipy.integrate import dblquad
 from scipy.special import roots_legendre
 
 from fields import quadratic_focus, spherical_wave
+from nearfield_bd import gain_engine
 from nearfield_bd.array_geometry import (
     CircArray,
     FixedApertureLength,
     FixedElementDiagonal,
     TxGeometry,
+    _real,
     make_rect_array,
     wavelength_from_carrier,
 )
@@ -30,7 +32,6 @@ from nearfield_bd.gain_engine import (
     circ_gain_broadside,
     disk_gain_exact,
     disk_gain_fresnel,
-    effective_distance,
     exact_array_gain,
     exact_array_gain_steered,
     gain_profile,
@@ -49,17 +50,6 @@ FAST_QUAD = QuadratureSpec(order=8, refinement=0)
 
 def square_array():
     return make_rect_array(100, 1.0, FixedElementDiagonal(LAM / 4), LAM)
-
-
-def test_effective_distance():
-    assert effective_distance(math.inf, 3.0) == 3.0
-    assert math.isinf(effective_distance(5.0, 5.0))
-    npt.assert_allclose(effective_distance(2.0, 6.0), 3.0)
-    npt.assert_allclose(effective_distance(6.0, 2.0), 3.0)
-    with pytest.raises(ValueError):
-        effective_distance(5.0, -1.0)
-    with pytest.raises(ValueError):
-        effective_distance(-5.0, 1.0)
 
 
 def test_analytic_rect_limits():
@@ -707,9 +697,9 @@ def test_analytic_profile_matches_the_parameter_space_forms(case):
 @pytest.mark.parametrize("case", ["broadside", "slanted-elevated", "circular"])
 def test_analytic_profile_fails_at_the_scalar_points(case):
     """Points whose distance, or a parameter derived from it, is out of range
-    fail at their own indices: a bad distance with the message of
-    ``effective_distance``, on a rectangle as on a disk, and a parameter out
-    of range with the message of its scalar closed form."""
+    fail at their own indices: a bad distance with the message of reading it
+    ("distance ..."), on a rectangle as on a disk, and a parameter out of
+    range with the message of its scalar closed form."""
     geometry, focus, azimuth, elevation = ANALYTIC_CASES[case]
     # 1e-310 m is a valid distance whose a, p or l overflows to inf; at
     # 5e-324 m d_eff underflows to 0, and a, p or l divides by zero
@@ -718,7 +708,7 @@ def test_analytic_profile_fails_at_the_scalar_points(case):
     expected = []
     for i, dist in enumerate(dists):
         try:
-            effective_distance(focus, dist)
+            _real("distance", dist)
             _scalar_analytic(geometry, dist, focus, azimuth, elevation)
         except ValueError as exc:
             expected.append((i, str(exc)))
@@ -735,9 +725,11 @@ PROFILE_GEOMETRIES = {"rect": make_rect_array(40, 1.5, FixedElementDiagonal(LAM 
                       "circ": CircArray(12.5 * LAM, LAM)}
 
 
-@pytest.mark.parametrize("shape, kind", [
-    *(("rect", kind) for kind in ("exact", "analytic", "steered", "projected")),
-    ("circ", "exact"), ("circ", "analytic")])
+PROFILE_KINDS = [*(("rect", kind) for kind in ("exact", "analytic", "steered", "projected")),
+                 ("circ", "exact"), ("circ", "analytic")]
+
+
+@pytest.mark.parametrize("shape, kind", PROFILE_KINDS)
 @pytest.mark.parametrize("focus", [math.nan, -5.0])
 def test_profile_wide_focus_fails_once(shape, kind, focus):
     """A bad focus is one setting of the whole profile: it raises one
@@ -758,6 +750,45 @@ def test_profile_wide_angle_fails_once(kind, angle):
     (name, _), = angle.items()
     with pytest.raises(ValueError, match=f"^{name} must lie in"):
         gain_profile(kind, arr, [2.0 * floor, 4.0 * floor], 3.0 * floor, **angle)
+
+
+@pytest.mark.parametrize("shape, kind", PROFILE_KINDS)
+def test_profile_reads_each_distance_at_its_index(shape, kind):
+    """Distances that are not positive finite numbers fail a profile of every
+    kind at exactly their indices, each with the one message of reading a
+    distance: no TypeError escapes, and "5" is not taken as 5.  Below the
+    radiative floor a quadrature point keeps its floor message, while a
+    closed form takes it."""
+    geometry = PROFILE_GEOMETRIES[shape]
+    floor = radiative_floor(geometry)
+    grid = [2.0 * floor, None, "5", [1.0], True, math.nan, 0.5 * floor, 4.0 * floor]
+    failures = _failures(lambda: gain_profile(kind, geometry, grid, 3.0 * floor,
+                                              quad=FAST_QUAD))
+    assert failures[:5] == [(i, f"distance: {grid[i]!r} is not a finite number")
+                            for i in range(1, 6)]
+    if kind == "analytic":
+        assert len(failures) == 5
+    else:
+        (i, message), = failures[5:]
+        assert i == 6 and message.startswith(
+            f"transmitter at {0.5 * floor:.6g} m is inside the reactive near-field")
+
+
+@pytest.mark.parametrize("shape, kind", PROFILE_KINDS)
+@pytest.mark.parametrize("grid", [[3.0, 2.0], [2.0, 2.0], [2.0, 4.0, 3.0]])
+def test_unsorted_grid_fails_before_any_point_is_evaluated(shape, kind, grid,
+                                                           monkeypatch):
+    """A grid that does not strictly increase raises GainProfile's ValueError
+    before any closed form or quadrature runs."""
+    evaluated = []
+    for name in ("_analytic_gains", "_aperture_gains"):
+        monkeypatch.setattr(gain_engine, name,
+                            lambda *args, name=name: evaluated.append(name))
+    geometry = PROFILE_GEOMETRIES[shape]
+    floor = radiative_floor(geometry)
+    with pytest.raises(ValueError, match="^distances must be strictly increasing$"):
+        gain_profile(kind, geometry, [d * floor for d in grid], 3.0 * floor)
+    assert evaluated == []
 
 
 def test_slanted_gain_next_to_its_focus():
@@ -831,18 +862,19 @@ def test_rect_profile_matches_single_point_gains(kind, azimuth, elevation):
 @pytest.mark.parametrize("kind", list(RECT_KINDS))
 def test_rect_profile_reports_each_failing_point(kind):
     """A point below the radiative floor and a NaN distance fail a profile at
-    exactly their indices, each with the message its single-point call gives;
-    the other points keep their single-point gains.  A sequence call names the
-    failing transmitter's index in the sequence."""
+    exactly their indices: the first with the message its single-point call
+    gives, the second with the profile's own reading of a distance; the other
+    points keep their single-point gains.  A sequence call names the failing
+    transmitter's index in the sequence."""
     arr = make_rect_array(40, 1.5, FixedElementDiagonal(LAM / 2), LAM)
     floor = radiative_floor(arr)
     grid = [0.5 * floor, 1.5 * floor, math.nan, 4.0 * floor, 9.0 * floor]
     focus, quad = 2.5 * floor, QuadratureSpec(8, 1)
     ref = _alone(kind, arr, grid, focus, quad, azimuth=0.2)
     assert [i for i, out in enumerate(ref) if isinstance(out, str)] == [0, 2]
-    assert ref[2] == "dist: nan is not a finite number"
     assert _failures(lambda: gain_profile(kind, arr, grid, focus, azimuth=0.2,
-                                          quad=quad)) == [(0, ref[0]), (2, ref[2])]
+                                          quad=quad)) == [
+        (0, ref[0]), (2, "distance: nan is not a finite number")]
     good = [1, 3, 4]
     npt.assert_array_equal(gain_profile(kind, arr, [grid[i] for i in good], focus,
                                         azimuth=0.2, quad=quad).gains,

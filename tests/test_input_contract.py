@@ -36,7 +36,6 @@ from nearfield_bd.gain_engine import (
     circ_gain_broadside,
     disk_gain_exact,
     disk_gain_fresnel,
-    effective_distance,
     exact_array_gain,
     exact_array_gain_steered,
     gain_profile,
@@ -108,10 +107,6 @@ CONTRACT = [
     ("QuadratureSpec.order", "quadrature order", QuadratureSpec, COUNT),
     ("QuadratureSpec.refinement", "refinement", lambda v: QuadratureSpec(8, v),
      NON_NEGATIVE_COUNT),
-    ("effective_distance.focus", "focal distance",
-     lambda v: effective_distance(v, 1.0), FOCUS),
-    ("effective_distance.dist", "distance", lambda v: effective_distance(2.0, v),
-     POSITIVE),
     ("analytic_gain_rect.eta", "eta", lambda v: analytic_gain_rect(v, 1.0), POSITIVE),
     ("analytic_gain_rect.a", "a", lambda v: analytic_gain_rect(1.0, v), NON_NEGATIVE),
     ("analytic_gain_nonbroadside.eta", "eta",
@@ -133,7 +128,8 @@ CONTRACT = [
      POSITIVE),
     ("circ_gain_broadside.focus", "focal distance",
      lambda v: circ_gain_broadside(CIRC, FAR, v), FOCUS),
-    ("disk_gain_exact.z", "dist", lambda v: disk_gain_exact(CIRC, v, FAR), POSITIVE),
+    ("disk_gain_exact.z", "distance", lambda v: disk_gain_exact(CIRC, v, FAR),
+     POSITIVE),
     ("disk_gain_exact.focus", "focal distance",
      lambda v: disk_gain_exact(CIRC, FAR, v), FOCUS),
     ("disk_gain_fresnel.z", "z", lambda v: disk_gain_fresnel(CIRC, v, FAR), POSITIVE),
@@ -145,6 +141,15 @@ CONTRACT = [
      lambda v: exact_array_gain_steered(ARR, TX, v), FOCUS),
     ("projected_gain_approx.focus", "focal distance",
      lambda v: projected_gain_approx(ARR, TX, v), FOCUS),
+    # a sequence call's focus, shared by its points, fails once, not per point
+    ("disk_gain_exact.focus.sequence", "focal distance",
+     lambda v: disk_gain_exact(CIRC, [FAR, 2 * FAR], v), FOCUS),
+    ("exact_array_gain.focus.sequence", "focal distance",
+     lambda v: exact_array_gain(ARR, [TX, TX], v), FOCUS),
+    ("exact_array_gain_steered.focus.sequence", "focal distance",
+     lambda v: exact_array_gain_steered(ARR, [TX, TX], v), FOCUS),
+    ("projected_gain_approx.focus.sequence", "focal distance",
+     lambda v: projected_gain_approx(ARR, [TX, TX], v), FOCUS),
     ("GainProfile.gains", "gains",
      lambda v: GainProfile(1.0, np.array([1.0, 2.0]), np.array([0.5, v])),
      NON_NEGATIVE),
@@ -175,6 +180,9 @@ CONTRACT = [
     ("monte_carlo_sum_rates.snrs_db", "snr_db",
      lambda v: monte_carlo_sum_rates(ARR, 2, REGION, 2, [10.0, v], seed=1),
      FINITE + (4000.0,)),
+    # a grid of SNRs, refused before any draw when it is a scalar or empty
+    ("monte_carlo_sum_rates.snrs_db.grid", "snrs_db",
+     lambda v: monte_carlo_sum_rates(ARR, 2, REGION, 2, v, seed=1), (10.0, [])),
 ]
 
 

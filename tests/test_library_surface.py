@@ -1,6 +1,7 @@
 """The package's public functions are the ones it runs, plus the few paper
-results and oracles below that no module calls; and no module of the package
-or of its tests imports a name it does not use."""
+results and oracles below that no module calls; its private functions are
+the ones it runs, plus the few test references below; and no module of the
+package or of its tests imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import nearfield_bd
 
 SRC = Path(nearfield_bd.__file__).parent
 TESTS = Path(__file__).parent
+TREES = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
 
 # paper results and independent oracles the tests check the computed paths
 # against; every other public function must be referenced in the package
@@ -22,16 +24,38 @@ ORACLES_AND_RESULTS = {"numeric_bd", "disk_gain_fresnel", "mmse_precoder", "sum_
 def test_every_public_function_is_referenced_in_the_package():
     """A public function only tests call is a wrapper to delete, or a result
     to name above."""
-    trees = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
-    defined = {node.name: module for module, tree in trees for node in tree.body
+    defined = {node.name: module for module, tree in TREES for node in tree.body
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     referenced = {node.id if isinstance(node, ast.Name) else node.attr
-                  for _, tree in trees for node in ast.walk(tree)
+                  for _, tree in TREES for node in ast.walk(tree)
                   if isinstance(node, (ast.Name, ast.Attribute))}
     unreferenced = sorted(f"{module}.{name}" for name, module in defined.items()
                           if name not in referenced | ORACLES_AND_RESULTS)
     assert not unreferenced, unreferenced
     assert ORACLES_AND_RESULTS <= defined.keys()
+
+
+# private functions that only tests call: the pairwise phase Gram is the
+# reference the tests hold the channel and table Grams to, and the planned
+# rows' Gram on the analytic phase is to be built from it (ROADMAP item 2)
+TEST_REFERENCES = {"multiplexing._phase_gram"}
+
+
+def test_every_private_function_is_referenced_in_the_package():
+    """A module-level private function that no code of the package reads,
+    outside its own definition, is dead code to delete."""
+    referenced = set()
+    for _, tree in TREES:
+        for node in tree.body:
+            names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                     for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+            if isinstance(node, ast.FunctionDef):
+                names.discard(node.name)
+            referenced |= names
+    unreferenced = sorted(f"{module}.{node.name}" for module, tree in TREES
+                          for node in tree.body if isinstance(node, ast.FunctionDef)
+                          and node.name.startswith("_") and node.name not in referenced)
+    assert unreferenced == sorted(TEST_REFERENCES)
 
 
 @pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
