@@ -21,6 +21,12 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0
 
 
+def _shown(value):
+    """``value`` as an error message shows it: a numpy scalar as its Python
+    value, so np.float64(nan) reads nan; anything else as it is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _real(name, value, low=0.0, *, strict=True, inf=False) -> float:
     """``value`` as a float above ``low`` (at least ``low`` unless ``strict``) and
     finite unless ``inf``; anything else, None, strings, sequences and bools
@@ -28,10 +34,11 @@ def _real(name, value, low=0.0, *, strict=True, inf=False) -> float:
     # float and int first: they skip the slower numbers.Real check
     if (isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real))
             or math.isnan(value) or (math.isinf(value) and not inf)):
-        raise ValueError(f"{name}: {value!r} is not a {'' if inf else 'finite '}number")
+        raise ValueError(f"{name}: {_shown(value)!r} is not a "
+                         f"{'' if inf else 'finite '}number")
     if value < low or (strict and value == low):
         raise ValueError(
-            f"{name} must be {'>' if strict else '>='} {low:g}, got {value!r}")
+            f"{name} must be {'>' if strict else '>='} {low:g}, got {_shown(value)!r}")
     return float(value)
 
 
@@ -39,9 +46,9 @@ def _integer(name, value, low=1) -> int:
     """``value`` as an int of at least ``low``: an integral number such as 3 or
     3.0, not a bool; anything else raises ValueError naming ``name``."""
     if not _real(name, value, -math.inf, strict=False).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)!r}")
     if int(value) < low:
-        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+        raise ValueError(f"{name} must be at least {low}, got {_shown(value)!r}")
     return int(value)
 
 

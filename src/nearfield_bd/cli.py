@@ -255,6 +255,10 @@ def write_csv(path, experiment, preset, header, rows):
 
 
 def _profile_rows(ctx, kind):
+    # checked for the first kind, before any file is written
+    if "projected" in ctx.kinds and ctx.elevation:
+        raise ConfigError(f"sweep.elevation: projected gains take an azimuth only, "
+                          f"got {ctx.elevation!r}")
     grid = _SPACINGS[ctx.spacing](*_region(ctx), ctx.n_points)
     # quadrature kinds evaluate only beyond the reactive near field
     floor = 0.0 if kind == "analytic" else radiative_floor(ctx.geometry)

@@ -42,6 +42,7 @@ from .array_geometry import (
     TxGeometry,
     _angle,
     _real,
+    _shown,
     project_array,
 )
 from .field_model import (QuadratureSpec, _aperture_blocks, _broadside_focus,
@@ -395,9 +396,13 @@ def projected_gain_approx(arr: RectArray, tx, focus: float,
                           quad: QuadratureSpec = QuadratureSpec()):
     """Broadside gain of the width-compressed array at the transmitter range,
     approximating the steered slanted gain; for a sequence of transmitters,
-    their gains as ``exact_array_gain`` gives them, one batch per azimuth."""
+    their gains as ``exact_array_gain`` gives them, one batch per azimuth.
+    The projection takes an azimuth only, so a transmitter with a nonzero
+    elevation, which it would drop, raises one ValueError naming it."""
     single = isinstance(tx, TxGeometry)
     txs = [tx] if single else list(tx)
+    for t in txs:
+        _azimuth_only(t.elevation)
     outcomes = [None] * len(txs)
     for azimuth in dict.fromkeys(t.azimuth for t in txs):
         at = [i for i, t in enumerate(txs) if t.azimuth == azimuth]
@@ -407,6 +412,14 @@ def projected_gain_approx(arr: RectArray, tx, focus: float,
                 _broadside(flat.wavelength, focus))):
             outcomes[i] = out
     return _returned(single, outcomes)
+
+
+def _azimuth_only(elevation):
+    """Refuse the nonzero ``elevation`` that the width-only projection of a
+    projected gain would drop (``project_array`` takes the azimuth)."""
+    if elevation != 0.0:
+        raise ValueError(f"elevation: projected gains take an azimuth only, "
+                         f"got {_shown(elevation)!r}")
 
 
 @dataclass(frozen=True)
@@ -443,7 +456,10 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     ``kind`` selects the estimator: for rectangular arrays one of
     exact | analytic | steered | projected, for circular arrays
     exact | analytic. The focus, azimuth and elevation, which every point
-    shares, are checked once; a bad one raises a ValueError naming it.
+    shares, are checked once; a bad one, or a nonzero elevation of a
+    projected profile (``projected_gain_approx`` takes an azimuth only),
+    raises a ValueError naming it.  So does a number, a string, an iterator
+    or an empty sequence in place of the grid ``distances``.
     Each distance is read once, at its index, and a grid whose distances
     all read but do not strictly increase raises a ValueError before any
     point is evaluated.  The readable points are then one call of the kind's
@@ -467,6 +483,15 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     _real("focal distance", focus, inf=True)
     _angle("azimuth", azimuth)
     _angle("elevation", elevation)
+    if kind == "projected":
+        _azimuth_only(elevation)
+    try:
+        points = 0 if isinstance(distances, (str, bytes)) else len(distances)
+    except TypeError:       # a number, an iterator or a 0-d array
+        points = 0
+    if not points:
+        raise ValueError(f"distances must be a non-empty sequence of distances, "
+                         f"got {_shown(distances)!r}")
 
     dgrid, read, failures = [], [], []
     for i, d in enumerate(distances):

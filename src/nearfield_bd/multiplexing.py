@@ -273,8 +273,10 @@ def _phase_gram(arr: RectArray, dists: np.ndarray) -> np.ndarray:
     """Gram matrices of broadside phase-model columns without forming them.
 
     ``dists`` holds K user distances, or a (..., K) stack of them; the result
-    is (..., K, K).  conj(h_i)^T h_j separates into x and y sums of quadratic
-    phases, so a K x K Gram costs O(K n_per_side) sines and cosines and
+    is (..., K, K).  The columns leave out the range phase e^{-jkd}, a
+    diagonal unitary similarity that changes no MMSE rate and only rounds, so
+    conj(h_i)^T h_j is the product of an x and a y sum of quadratic phases
+    and a K x K Gram costs O(K n_per_side) sines and cosines and
     O(K^2 n_per_side) products instead of O(K^2 N) exponentials.  Only the
     strict upper triangle is summed, from per-user phase tables (see
     ``_phase_table`` and ``_pair_sums``); the lower triangle is its conjugate
@@ -287,7 +289,7 @@ def _phase_gram(arr: RectArray, dists: np.ndarray) -> np.ndarray:
     users = np.moveaxis(dists, -1, 0)
     xt = _phase_table(arr, users, 0)
     yt = xt if arr.elem_w == arr.elem_h else _phase_table(arr, users, 1)
-    return _table_gram(arr, dists, xt, yt, np.triu_indices(dists.shape[-1], 1))
+    return _table_gram(arr, xt, yt, np.triu_indices(dists.shape[-1], 1))
 
 
 def _phase_table(arr: RectArray, dists: np.ndarray, axis: int,
@@ -334,17 +336,16 @@ def _pair_sums(table: np.ndarray, n: int) -> np.ndarray:
     return np.moveaxis(n - 4.0 * deficit - 4j * cross, 0, -1)
 
 
-def _table_gram(arr: RectArray, dists: np.ndarray, xt: np.ndarray,
-                yt: np.ndarray, pairs: tuple) -> np.ndarray:
-    """``_phase_gram`` of ``dists`` (..., K) from its users-leading x and y
-    phase tables (``yt`` is ``xt`` on a square array) and the strict upper
-    triangle ``pairs`` = np.triu_indices(K, 1)."""
+def _table_gram(arr: RectArray, xt: np.ndarray, yt: np.ndarray,
+                pairs: tuple) -> np.ndarray:
+    """``_phase_gram`` from its users-leading x and y phase tables (``yt`` is
+    ``xt`` on a square array) and the strict upper triangle ``pairs`` =
+    np.triu_indices(K, 1): each entry is the product of two axes' pair sums."""
     i, j = pairs
     xs = _pair_sums(xt, arr.n_per_side)
-    ys = xs if yt is xt else _pair_sums(yt, arr.n_per_side)
-    upper = np.exp(2j * np.pi / arr.wavelength * (dists[..., i] - dists[..., j])) * xs * ys
-    k = dists.shape[-1]
-    gram = np.empty(dists.shape + (k,), dtype=complex)
+    upper = xs * (xs if yt is xt else _pair_sums(yt, arr.n_per_side))
+    k = len(xt)
+    gram = np.empty(xt.shape[1:-1] + (k, k), dtype=complex)
     gram[..., i, j] = upper
     gram[..., j, i] = upper.conj()
     diag = np.arange(k)
@@ -484,9 +485,7 @@ def _monte_carlo(arr: RectArray, ks: Sequence[int], region: tuple, n_trials: int
                 users = [_users_leading(buffered[rows], k, out)
                          for buffered, out in zip(phases, scratch)]
                 xt, yt = users if len(users) == 2 else users * 2
-                gram = _table_gram(arr, dists[t0 * k:t1 * k].reshape(t1 - t0, k),
-                                   xt, yt, pairs)
-                table = _mmse_table(gram, identity)
+                table = _mmse_table(_table_gram(arr, xt, yt, pairs), identity)
                 for rate, power in zip(rates[k], powers):
                     rate[t0:t1] = _table_rates(table, power)
                 done[k] = t1

@@ -330,6 +330,11 @@ def test_bare_number_distance_rejected(tmp_path, capsys):
       "sweep": {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m",
                 "kinds": ["analytic"], "azimuth": 2.0}},
      "config error: sweep.azimuth must lie in (-pi/2, pi/2), got 2.0"),
+    # projected gains take an azimuth only: no kind runs under an elevation
+    ({"experiment": "gain-profile",
+      "sweep": {"z_min": "2 m", "z_max": "8 m", "n_points": 3, "focus": "4 m",
+                "kinds": ["steered", "projected"], "azimuth": 0.5, "elevation": 0.3}},
+     "config error: sweep.elevation: projected gains take an azimuth only, got 0.3"),
     # non-finite sweep values are config errors, not numerical failures
     ({"experiment": "bd-vs-eta", "sweep": {"eta_values": [math.nan]}},
      "sweep.eta_values: nan is not a finite number"),

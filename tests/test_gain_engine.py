@@ -791,6 +791,32 @@ def test_unsorted_grid_fails_before_any_point_is_evaluated(shape, kind, grid,
     assert evaluated == []
 
 
+@pytest.mark.parametrize("kind, grid, elevation, message", [
+    ("projected", [2.0, 4.0], 0.3, "elevation: projected gains take an azimuth only"),
+    ("analytic", 5.0, 0.0, "distances must be a non-empty sequence"),
+    ("exact", [], 0.0, "distances must be a non-empty sequence"),
+    ("exact", iter([2.0, 4.0]), 0.0, "distances must be a non-empty sequence"),
+])
+def test_profile_wide_refusals_read_no_distance(kind, grid, elevation, message,
+                                               monkeypatch):
+    """A projected profile's nonzero elevation, and a grid that is a number,
+    an iterator or empty, raise one ValueError before any distance is read."""
+    read = []
+
+    def spy(name, *args, **kw):
+        read.append(name)
+        return _real(name, *args, **kw)
+
+    monkeypatch.setattr(gain_engine, "_real", spy)
+    arr = PROFILE_GEOMETRIES["rect"]
+    floor = radiative_floor(arr)
+    if isinstance(grid, list):
+        grid = [d * floor for d in grid]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        gain_profile(kind, arr, grid, 3.0 * floor, azimuth=0.2, elevation=elevation)
+    assert "distance" not in read
+
+
 def test_slanted_gain_next_to_its_focus():
     """Within a few ulps of the focus, d_eff is finite but huge and the
     Fresnel form of the slanted gain cancels to nothing (it read 0.0 at

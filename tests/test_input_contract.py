@@ -30,6 +30,7 @@ from nearfield_bd.beam_depth import (
 from nearfield_bd.field_model import QuadratureSpec
 from nearfield_bd.gain_engine import (
     GainProfile,
+    SweepEvalError,
     analytic_gain_circ,
     analytic_gain_nonbroadside,
     analytic_gain_rect,
@@ -150,6 +151,21 @@ CONTRACT = [
      lambda v: exact_array_gain_steered(ARR, [TX, TX], v), FOCUS),
     ("projected_gain_approx.focus.sequence", "focal distance",
      lambda v: projected_gain_approx(ARR, [TX, TX], v), FOCUS),
+    # the projection compresses the width by the azimuth and would drop an
+    # elevation, so a nonzero one is refused, for a profile before any point
+    ("projected_gain_approx.elevation", "elevation",
+     lambda v: projected_gain_approx(ARR, TxGeometry(FAR, 0.2, v), FAR), (0.3, -0.3)),
+    ("projected_gain_approx.elevation.sequence", "elevation",
+     lambda v: projected_gain_approx(ARR, [TX, TxGeometry(FAR, 0.2, v)], FAR), (0.3,)),
+    ("gain_profile.projected.elevation", "elevation",
+     lambda v: gain_profile("projected", ARR, [FAR, 2 * FAR], FAR, azimuth=0.2,
+                            elevation=v), (0.3, np.float64(-0.3))),
+    # a grid of distances, refused before any point is read when it is a
+    # number, a string or empty
+    ("gain_profile.analytic.distances", "distances",
+     lambda v: gain_profile("analytic", ARR, v, FAR), (5.0, np.float64(5.0), "5", [])),
+    ("gain_profile.exact.distances", "distances",
+     lambda v: gain_profile("exact", ARR, v, FAR), (5.0, "5", [], np.array([]))),
     ("GainProfile.gains", "gains",
      lambda v: GainProfile(1.0, np.array([1.0, 2.0]), np.array([0.5, v])),
      NON_NEGATIVE),
@@ -205,6 +221,34 @@ def test_non_numbers_raise_value_error(value):
         circ_lobe_catalog(CIRC, FAR, value)
     with pytest.raises(ValueError, match="^azimuth: "):
         TxGeometry(1.0, azimuth=value)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: TxGeometry(np.float64(NAN)), "dist: nan is not a finite number",
+                 id="TxGeometry.dist=nan"),
+    pytest.param(lambda: TxGeometry(np.int64(-3)), "dist must be > 0, got -3",
+                 id="TxGeometry.dist=-3"),
+    pytest.param(lambda: TxGeometry(1.0, azimuth=np.float32(NAN)),
+                 "azimuth: nan is not a finite number", id="TxGeometry.azimuth=nan"),
+    pytest.param(lambda: make_rect_array(np.float64(2.5), 1.0, FixedElementDiagonal(0.01),
+                                         LAM),
+                 "n_per_side must be an integer, got 2.5", id="n_per_side=2.5"),
+    pytest.param(lambda: make_rect_array(np.int64(0), 1.0, FixedElementDiagonal(0.01), LAM),
+                 "n_per_side must be at least 1, got 0", id="n_per_side=0"),
+    pytest.param(lambda: gain_profile("analytic", ARR, np.array([FAR, NAN]), FAR),
+                 "evaluation failed at sweep indices [1]: "
+                 "distance: nan is not a finite number", id="gain_profile.distance=nan"),
+    pytest.param(lambda: projected_gain_approx(ARR, TxGeometry(FAR, 0.2, np.float64(0.3)),
+                                               FAR),
+                 "elevation: projected gains take an azimuth only, got 0.3",
+                 id="projected_gain_approx.elevation=0.3"),
+])
+def test_numpy_scalars_read_as_python_values(call, message):
+    """A refused numpy scalar reads as the Python number it holds, so a
+    message does not depend on the scalar type: nan, not np.float64(nan)."""
+    with pytest.raises((ValueError, SweepEvalError)) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_integral_floats_are_counts():

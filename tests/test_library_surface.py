@@ -58,6 +58,23 @@ def test_every_private_function_is_referenced_in_the_package():
     assert unreferenced == sorted(TEST_REFERENCES)
 
 
+def test_every_listed_name_has_a_test_caller():
+    """Each name the two lists above keep alive is read by some other test
+    module: a listed name that loses its last caller is dead code to delete,
+    not an oracle.  A module's imported names count, since every import is
+    read (test_no_unused_module_level_import)."""
+    used = set()
+    for path in TESTS.glob("*.py"):
+        if path.name != Path(__file__).name:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    used |= {alias.name for alias in node.names}
+                elif isinstance(node, (ast.Name, ast.Attribute)):
+                    used.add(node.id if isinstance(node, ast.Name) else node.attr)
+    listed = ORACLES_AND_RESULTS | {name.rsplit(".", 1)[1] for name in TEST_REFERENCES}
+    assert not sorted(listed - used)
+
+
 @pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
                          ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_module_level_import(path):
