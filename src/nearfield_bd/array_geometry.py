@@ -97,6 +97,11 @@ class RectArray:
     elem_w: float
     wavelength: float
 
+    def __post_init__(self):
+        _integer("n_per_side", self.n_per_side)
+        for name in ("eta", "elem_diag", "elem_h", "elem_w", "wavelength"):
+            _real(name, getattr(self, name))
+
     @property
     def n_elements(self) -> int:
         return self.n_per_side * self.n_per_side

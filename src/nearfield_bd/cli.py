@@ -54,14 +54,10 @@ from .gain_engine import (
     run_sweep,
 )
 from .multiplexing import (
-    _channel_gram,
-    _mmse_table,
     _snr_power,
-    _table_rates,
-    build_channel_matrix,
     monte_carlo_sum_rate,
-    monte_carlo_sum_rates,
     plan_focal_points,
+    planned_sum_rate,
 )
 
 DEFAULT_SEED = 12345
@@ -320,7 +316,8 @@ def _lobe_rows(ctx, _):
 
 
 def _distance_error_row(ctx, _, phi):
-    phi = float(phi)
+    # the azimuth is read before d_B / cos(phi) turns a bad one into a distance
+    phi = _angle("azimuth", phi)
     dist = ctx.geometry.d_b / math.cos(phi) if ctx.dist is None else ctx.dist
     tx = TxGeometry(dist, azimuth=phi)
     return (phi, *mean_abs_distance_errors(ctx.geometry, tx))
@@ -350,30 +347,35 @@ def _plan_rows(ctx, _):
                                                   plan.intervals))]
 
 
-def _planned_table(arr, plan):
-    """MMSE table of the channel Gram of broadside users of ``arr`` at the
-    planned focal points; it serves every SNR."""
-    users = [TxGeometry(float(f)) for f in plan.focal_points]
-    return _mmse_table(_channel_gram(build_channel_matrix(arr, users)))
+def _k_user_plan(ctx, region):
+    """Focal plan of the geometry over ``region``, of sweep.k_users points
+    where the sweep gives it; a region that fits fewer is a config fault."""
+    plan = plan_focal_points(ctx.geometry, region, max_users=ctx.k_users)
+    if ctx.k_users is not None and len(plan) < ctx.k_users:
+        lo, hi = (z / ctx.d_f for z in region)
+        raise ConfigError(f"sweep.k_users: {ctx.k_users} users asked for, but the region "
+                          f"{lo:.6g} dF to {hi:.6g} dF ({region[0]:.6g} m to "
+                          f"{region[1]:.6g} m) fits {len(plan)}")
+    return plan
 
 
-def _planned_row(ctx, table, snr):
-    """Rate row of the planned users with MMSE table ``table``."""
-    return (snr, len(table[0]), "planned", _table_rates(table, _snr_power(snr)),
-            0.0, 1, ctx.seed)
+def _planned_row(ctx, plan, snr, rate):
+    """Rate row of the planned users of ``plan`` at one SNR."""
+    return (snr, len(plan), "planned", rate, 0.0, 1, ctx.seed)
 
 
 def _rate_snr_rows(ctx, _):
-    snrs = _scalar_grid(ctx, "snr_{}_db")
+    snrs = [float(snr) for snr in _scalar_grid(ctx, "snr_{}_db")]
     region = _region(ctx)
-    table = _planned_table(ctx.geometry,
-                           plan_focal_points(ctx.geometry, region, max_users=ctx.k_users))
-    # one pass over the grid: every SNR shares the draws, their Gram stack
-    # and its MMSE table
-    mcs = monte_carlo_sum_rates(ctx.geometry, ctx.k_users, region, ctx.n_trials, snrs,
-                                ctx.seed)
-    return [row for snr, mc in zip(map(float, snrs), mcs) for row in (
-        _planned_row(ctx, table, snr),
+    plan = _k_user_plan(ctx, region)
+    # one table serves every SNR of the planned rows, and one pass over the
+    # grid every SNR of the random rows: they share the draws, their Gram
+    # stack and its MMSE table
+    rates = planned_sum_rate(ctx.geometry, plan.focal_points, snrs)
+    mcs = monte_carlo_sum_rate(ctx.geometry, ctx.k_users, region, ctx.n_trials, snrs,
+                               ctx.seed)
+    return [row for snr, rate, mc in zip(snrs, rates, mcs) for row in (
+        _planned_row(ctx, plan, snr, rate),
         (snr, ctx.k_users, "random", mc.mean_rate, mc.stderr, mc.n_trials, ctx.seed))]
 
 
@@ -401,20 +403,22 @@ def _rate_eta_rows(ctx, _):
 
     def one(planned):
         eta, arr, plan = planned
-        return (eta,) + _planned_row(ctx, _planned_table(arr, plan), ctx.snr_db)
+        rate = planned_sum_rate(arr, plan.focal_points, ctx.snr_db)
+        return (eta,) + _planned_row(ctx, plan, ctx.snr_db, rate)
 
     return run_sweep(one, run_sweep(plan_eta, _scalar_grid(ctx, "eta_{}")), ctx.threads)
 
 
 def _rate_phi_rows(ctx, _):
-    plan = plan_focal_points(ctx.geometry, _region(ctx), max_users=ctx.k_users)
+    plan = _k_user_plan(ctx, _region(ctx))
 
     def one(phi):
         # the users' common linear phase cancels in the Gram matrix; what
         # the azimuth changes is the aperture the users see
         phi = float(phi)
-        table = _planned_table(project_array(ctx.geometry, phi), plan)
-        return (phi,) + _planned_row(ctx, table, ctx.snr_db)
+        rate = planned_sum_rate(project_array(ctx.geometry, phi), plan.focal_points,
+                                ctx.snr_db)
+        return (phi,) + _planned_row(ctx, plan, ctx.snr_db, rate)
 
     return run_sweep(one, _scalar_grid(ctx, "phi_{}"), ctx.threads)
 
@@ -662,12 +666,12 @@ def cmd_run(args):
     out = args.out or top.output or f"{args.preset or top.experiment}.csv"
     entries = getattr(ctx, files) if files else [None]
     root, ext = os.path.splitext(out)
-    paths = []
+    # every output's rows before any file, so a failing one leaves none behind
+    outputs = [(out if len(entries) == 1 else f"{root}_{entry}{ext or '.csv'}",
+                rows(ctx, entry)) for entry in entries]
     try:
-        for entry in entries:
-            path = out if len(entries) == 1 else f"{root}_{entry}{ext or '.csv'}"
-            paths.append(write_csv(path, ctx.experiment, ctx.preset, header,
-                                   rows(ctx, entry)))
+        paths = [write_csv(path, ctx.experiment, ctx.preset, header, table)
+                 for path, table in outputs]
     except OSError as err:
         raise ConfigError(f"cannot write output: {err}") from err
     for p in paths:

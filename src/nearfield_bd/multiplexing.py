@@ -24,8 +24,10 @@ _PLAN_EDGE_RTOL = 1e-9
 # Monte Carlo trials are evaluated in blocks of at most this many per-user
 # phase-table values (trials x users x half the elements per side), and a
 # block's pair products reuse buffers no larger than its table; the tables
-# are built in chunks of as many values.  So memory stays bounded for any
-# trial count, user count and array size.  Blocks this small keep the table
+# are built in chunks of as many values.  So the tables and the pair products
+# stay within a fixed size for any trial count, user count and array size;
+# what grows with the trial count T is the draws (k_max T floats) and the
+# rates (T floats per user count and SNR).  Blocks this small keep the table
 # and its pair products in cache: at n_per_side = 200, K = 1-8, the Monte
 # Carlo calls ran in 62 ms against 73 ms with 2^16 values.
 _GRAM_BLOCK_VALUES = 2 ** 14
@@ -72,10 +74,6 @@ class ChannelMatrix:
             raise ValueError("channel entries must be finite")
 
     @property
-    def n_elements(self):
-        return self.entries.shape[0]
-
-    @property
     def n_users(self):
         return self.entries.shape[1]
 
@@ -111,12 +109,16 @@ def plan_focal_points(arr: RectArray, region: tuple,
     starting from the far edge, F = bd_rect(arr, e).z_lo and the interval's
     lower edge bd_rect(arr, F).z_lo becomes the next e.  Stops below the
     near edge or at max_users; a focus in the reactive near field raises.
+    An empty region (z_min == z_max) gets an empty plan, and an inverted one
+    raises.
     """
     z_min, z_max = (_real("region bound", z, -math.inf, strict=False, inf=True)
                     for z in region)
     if max_users is not None:
         max_users = _integer("max_users", max_users)
-    if z_min >= z_max:
+    if z_min > z_max:
+        raise ValueError(f"region must satisfy z_min <= z_max, got ({z_min!r}, {z_max!r})")
+    if z_min == z_max:
         return PlacementPlan((), ())
     if z_min < arr.d_b * (1 - _PLAN_EDGE_RTOL):
         raise ValueError("region starts below the boundary distance")
@@ -389,45 +391,47 @@ def _table_rates(table: tuple, power: float):
     return np.sum(np.log2(1.0 + p * gains / (cross @ p + 1.0)), axis=-1)
 
 
+def _listed(name, given, what) -> list:
+    """``given`` as a list: [given] for one value, the entries of a non-empty
+    sequence, or a ValueError naming ``name`` for an empty one."""
+    if np.ndim(given) == 0:
+        return [given]
+    values = list(given)
+    if not values:
+        raise ValueError(f"{name} must hold at least one {what}, got {given!r}")
+    return values
+
+
+def planned_sum_rate(arr: RectArray, focal_points: Sequence[float], snr_db):
+    """Sum rate of broadside users at ``focal_points`` under the unit-power
+    MMSE precoder of their phase-model channel, every user at the power of
+    ``snr_db``.
+
+    ``snr_db`` is one SNR, which returns one rate, or a sequence of them,
+    which returns one rate per entry, in order: the precoder does not depend
+    on the SNR, so one channel Gram and its MMSE table serve every entry.
+    """
+    powers = [_snr_power(snr) for snr in _listed("snr_db", snr_db, "SNR")]
+    users = [TxGeometry(_real("focal point", f))
+             for f in _listed("focal_points", focal_points, "focal point")]
+    table = _mmse_table(_channel_gram(build_channel_matrix(arr, users)))
+    rates = [float(_table_rates(table, power)) for power in powers]
+    return rates[0] if np.ndim(snr_db) == 0 else rates
+
+
 def monte_carlo_sum_rate(arr: RectArray, k_users, region: tuple,
-                         n_trials: int, snr_db: float, seed: int):
+                         n_trials: int, snr_db, seed: int):
     """Mean sum rate over random co-directional user drops.
 
     Distances are drawn uniformly in reciprocal distance over the region
     (matching the roughly curvature-uniform spacing of depth intervals),
     broadside, with a PCG64 generator seeded for reproducibility.  Trials
-    are evaluated in blocks of at most ``_GRAM_BLOCK_VALUES`` phase-table
-    values and reduced in trial order.
+    are reduced in trial order.
 
-    ``k_users`` is one user count, which returns one ``MonteCarloResult``,
-    or a sequence of them, which returns one result per entry, each equal
-    to its single-count call: a (T, k) draw is the first T k values of the
-    seeded stream, so one draw of k_max T distances and one phase table per
-    distance serve every count (see ``_monte_carlo``).
-    """
-    if np.ndim(k_users) == 0:
-        return _monte_carlo(arr, [k_users], region, n_trials, (snr_db,), seed)[0][0]
-    ks = list(k_users)
-    if not ks:
-        raise ValueError(f"k_users must hold at least one user count, got {k_users!r}")
-    return [rates[0] for rates in _monte_carlo(arr, ks, region, n_trials, (snr_db,), seed)]
-
-
-def monte_carlo_sum_rates(arr: RectArray, k_users: int, region: tuple,
-                          n_trials: int, snrs_db: Sequence[float],
-                          seed: int) -> list[MonteCarloResult]:
-    """``monte_carlo_sum_rate`` of one user count at each SNR of ``snrs_db``,
-    in order.  Every SNR sees the same draws, and each block's Gram stack and
-    its MMSE table (one solve) are built once and serve all of them."""
-    if np.ndim(snrs_db) == 0 or not len(snrs_db):
-        raise ValueError(f"snrs_db must hold at least one SNR, got {snrs_db!r}")
-    return _monte_carlo(arr, [k_users], region, n_trials, snrs_db, seed)[0]
-
-
-def _monte_carlo(arr: RectArray, ks: Sequence[int], region: tuple, n_trials: int,
-                 snrs_db: Sequence[float], seed: int) -> list[list[MonteCarloResult]]:
-    """Monte Carlo sum rates of every user count of ``ks``, at every SNR of
-    ``snrs_db``: one list of results per entry of ``ks``, in order.
+    ``k_users`` is one user count or a sequence of them, and ``snr_db`` one
+    SNR or a sequence of them.  One of each returns one ``MonteCarloResult``,
+    one sequence a result per entry, and two a list per count of results per
+    SNR, each equal to its single call.
 
     Count k's trial t takes the users t k .. t k + k - 1 of one seeded
     stream of k_max T distances, so its draws are those of a (T, k) draw
@@ -437,8 +441,10 @@ def _monte_carlo(arr: RectArray, ks: Sequence[int], region: tuple, n_trials: int
     at most one chunk plus one block, whatever T, K and n are.  Each count
     keeps its own blocks of ``_GRAM_BLOCK_VALUES // (k * ((n + 1) // 2))``
     trials, copied users-leading, so its pair sums, Gram, MMSE table and
-    rates are the arithmetic of a single-count call on the same values."""
-    ks = [_integer("k_users", k) for k in ks]
+    rates are the arithmetic of a single-count call on the same values.
+    Every SNR sees the same draws, and a block's Gram stack and MMSE table
+    (one solve) serve all of them."""
+    ks = [_integer("k_users", k) for k in _listed("k_users", k_users, "user count")]
     n_trials = _integer("n_trials", n_trials)
     z_min, z_max = region
     try:
@@ -452,7 +458,7 @@ def _monte_carlo(arr: RectArray, ks: Sequence[int], region: tuple, n_trials: int
     if z_min < floor:
         raise ValueError(f"region starts in the reactive near-field "
                          f"(z_min {z_min:.4g} m < {floor:.4g} m)")
-    powers = [_snr_power(snr_db) for snr_db in snrs_db]
+    powers = [_snr_power(snr) for snr in _listed("snr_db", snr_db, "SNR")]
     width = (arr.n_per_side + 1) // 2
     blocks = {k: max(1, _GRAM_BLOCK_VALUES // (k * width)) for k in ks}
     rng = np.random.default_rng(seed)
@@ -493,7 +499,8 @@ def _monte_carlo(arr: RectArray, ks: Sequence[int], region: tuple, n_trials: int
         float(rate.mean()),
         float(rate.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0,
         n_trials) for rate in per_snr] for k, per_snr in rates.items()}
-    return [results[k] for k in ks]
+    results = [results[k] if np.ndim(snr_db) else results[k][0] for k in ks]
+    return results if np.ndim(k_users) else results[0]
 
 
 def _users_leading(rows: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:

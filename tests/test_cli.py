@@ -15,13 +15,16 @@ import pytest
 import nearfield_bd
 from nearfield_bd import __version__, cli, gain_engine
 from nearfield_bd.array_geometry import (
+    FixedApertureArea,
+    FixedApertureLength,
     FixedElementDiagonal,
     TxGeometry,
     make_rect_array,
     wavelength_from_carrier,
 )
+from nearfield_bd.beam_depth import finite_bd_limit_rect
 from nearfield_bd.cli import EXPERIMENTS, build_presets, main
-from nearfield_bd.gain_engine import rect_gain_slanted
+from nearfield_bd.gain_engine import SweepEvalError, rect_gain_slanted
 
 LAM = wavelength_from_carrier(3e9)
 
@@ -372,6 +375,10 @@ def test_bare_number_distance_rejected(tmp_path, capsys):
     ({"experiment": "sum-rate-vs-snr", "geometry": SMALL_WIDE_GEOM,
       "sweep": {"snr_values_db": [10.0, 4000], "k_users": 2, "n_trials": 3}},
      "sweep.snr_values_db must give a finite power"),
+    ({"experiment": "multiplex-plan", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"z_min": "150 dF", "z_max": "100 dF"}}, "sweep requires 0 < z_min < z_max"),
+    ({"experiment": "sum-rate-vs-users", "geometry": SMALL_WIDE_GEOM,
+      "sweep": {"k_min": 3, "k_max": 2, "n_trials": 3}}, "sweep requires 1 <= k_min <= k_max"),
 ])
 def test_config_validation_failures(tmp_path, capsys, patch, fragment):
     cfg = {
@@ -498,6 +505,115 @@ def test_readme_lists_each_experiments_sweep_keys():
                       for name, entry in cli._TABLE.items()}
 
 
+@pytest.mark.parametrize("drop, fragment", [
+    (("geometry",), "missing required field geometry"),
+    (("experiment",), "missing required field experiment"),
+    (("geometry", "sizing", "value"), "missing required field geometry.sizing.value"),
+    # a range grid needs all three of its keys
+    (("sweep", "n_points"), "missing required field sweep.n_points"),
+    (("sweep", "eta_min"), "missing required field sweep.eta_min"),
+])
+def test_missing_required_fields(tmp_path, capsys, drop, fragment):
+    cfg = {"geometry": json.loads(json.dumps(TINY_GEOM)), "experiment": "a3db-curve",
+           "sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 3}}
+    section = cfg
+    for key in drop[:-1]:
+        section = section[key]
+    del section[drop[-1]]
+    out = tmp_path / "x.csv"
+    assert run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(out)) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_config_path(tmp_path, capsys):
+    assert run_cli("run", "--config", str(tmp_path / "missing.json"),
+                   "--out", str(tmp_path / "x.csv")) == 2
+    assert "config error: cannot read config: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_unwritable_output_path(tmp_path, capsys):
+    cfg = {"geometry": TINY_GEOM, "experiment": "a3db-curve",
+           "sweep": {"eta_min": 0.5, "eta_max": 2.0, "n_points": 3}}
+    out = tmp_path / "no-such-dir" / "x.csv"
+    assert run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "config error: cannot write output: " in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("experiment, sweep", [
+    ("sum-rate-vs-snr", {"snr_values_db": [10.0, 20.0], "n_trials": 2}),
+    ("sum-rate-vs-phi", {"phi_values": [0.0, 0.3]}),
+])
+def test_planned_rows_never_take_fewer_users_than_k_users(tmp_path, capsys, experiment,
+                                                          sweep):
+    """On a 100x100 half-wavelength array the region 200.5-202 dF fits one
+    focal point: asked for 3 users, the run is refused before any file is
+    written, instead of writing planned rows of 1 user."""
+    cfg = {"geometry": dict(SMALL_WIDE_GEOM, n_per_side=100), "experiment": experiment,
+           "sweep": dict(sweep, k_users=3, z_min="200.5 dF", z_max="202 dF")}
+    out = tmp_path / "x.csv"
+    assert run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config error: sweep.k_users: 3 users asked for, but the region 200.5 dF to " \
+           "202 dF (" in err
+    assert err.rstrip().endswith(") fits 1")
+    assert not out.exists()
+
+
+def test_failing_kind_leaves_no_output_of_an_earlier_kind(tmp_path, monkeypatch, capsys):
+    """Every output's rows are computed before any file is opened: a later
+    kind that exits 2 (no point beyond the radiative floor) or 3 (a failing
+    point) leaves no file of the kinds before it."""
+    geometry = dict(SQUARE_GEOM, sizing={"mode": "element-diag", "value": "0.025 m"})
+    cfg = {"geometry": geometry, "experiment": "gain-profile",
+           "sweep": {"z_min": "10 dF", "z_max": "50 dF", "n_points": 5, "focus": "30 dF",
+                     "kinds": ["analytic", "exact"]}}
+    out = tmp_path / "out" / "x.csv"
+    out.parent.mkdir()
+    path = write_config(tmp_path, cfg)
+    assert run_cli("run", "--config", path, "--out", str(out)) == 2
+    assert "sweep range is entirely below the radiative floor for kind 'exact'" in \
+        capsys.readouterr().err
+    assert os.listdir(out.parent) == []
+
+    profile = cli.gain_profile
+
+    def failing(kind, *args, **kwargs):
+        if kind == "exact":
+            raise SweepEvalError([(2, ValueError("boom"))])
+        return profile(kind, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "gain_profile", failing)
+    cfg["sweep"].update(z_min="2 m", z_max="8 m", focus="4 m")
+    assert run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(out)) == 3
+    assert "sweep index 2: boom" in capsys.readouterr().err
+    assert os.listdir(out.parent) == []
+
+
+@pytest.mark.parametrize("mode, sizing", [("aperture-area", FixedApertureArea),
+                                          ("aperture-length", FixedApertureLength)])
+def test_finite_limit_curve_rows(tmp_path, mode, sizing):
+    """Each row is finite_bd_limit_rect / d_F of the array rebuilt at its eta
+    with the base array's aperture area or length held fixed."""
+    etas = [0.2, 1.0, 3.0]
+    cfg = {"geometry": SQUARE_GEOM, "experiment": "finite-limit-curve",
+           "sweep": {"eta_values": etas, "sizing_mode": mode}}
+    out = tmp_path / "limit.csv"
+    assert run_cli("run", "--config", write_config(tmp_path, cfg), "--out", str(out)) == 0
+    header, rows = read_rows(out)
+    assert header == ["eta", "limit_over_dF"]
+    base = make_rect_array(100, 1.0, FixedElementDiagonal(0.25 * LAM), LAM)
+    held = base.aperture_area if mode == "aperture-area" else base.aperture_len
+    expected = []
+    for eta in etas:
+        arr = make_rect_array(100, eta, sizing(held), LAM)
+        expected.append([repr(eta), repr(finite_bd_limit_rect(arr) / arr.d_f)])
+    assert rows == expected
+
+
 def test_run_without_config_or_preset(capsys):
     assert run_cli("run") == 2
     assert "config" in capsys.readouterr().err
@@ -562,11 +678,17 @@ def test_numerical_failure_reports_sweep_indices(tmp_path, capsys):
     assert "sweep index 1" in err
 
 
-def test_swept_azimuth_out_of_range_fails_at_its_index(tmp_path, capsys):
+@pytest.mark.parametrize("experiment, sweep", [
+    ("bd-vs-phi", {"focus": "4 m"}),
+    # read as an azimuth before d_B / cos(phi) makes it a negative distance
+    ("distance-error", {}),
+])
+def test_swept_azimuth_out_of_range_fails_at_its_index(tmp_path, capsys, experiment,
+                                                        sweep):
     """A swept azimuth is one point's input: an entry outside (-pi/2, pi/2)
     fails alone, with its sweep index, as a swept eta does."""
-    cfg = {"geometry": TINY_GEOM, "experiment": "bd-vs-phi",
-           "sweep": {"phi_values": [0.1, 2.0], "focus": "4 m"}}
+    cfg = {"geometry": TINY_GEOM, "experiment": experiment,
+           "sweep": dict(sweep, phi_values=[0.1, 2.0])}
     assert run_cli("run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "x.csv")) == 3
     err = capsys.readouterr().err
@@ -707,10 +829,11 @@ THREAD_POLICY = {
                           "quad_order": 4, "refinement": 0}, 0),
     "distance-error": (TINY_GEOM, "distance-error", {"phi_values": [0.0, 0.2, 0.4]}, 0),
     # random rows take one pass over the SNR grid, not one thread per SNR;
-    # 100x100, since no region of the 20x20 array plans outside its floor
+    # 100x100, since no region of the 20x20 array plans outside its floor,
+    # over a region that plans the k_users 3 (200.5-202 dF plans 1)
     "sum-rate-vs-snr": (dict(SMALL_WIDE_GEOM, n_per_side=100), "sum-rate-vs-snr",
                         {"snr_values_db": [0.0, 10.0, 20.0], "k_users": 3,
-                         "n_trials": 4, "z_min": "200.5 dF", "z_max": "202 dF"}, 0),
+                         "n_trials": 4, "z_min": "200.5 dF", "z_max": "1000 dF"}, 0),
     # every user count takes one pass over one seeded draw, not one thread
     # per count
     "sum-rate-vs-users": (SMALL_WIDE_GEOM, "sum-rate-vs-users",

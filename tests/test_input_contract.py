@@ -14,6 +14,7 @@ from nearfield_bd.array_geometry import (
     FixedApertureArea,
     FixedApertureLength,
     FixedElementDiagonal,
+    RectArray,
     TxGeometry,
     make_rect_array,
     project_array,
@@ -41,6 +42,7 @@ from nearfield_bd.gain_engine import (
     exact_array_gain_steered,
     gain_profile,
     projected_gain_approx,
+    radiative_floor,
     rect_gain_broadside,
     rect_gain_slanted,
 )
@@ -48,8 +50,8 @@ from nearfield_bd.multiplexing import (
     ChannelMatrix,
     mmse_precoder,
     monte_carlo_sum_rate,
-    monte_carlo_sum_rates,
     plan_focal_points,
+    planned_sum_rate,
     sum_rate,
     user_sinrs,
 )
@@ -76,6 +78,14 @@ H = ChannelMatrix(np.eye(4, 2, dtype=complex))
 W = mmse_precoder(H)
 PEAKED = GainProfile(1.0, np.array([1.0, 2.0, 3.0]), np.array([0.2, 1.0, 0.2]))
 RISING = GainProfile(1.0, np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.6, 1.0]))
+RECT_FIELDS = {"n_per_side": 4, "eta": 1.0, "elem_diag": 0.1, "elem_h": 0.0707,
+               "elem_w": 0.0707, "wavelength": 0.1}
+
+
+def rect_array(field, value):
+    """A RectArray built directly, with ``value`` at ``field``."""
+    return RectArray(**(RECT_FIELDS | {field: value}))
+
 
 # (entry point and argument, name the error starts with, call, bad values)
 CONTRACT = [
@@ -83,6 +93,10 @@ CONTRACT = [
     ("CircArray.radius", "radius", lambda v: CircArray(v, LAM), POSITIVE),
     ("CircArray.wavelength", "wavelength", lambda v: CircArray(1.0, v), POSITIVE),
     ("TxGeometry.dist", "dist", TxGeometry, POSITIVE),
+    # a RectArray built directly checks its fields as make_rect_array does
+    ("RectArray.n_per_side", "n_per_side", lambda v: rect_array("n_per_side", v), COUNT),
+    *[(f"RectArray.{field}", field, lambda v, field=field: rect_array(field, v), POSITIVE)
+      for field in ("eta", "elem_diag", "elem_h", "elem_w", "wavelength")],
     ("TxGeometry.azimuth", "azimuth", lambda v: TxGeometry(1.0, azimuth=v), ANGLE),
     ("TxGeometry.elevation", "elevation", lambda v: TxGeometry(1.0, elevation=v), ANGLE),
     ("project_array.azimuth", "azimuth", lambda v: project_array(ARR, v), ANGLE),
@@ -193,12 +207,23 @@ CONTRACT = [
     # 4000 dB is finite but its linear power is not
     ("monte_carlo_sum_rate.snr_db", "snr_db",
      lambda v: monte_carlo_sum_rate(ARR, 2, REGION, 2, v, seed=1), FINITE + (4000.0,)),
-    ("monte_carlo_sum_rates.snrs_db", "snr_db",
-     lambda v: monte_carlo_sum_rates(ARR, 2, REGION, 2, [10.0, v], seed=1),
+    ("monte_carlo_sum_rate.snr_db.sequence", "snr_db",
+     lambda v: monte_carlo_sum_rate(ARR, 2, REGION, 2, [10.0, v], seed=1),
      FINITE + (4000.0,)),
-    # a grid of SNRs, refused before any draw when it is a scalar or empty
-    ("monte_carlo_sum_rates.snrs_db.grid", "snrs_db",
-     lambda v: monte_carlo_sum_rates(ARR, 2, REGION, 2, v, seed=1), (10.0, [])),
+    # a grid of SNRs, refused before any draw when it is empty
+    ("monte_carlo_sum_rate.snr_db.grid", "snr_db",
+     lambda v: monte_carlo_sum_rate(ARR, 2, REGION, 2, v, seed=1), ([], ())),
+    ("planned_sum_rate.focal_points", "focal point",
+     lambda v: planned_sum_rate(ARR, [FAR, v], 10.0), POSITIVE),
+    # the channel refuses a user in the reactive near field, naming its index
+    ("planned_sum_rate.focal_points.floor", "user 1",
+     lambda v: planned_sum_rate(ARR, [FAR, v], 10.0), (0.5 * radiative_floor(ARR),)),
+    ("planned_sum_rate.focal_points.grid", "focal_points",
+     lambda v: planned_sum_rate(ARR, v, 10.0), ([], ())),
+    ("planned_sum_rate.snr_db", "snr_db", lambda v: planned_sum_rate(ARR, [FAR], v),
+     FINITE + (4000.0, [])),
+    ("planned_sum_rate.snr_db.sequence", "snr_db",
+     lambda v: planned_sum_rate(ARR, [FAR], [10.0, v]), FINITE + (4000.0,)),
 ]
 
 
