@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,13 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0
 
 
-def _shown(value):
-    """``value`` as an error message shows it: a numpy scalar as its Python
-    value, so np.float64(nan) reads nan; anything else as it is."""
-    return value.item() if isinstance(value, np.generic) else value
+def _shown(value) -> str:
+    """``value`` as an error message shows it: its repr, a numpy scalar's as
+    its Python value's, so np.float64(nan) reads nan, and with any memory
+    address dropped, so an iterator reads <list_iterator object>."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return re.sub(r" at 0x[0-9a-fA-F]+", "", repr(value))
 
 
 def _real(name, value, low=0.0, *, strict=True, inf=False) -> float:
@@ -34,11 +38,11 @@ def _real(name, value, low=0.0, *, strict=True, inf=False) -> float:
     # float and int first: they skip the slower numbers.Real check
     if (isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real))
             or math.isnan(value) or (math.isinf(value) and not inf)):
-        raise ValueError(f"{name}: {_shown(value)!r} is not a "
+        raise ValueError(f"{name}: {_shown(value)} is not a "
                          f"{'' if inf else 'finite '}number")
     if value < low or (strict and value == low):
         raise ValueError(
-            f"{name} must be {'>' if strict else '>='} {low:g}, got {_shown(value)!r}")
+            f"{name} must be {'>' if strict else '>='} {low:g}, got {_shown(value)}")
     return float(value)
 
 
@@ -46,9 +50,9 @@ def _integer(name, value, low=1) -> int:
     """``value`` as an int of at least ``low``: an integral number such as 3 or
     3.0, not a bool; anything else raises ValueError naming ``name``."""
     if not _real(name, value, -math.inf, strict=False).is_integer():
-        raise ValueError(f"{name} must be an integer, got {_shown(value)!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if int(value) < low:
-        raise ValueError(f"{name} must be at least {low}, got {_shown(value)!r}")
+        raise ValueError(f"{name} must be at least {low}, got {_shown(value)}")
     return int(value)
 
 
@@ -59,6 +63,21 @@ def _angle(name, value) -> float:
     if not abs(value) < math.pi / 2:
         raise ValueError(f"{name} must lie in (-pi/2, pi/2), got {value!r}")
     return value
+
+
+def _one_or_many(value) -> tuple[list, bool]:
+    """``(entries, single)``: the entries of a sequence and False, or
+    ``[value]`` and True for anything else.  A sequence is a non-empty 1-D
+    array, or a list, tuple or range with an entry that is none of these; so
+    a number, a string, an iterator, an empty sequence and a grid of
+    sequences are each one entry.  The caller's reader of an entry takes or
+    refuses each one, so one point and a sequence of points read alike."""
+    if isinstance(value, np.ndarray):
+        many = value.ndim == 1 and value.size > 0
+    else:
+        many = isinstance(value, (list, tuple, range)) and not all(
+            isinstance(entry, (list, tuple, range, np.ndarray)) for entry in value)
+    return (list(value), False) if many else ([value], True)
 
 
 def wavelength_from_carrier(carrier_hz: float) -> float:
@@ -98,9 +117,16 @@ class RectArray:
     wavelength: float
 
     def __post_init__(self):
-        _integer("n_per_side", self.n_per_side)
+        object.__setattr__(self, "n_per_side", _integer("n_per_side", self.n_per_side))
         for name in ("eta", "elem_diag", "elem_h", "elem_w", "wavelength"):
             _real(name, getattr(self, name))
+        # the closed forms read eta and the diagonal, the exact kernels the
+        # sides, so they must agree: built arrays do within 2 eps
+        for name, value in (("eta", self.elem_w / self.elem_h),
+                            ("elem_diag", math.hypot(self.elem_w, self.elem_h))):
+            if abs(value / getattr(self, name) - 1.0) > 8 * math.ulp(1.0):
+                raise ValueError(f"{name} must be {value!r} for elements {self.elem_w!r} "
+                                 f"wide and {self.elem_h!r} high, got {getattr(self, name)!r}")
 
     @property
     def n_elements(self) -> int:

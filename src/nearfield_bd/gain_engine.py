@@ -9,8 +9,9 @@ Fresnel-integral expressions for rectangular apertures (broadside and
 slanted transmitters) and the sinc^2 expression for circular apertures, all
 in one array pass of which each scalar closed form is a one-point call.
 Each exact gain function takes one transmitter (a distance for the disk) or
-a sequence of them, integrated together as one batched quadrature per order
-in which no point's nodes, order or failure depend on the others.
+a sequence of them (``array_geometry._one_or_many`` tells which), integrated
+together as one batched quadrature per order in which no point's nodes,
+order or failure depend on the others.
 ``gain_profile`` checks the settings its points share once, reads each
 distance of a grid once at its index, and takes every readable distance at
 once, with the same per-point values and failures as single-point calls:
@@ -41,6 +42,7 @@ from .array_geometry import (
     RectArray,
     TxGeometry,
     _angle,
+    _one_or_many,
     _real,
     _shown,
     project_array,
@@ -187,12 +189,21 @@ def _placement(tx: TxGeometry) -> tuple:
     return x, y, z, x / tx.dist, y / tx.dist, z / tx.dist
 
 
+def _transmitters(tx) -> tuple:
+    """``_one_or_many`` of ``tx``, each entry a TxGeometry; any other entry
+    raises a ValueError starting with tx, naming its index in a sequence."""
+    txs, single = _one_or_many(tx)
+    for i, t in enumerate(txs):
+        if not isinstance(t, TxGeometry):
+            raise ValueError(f"tx{'' if single else f' {i}'}: {_shown(t)} is not a TxGeometry")
+    return txs, single
+
+
 def _rect_gain(arr: RectArray, tx, focus: float, quad: QuadratureSpec, focusing):
     """``_rect_gains_exact`` of one transmitter, raised if it failed, or of a
     sequence, as ``_returned`` gives them."""
-    single = isinstance(tx, TxGeometry)
-    return _returned(single, _rect_gains_exact(arr, [tx] if single else list(tx), focus,
-                                               quad, focusing))
+    txs, single = _transmitters(tx)
+    return _returned(single, _rect_gains_exact(arr, txs, focus, quad, focusing))
 
 
 def _broadside(wavelength: float, focus: float):
@@ -225,7 +236,9 @@ def exact_array_gain(arr: RectArray, tx, focus: float,
     For a sequence of transmitters, the array of their gains, integrated
     together as one batched quadrature per order; the points that fail raise
     one SweepEvalError with their indices.  Each point gets the gain, order
-    and error it has alone."""
+    and error it has alone.  Anything but a TxGeometry in place of one, or
+    in a sequence, raises one ValueError starting with tx before any point
+    is evaluated."""
     return _rect_gain(arr, tx, focus, quad, _broadside(arr.wavelength, focus))
 
 
@@ -360,16 +373,17 @@ def disk_gain_exact(circ: CircArray, z: float, focus: float,
     """Gain over the continuous disk, broadside transmitter at distance z,
     with the broadside quadratic focusing phase toward (0, 0, F).
 
-    For a 1-D sequence of distances z, the array of their gains, integrated
+    For a sequence of distances z, the array of their gains, integrated
     together as one batched quadrature per order; the points that fail raise
     one SweepEvalError with their indices.  Each point gets the gain, order
-    and error it has alone."""
+    and error it has alone.  Anything ``_one_or_many`` takes as one entry,
+    such as an empty list, is one distance, refused with a ValueError."""
     def rule(_, ranges):
         phase = _broadside_focus(circ.wavelength, focus)
         return lambda at, order: _disk_blocks(circ, ranges[at], order, phase)
 
-    single = np.ndim(z) == 0
-    return _returned(single, _aperture_gains(circ, [z] if single else z, focus, quad, rule))
+    zs, single = _one_or_many(z)
+    return _returned(single, _aperture_gains(circ, zs, focus, quad, rule))
 
 
 def disk_gain_fresnel(circ: CircArray, z: float, focus: float) -> float:
@@ -399,8 +413,7 @@ def projected_gain_approx(arr: RectArray, tx, focus: float,
     their gains as ``exact_array_gain`` gives them, one batch per azimuth.
     The projection takes an azimuth only, so a transmitter with a nonzero
     elevation, which it would drop, raises one ValueError naming it."""
-    single = isinstance(tx, TxGeometry)
-    txs = [tx] if single else list(tx)
+    txs, single = _transmitters(tx)
     for t in txs:
         _azimuth_only(t.elevation)
     outcomes = [None] * len(txs)
@@ -419,7 +432,7 @@ def _azimuth_only(elevation):
     projected gain would drop (``project_array`` takes the azimuth)."""
     if elevation != 0.0:
         raise ValueError(f"elevation: projected gains take an azimuth only, "
-                         f"got {_shown(elevation)!r}")
+                         f"got {_shown(elevation)}")
 
 
 @dataclass(frozen=True)
@@ -458,8 +471,9 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     exact | analytic. The focus, azimuth and elevation, which every point
     shares, are checked once; a bad one, or a nonzero elevation of a
     projected profile (``projected_gain_approx`` takes an azimuth only),
-    raises a ValueError naming it.  So does a number, a string, an iterator
-    or an empty sequence in place of the grid ``distances``.
+    raises a ValueError naming it.  So does anything ``_one_or_many`` takes
+    as one entry (a number, a string, an iterator, an empty sequence or a
+    grid of sequences) in place of the grid ``distances``.
     Each distance is read once, at its index, and a grid whose distances
     all read but do not strictly increase raises a ValueError before any
     point is evaluated.  The readable points are then one call of the kind's
@@ -485,16 +499,13 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
     _angle("elevation", elevation)
     if kind == "projected":
         _azimuth_only(elevation)
-    try:
-        points = 0 if isinstance(distances, (str, bytes)) else len(distances)
-    except TypeError:       # a number, an iterator or a 0-d array
-        points = 0
-    if not points:
+    entries, single = _one_or_many(distances)
+    if single:
         raise ValueError(f"distances must be a non-empty sequence of distances, "
-                         f"got {_shown(distances)!r}")
+                         f"got {_shown(distances)}")
 
     dgrid, read, failures = [], [], []
-    for i, d in enumerate(distances):
+    for i, d in enumerate(entries):
         try:
             dgrid.append(_real("distance", d))
             read.append(i)
@@ -502,6 +513,8 @@ def gain_profile(kind: str, geometry, distances, focus: float, *,
             failures.append((i, exc))
     if not failures and not all(a < b for a, b in zip(dgrid, dgrid[1:])):
         raise ValueError("distances must be strictly increasing")
+    if not dgrid:   # an empty list would be one point to the gain functions
+        raise SweepEvalError(failures)
     try:
         if kind == "analytic":
             gains = _collected(_analytic_gains(geometry, dgrid, focus, azimuth, elevation))

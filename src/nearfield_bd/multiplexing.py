@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .array_geometry import RectArray, TxGeometry, _integer, _real, element_grid
+from .array_geometry import (RectArray, TxGeometry, _integer, _one_or_many, _real, _shown,
+                             element_grid)
 from .beam_depth import bd_rect, finite_bd_limit_rect
 from .field_model import SQRT_4PI, QuadratureSpec, _element_channels
 from .gain_engine import radiative_floor
@@ -100,6 +101,19 @@ class MonteCarloResult:
     n_trials: int
 
 
+def _region(region) -> tuple:
+    """(z_min, z_max): the two finite bounds of ``region``; anything else, one
+    or three bounds included, raises a ValueError starting with region.  The
+    order each caller needs is its own check."""
+    try:   # unpacking other than two entries raises ValueError too
+        z_min, z_max = (_real("region bound", z, -math.inf, strict=False)
+                        for z in _one_or_many(region)[0])
+    except ValueError as err:
+        raise ValueError(f"region bounds must be finite numbers (z_min, z_max), "
+                         f"got {_shown(region)}") from err
+    return z_min, z_max
+
+
 def plan_focal_points(arr: RectArray, region: tuple,
                       max_users: Optional[int] = None) -> PlacementPlan:
     """Greedy far-to-near tiling of a region with half-power intervals.
@@ -109,11 +123,10 @@ def plan_focal_points(arr: RectArray, region: tuple,
     starting from the far edge, F = bd_rect(arr, e).z_lo and the interval's
     lower edge bd_rect(arr, F).z_lo becomes the next e.  Stops below the
     near edge or at max_users; a focus in the reactive near field raises.
-    An empty region (z_min == z_max) gets an empty plan, and an inverted one
-    raises.
+    ``region`` is two finite bounds (z_min, z_max); an empty region (z_min ==
+    z_max) gets an empty plan, and an inverted one raises.
     """
-    z_min, z_max = (_real("region bound", z, -math.inf, strict=False, inf=True)
-                    for z in region)
+    z_min, z_max = _region(region)
     if max_users is not None:
         max_users = _integer("max_users", max_users)
     if z_min > z_max:
@@ -391,32 +404,22 @@ def _table_rates(table: tuple, power: float):
     return np.sum(np.log2(1.0 + p * gains / (cross @ p + 1.0)), axis=-1)
 
 
-def _listed(name, given, what) -> list:
-    """``given`` as a list: [given] for one value, the entries of a non-empty
-    sequence, or a ValueError naming ``name`` for an empty one."""
-    if np.ndim(given) == 0:
-        return [given]
-    values = list(given)
-    if not values:
-        raise ValueError(f"{name} must hold at least one {what}, got {given!r}")
-    return values
-
-
 def planned_sum_rate(arr: RectArray, focal_points: Sequence[float], snr_db):
     """Sum rate of broadside users at ``focal_points`` under the unit-power
     MMSE precoder of their phase-model channel, every user at the power of
     ``snr_db``.
 
-    ``snr_db`` is one SNR, which returns one rate, or a sequence of them,
-    which returns one rate per entry, in order: the precoder does not depend
-    on the SNR, so one channel Gram and its MMSE table serve every entry.
+    ``focal_points`` is one focal point or a sequence of them.  ``snr_db``
+    is one SNR, which returns one rate, or a sequence of them, which returns
+    one rate per entry, in order: the precoder does not depend on the SNR,
+    so one channel Gram and its MMSE table serve every entry.
     """
-    powers = [_snr_power(snr) for snr in _listed("snr_db", snr_db, "SNR")]
-    users = [TxGeometry(_real("focal point", f))
-             for f in _listed("focal_points", focal_points, "focal point")]
+    snrs, one_snr = _one_or_many(snr_db)
+    powers = [_snr_power(snr) for snr in snrs]
+    users = [TxGeometry(_real("focal point", f)) for f in _one_or_many(focal_points)[0]]
     table = _mmse_table(_channel_gram(build_channel_matrix(arr, users)))
     rates = [float(_table_rates(table, power)) for power in powers]
-    return rates[0] if np.ndim(snr_db) == 0 else rates
+    return rates[0] if one_snr else rates
 
 
 def monte_carlo_sum_rate(arr: RectArray, k_users, region: tuple,
@@ -444,21 +447,18 @@ def monte_carlo_sum_rate(arr: RectArray, k_users, region: tuple,
     rates are the arithmetic of a single-count call on the same values.
     Every SNR sees the same draws, and a block's Gram stack and MMSE table
     (one solve) serve all of them."""
-    ks = [_integer("k_users", k) for k in _listed("k_users", k_users, "user count")]
+    counts, one_count = _one_or_many(k_users)
+    ks = [_integer("k_users", k) for k in counts]
     n_trials = _integer("n_trials", n_trials)
-    z_min, z_max = region
-    try:
-        z_min, z_max = (_real("region bound", z, -math.inf, strict=False)
-                        for z in (z_min, z_max))
-    except ValueError as err:
-        raise ValueError(f"region bounds must be finite numbers, got {region}") from err
+    z_min, z_max = _region(region)
     if not 0 < z_min < z_max:
         raise ValueError("region must satisfy 0 < z_min < z_max")
     floor = radiative_floor(arr)
     if z_min < floor:
         raise ValueError(f"region starts in the reactive near-field "
                          f"(z_min {z_min:.4g} m < {floor:.4g} m)")
-    powers = [_snr_power(snr) for snr in _listed("snr_db", snr_db, "SNR")]
+    snrs, one_snr = _one_or_many(snr_db)
+    powers = [_snr_power(snr) for snr in snrs]
     width = (arr.n_per_side + 1) // 2
     blocks = {k: max(1, _GRAM_BLOCK_VALUES // (k * width)) for k in ks}
     rng = np.random.default_rng(seed)
@@ -499,8 +499,8 @@ def monte_carlo_sum_rate(arr: RectArray, k_users, region: tuple,
         float(rate.mean()),
         float(rate.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0,
         n_trials) for rate in per_snr] for k, per_snr in rates.items()}
-    results = [results[k] if np.ndim(snr_db) else results[k][0] for k in ks]
-    return results if np.ndim(k_users) else results[0]
+    results = [results[k][0] if one_snr else results[k] for k in ks]
+    return results[0] if one_count else results
 
 
 def _users_leading(rows: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:

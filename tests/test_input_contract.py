@@ -1,6 +1,8 @@
 """One input contract for the public API: every numeric argument outside its
-domain (NaN, +-inf, zero, negative, and for counts fractions and bools)
-raises ValueError naming that argument, and no RuntimeWarning escapes."""
+domain (NaN, +-inf, zero, negative, and for counts fractions and bools), and
+anything but one point or a sequence of them where either is taken, raises
+ValueError naming that argument, with no memory address in its message, and
+no RuntimeWarning escapes."""
 
 import math
 import re
@@ -9,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nearfield_bd import gain_engine
 from nearfield_bd.array_geometry import (
     CircArray,
     FixedApertureArea,
@@ -48,6 +51,7 @@ from nearfield_bd.gain_engine import (
 )
 from nearfield_bd.multiplexing import (
     ChannelMatrix,
+    build_channel_matrix,
     mmse_precoder,
     monte_carlo_sum_rate,
     plan_focal_points,
@@ -78,8 +82,12 @@ H = ChannelMatrix(np.eye(4, 2, dtype=complex))
 W = mmse_precoder(H)
 PEAKED = GainProfile(1.0, np.array([1.0, 2.0, 3.0]), np.array([0.2, 1.0, 0.2]))
 RISING = GainProfile(1.0, np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.6, 1.0]))
-RECT_FIELDS = {"n_per_side": 4, "eta": 1.0, "elem_diag": 0.1, "elem_h": 0.0707,
-               "elem_w": 0.0707, "wavelength": 0.1}
+RECT_FIELDS = {"n_per_side": 4, "eta": 1.0, "elem_diag": 0.1, "elem_h": 0.1 / math.sqrt(2),
+               "elem_w": 0.1 / math.sqrt(2), "wavelength": 0.1}
+# one part in 2^48: twice the tolerance of eta and the diagonal against the sides
+OFF = 1.0 + 16 * math.ulp(1.0)
+# in place of one transmitter or of a sequence of them
+NOT_TX = (5.0, None, "ab", [], (), iter([TX]), [TX, 5.0])
 
 
 def rect_array(field, value):
@@ -97,6 +105,10 @@ CONTRACT = [
     ("RectArray.n_per_side", "n_per_side", lambda v: rect_array("n_per_side", v), COUNT),
     *[(f"RectArray.{field}", field, lambda v, field=field: rect_array(field, v), POSITIVE)
       for field in ("eta", "elem_diag", "elem_h", "elem_w", "wavelength")],
+    # eta and the diagonal must be those of the sides
+    ("RectArray.eta.sides", "eta", lambda v: rect_array("eta", v), (3.0, OFF)),
+    ("RectArray.elem_diag.sides", "elem_diag", lambda v: rect_array("elem_diag", v),
+     (0.2, 0.1 * OFF)),
     ("TxGeometry.azimuth", "azimuth", lambda v: TxGeometry(1.0, azimuth=v), ANGLE),
     ("TxGeometry.elevation", "elevation", lambda v: TxGeometry(1.0, elevation=v), ANGLE),
     ("project_array.azimuth", "azimuth", lambda v: project_array(ARR, v), ANGLE),
@@ -145,6 +157,9 @@ CONTRACT = [
      lambda v: circ_gain_broadside(CIRC, FAR, v), FOCUS),
     ("disk_gain_exact.z", "distance", lambda v: disk_gain_exact(CIRC, v, FAR),
      POSITIVE),
+    # no sequence of distances is one distance, refused as such
+    ("disk_gain_exact.z.one", "distance", lambda v: disk_gain_exact(CIRC, v, FAR),
+     ([], (), np.array([]), [[FAR, 2 * FAR]], iter([FAR]))),
     ("disk_gain_exact.focus", "focal distance",
      lambda v: disk_gain_exact(CIRC, FAR, v), FOCUS),
     ("disk_gain_fresnel.z", "z", lambda v: disk_gain_fresnel(CIRC, v, FAR), POSITIVE),
@@ -156,6 +171,9 @@ CONTRACT = [
      lambda v: exact_array_gain_steered(ARR, TX, v), FOCUS),
     ("projected_gain_approx.focus", "focal distance",
      lambda v: projected_gain_approx(ARR, TX, v), FOCUS),
+    # anything but a transmitter, alone or in a sequence, fails before any point
+    *[(f"{gain.__name__}.tx", "tx", lambda v, gain=gain: gain(ARR, v, FAR), NOT_TX)
+      for gain in (exact_array_gain, exact_array_gain_steered, projected_gain_approx)],
     # a sequence call's focus, shared by its points, fails once, not per point
     ("disk_gain_exact.focus.sequence", "focal distance",
      lambda v: disk_gain_exact(CIRC, [FAR, 2 * FAR], v), FOCUS),
@@ -202,6 +220,8 @@ CONTRACT = [
     ("sum_rate.powers", "power", lambda v: sum_rate(H, W, [1.0, v]), NON_NEGATIVE),
     ("monte_carlo_sum_rate.k_users", "k_users",
      lambda v: monte_carlo_sum_rate(ARR, v, REGION, 2, 10.0, seed=1), COUNT),
+    ("monte_carlo_sum_rate.k_users.one", "k_users",
+     lambda v: monte_carlo_sum_rate(ARR, v, REGION, 2, 10.0, seed=1), (iter([2]),)),
     ("monte_carlo_sum_rate.n_trials", "n_trials",
      lambda v: monte_carlo_sum_rate(ARR, 2, REGION, v, 10.0, seed=1), COUNT),
     # 4000 dB is finite but its linear power is not
@@ -212,30 +232,41 @@ CONTRACT = [
      FINITE + (4000.0,)),
     # a grid of SNRs, refused before any draw when it is empty
     ("monte_carlo_sum_rate.snr_db.grid", "snr_db",
-     lambda v: monte_carlo_sum_rate(ARR, 2, REGION, 2, v, seed=1), ([], ())),
+     lambda v: monte_carlo_sum_rate(ARR, 2, REGION, 2, v, seed=1), ([], (), iter([10.0]))),
+    ("monte_carlo_sum_rate.region", "region",
+     lambda v: monte_carlo_sum_rate(ARR, 2, v, 2, 10.0, seed=1),
+     (None, REGION[:1], REGION + REGION[:1])),
+    ("plan_focal_points.region", "region", lambda v: plan_focal_points(ARR, v),
+     (None, REGION[:1], REGION + REGION[:1])),
     ("planned_sum_rate.focal_points", "focal point",
      lambda v: planned_sum_rate(ARR, [FAR, v], 10.0), POSITIVE),
     # the channel refuses a user in the reactive near field, naming its index
     ("planned_sum_rate.focal_points.floor", "user 1",
      lambda v: planned_sum_rate(ARR, [FAR, v], 10.0), (0.5 * radiative_floor(ARR),)),
-    ("planned_sum_rate.focal_points.grid", "focal_points",
-     lambda v: planned_sum_rate(ARR, v, 10.0), ([], ())),
+    ("planned_sum_rate.focal_points.grid", "focal point",
+     lambda v: planned_sum_rate(ARR, v, 10.0), ([], (), iter([FAR]))),
     ("planned_sum_rate.snr_db", "snr_db", lambda v: planned_sum_rate(ARR, [FAR], v),
-     FINITE + (4000.0, [])),
+     FINITE + (4000.0, [], iter([10.0]))),
     ("planned_sum_rate.snr_db.sequence", "snr_db",
      lambda v: planned_sum_rate(ARR, [FAR], [10.0, v]), FINITE + (4000.0,)),
 ]
 
 
+def unaddressed(value):
+    """The repr of ``value`` without the memory address an iterator's holds."""
+    return re.sub(r" at 0x[0-9a-fA-F]+", "", repr(value))
+
+
 @pytest.mark.parametrize("name, call, value", [
-    pytest.param(name, call, value, id=f"{label}={value!r}")
+    pytest.param(name, call, value, id=f"{label}={unaddressed(value)}")
     for label, name, call, bad in CONTRACT for value in bad
 ])
 def test_out_of_domain_argument_raises_value_error(name, call, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=rf"^{re.escape(name)}[: ]"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}[: ]") as info:
             call(value)
+    assert " at 0x" not in str(info.value)
 
 
 @pytest.mark.parametrize("value", [None, "1.0", [1.0], np.array([1.0]), True])
@@ -280,6 +311,22 @@ def test_integral_floats_are_counts():
     assert make_rect_array(4.0, 1.0, FixedElementDiagonal(0.01), LAM).n_per_side == 4
     quad = QuadratureSpec(np.float64(4.0), 1.0)
     assert (type(quad.order), type(quad.refinement)) == (int, int)
+    # a RectArray built directly stores the int too, which sizes its channel
+    arr = rect_array("n_per_side", 20.0)
+    assert type(arr.n_per_side) is int
+    assert build_channel_matrix(arr, [TxGeometry(10.0)]).entries.shape == (400, 1)
+
+
+@pytest.mark.parametrize("gain", [exact_array_gain, exact_array_gain_steered,
+                                  projected_gain_approx])
+def test_a_non_transmitter_fails_at_its_index_before_any_point(gain, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(gain_engine, "_rect_gains_exact",
+                        lambda *args: evaluated.append(args))
+    with pytest.raises(ValueError) as info:
+        gain(ARR, [TX, TX, 5.0], FAR)
+    assert str(info.value) == "tx 2: 5.0 is not a TxGeometry"
+    assert evaluated == []
 
 
 def test_solve_a3db_validates_before_its_cache():

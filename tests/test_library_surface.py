@@ -86,3 +86,15 @@ def test_no_unused_module_level_import(path):
                 and getattr(node, "module", None) != "__future__" for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not sorted(imported - used)
+
+
+def test_one_or_many_is_decided_in_array_geometry_alone():
+    """Whether an argument is one point or a sequence of them is decided by
+    ``array_geometry._one_or_many``; an ``np.ndim`` call elsewhere in the
+    package is a second rule for it."""
+    calls = sorted(f"{module}:{node.lineno}" for module, tree in TREES
+                   if module != "array_geometry" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "ndim" and isinstance(node.func.value, ast.Name)
+                   and node.func.value.id in ("np", "numpy"))
+    assert not calls, calls
