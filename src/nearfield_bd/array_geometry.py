@@ -219,6 +219,25 @@ class TxGeometry:
         return (self.x, self.y, self.z)
 
 
+def _transmitters(tx) -> tuple:
+    """``_one_or_many`` of ``tx``, each entry a TxGeometry; any other entry
+    raises a ValueError starting with tx, naming its index in a sequence."""
+    txs, single = _one_or_many(tx)
+    for i, t in enumerate(txs):
+        if not isinstance(t, TxGeometry):
+            raise ValueError(f"tx{'' if single else f' {i}'}: {_shown(t)} is not a TxGeometry")
+    return txs, single
+
+
+def _transmitter(tx) -> TxGeometry:
+    """``tx``, one TxGeometry, read by ``_transmitters``; a sequence of them
+    raises a ValueError starting with tx too."""
+    txs, single = _transmitters(tx)
+    if not single:
+        raise ValueError(f"tx: {_shown(tx)} is not one TxGeometry")
+    return txs[0]
+
+
 def make_rect_array(n_per_side: int, eta: float, sizing, wavelength: float) -> RectArray:
     """Build a rectangular array under one of the three sizing modes."""
     n_per_side = _integer("n_per_side", n_per_side)

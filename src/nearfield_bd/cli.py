@@ -323,12 +323,15 @@ def _distance_error_row(ctx, _, phi):
     return (phi, *mean_abs_distance_errors(ctx.geometry, tx))
 
 
-def _projection_error_row(ctx, _, phi):
-    tx = TxGeometry(ctx.dist, azimuth=float(phi))
+def _projection_error_rows(ctx, _):
+    """Steered and projected gains of every azimuth, one batched call of
+    each; an azimuth out of range fails at its index before either runs."""
+    phis = [float(phi) for phi in _scalar_grid(ctx, "phi_{}")]
+    txs = run_sweep(lambda phi: TxGeometry(ctx.dist, azimuth=phi), phis)
     quad = QuadratureSpec(ctx.quad_order, ctx.refinement)
-    exact = exact_array_gain_steered(ctx.geometry, tx, ctx.focus, quad)
-    proj = projected_gain_approx(ctx.geometry, tx, ctx.focus, quad)
-    return (float(phi), exact, proj, abs(exact - proj))
+    exact = exact_array_gain_steered(ctx.geometry, txs, ctx.focus, quad)
+    proj = projected_gain_approx(ctx.geometry, txs, ctx.focus, quad)
+    return [(phi, e, p, abs(e - p)) for phi, e, p in zip(phis, exact, proj)]
 
 
 def _region(ctx):
@@ -460,7 +463,7 @@ _TABLE = {
     "distance-error": ("rect", None, ["phi", "direct_err_m", "indirect_err_m"],
                        _points("phi_{}", _distance_error_row), _PHIS | {"dist": None}),
     "projection-error": ("rect", None, ["phi", "exact_gain", "projected_gain", "abs_err"],
-                         _points("phi_{}", _projection_error_row),
+                         _projection_error_rows,
                          _PHIS | {"dist": _REQUIRED, "focus": _REQUIRED} | _QUAD),
     "multiplex-plan": ("rect", None, ["k", "F_over_dF", "zlo_over_dF", "zhi_over_dF"],
                        _plan_rows, _REGION | {"max_users": None}),

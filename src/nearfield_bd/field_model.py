@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from .array_geometry import CircArray, RectArray, TxGeometry, _integer, element_grid
+from .array_geometry import (CircArray, RectArray, TxGeometry, _integer, _transmitter,
+                             element_grid)
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
@@ -311,6 +312,7 @@ def mean_abs_distance_errors(arr: RectArray, tx: TxGeometry) -> tuple:
     With the transmitter on the y = 0 plane (``_mirrored``), both distances are
     even in y and the element rows are mirror pairs, so only the rows with
     y >= 0 are evaluated: weight 2, and 1 on a centre row at y = 0."""
+    tx = _transmitter(tx)
     xs, ys = element_grid(arr)
     weights = 1.0
     if _mirrored(tx.position)[1]:

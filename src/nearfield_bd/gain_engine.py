@@ -45,6 +45,8 @@ from .array_geometry import (
     _one_or_many,
     _real,
     _shown,
+    _transmitter,
+    _transmitters,
     project_array,
 )
 from .field_model import (QuadratureSpec, _aperture_blocks, _broadside_focus,
@@ -189,16 +191,6 @@ def _placement(tx: TxGeometry) -> tuple:
     return x, y, z, x / tx.dist, y / tx.dist, z / tx.dist
 
 
-def _transmitters(tx) -> tuple:
-    """``_one_or_many`` of ``tx``, each entry a TxGeometry; any other entry
-    raises a ValueError starting with tx, naming its index in a sequence."""
-    txs, single = _one_or_many(tx)
-    for i, t in enumerate(txs):
-        if not isinstance(t, TxGeometry):
-            raise ValueError(f"tx{'' if single else f' {i}'}: {_shown(t)} is not a TxGeometry")
-    return txs, single
-
-
 def _rect_gain(arr: RectArray, tx, focus: float, quad: QuadratureSpec, focusing):
     """``_rect_gains_exact`` of one transmitter, raised if it failed, or of a
     sequence, as ``_returned`` gives them."""
@@ -282,6 +274,7 @@ def rect_gain_broadside(arr: RectArray, z: float, focus: float) -> float:
 def rect_gain_slanted(arr: RectArray, tx: TxGeometry, focus: float) -> float:
     """Closed-form gain for a slanted transmitter at range d == tx.dist,
     focusing filter toward (0, 0, F)."""
+    tx = _transmitter(tx)
     return _outcome(_analytic_gains(arr, [tx.dist], focus, tx.azimuth, tx.elevation)[0])
 
 

@@ -15,23 +15,27 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .array_geometry import (RectArray, TxGeometry, _integer, _one_or_many, _real, _shown,
-                             element_grid)
+                             _transmitters, element_grid)
 from .beam_depth import bd_rect, finite_bd_limit_rect
 from .field_model import SQRT_4PI, QuadratureSpec, _element_channels
 from .gain_engine import radiative_floor
 
 _PLAN_EDGE_RTOL = 1e-9
 
-# Monte Carlo trials are evaluated in blocks of at most this many per-user
-# phase-table values (trials x users x half the elements per side), and a
-# block's pair products reuse buffers no larger than its table; the tables
-# are built in chunks of as many values.  So the tables and the pair products
-# stay within a fixed size for any trial count, user count and array size;
-# what grows with the trial count T is the draws (k_max T floats) and the
-# rates (T floats per user count and SNR).  Blocks this small keep the table
-# and its pair products in cache: at n_per_side = 200, K = 1-8, the Monte
-# Carlo calls ran in 62 ms against 73 ms with 2^16 values.
-_GRAM_BLOCK_VALUES = 2 ** 14
+# The Monte Carlo distance stream's phase tables are built, and the pair sums
+# every user count shares formed, in windows of at most _WINDOW_VALUES table
+# values (stream rows x half the elements per side; whole trials of the
+# largest count, one at least), whose conjugates and pair products reuse
+# buffers of one window.  Gram stacks, and the MMSE solve on each, hold at
+# most _STACK_ENTRIES entries (one trial at least), and a pair sum is kept
+# only while a pending stack reads it.  So the tables, pair sums and Grams
+# stay within a fixed size for any trial count T; what grows with T is the
+# draws (k_max T floats) and the rates (T floats per user count and SNR).
+# Of the sizes tried (2^13-2^15 values, 2^11-2^14 entries) these ran the
+# K = 1-8 sweep at n_per_side = 200 about fastest, the window's buffers in
+# cache and the 2400 Grams of T = 300 in 19 solves.
+_WINDOW_VALUES = 2 ** 14
+_STACK_ENTRIES = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -152,15 +156,13 @@ def plan_focal_points(arr: RectArray, region: tuple,
 
 
 def _check_users(arr: RectArray, users: Sequence[TxGeometry]):
-    if len(users) < 1:
-        raise ValueError("at least one user required")
     for k, tx in enumerate(users):
         if tx.dist < radiative_floor(arr):
             raise ValueError(f"user {k} in the reactive near-field "
                              f"(dist {tx.dist:.4g} m)")
 
 
-def build_channel_matrix(arr: RectArray, users: Sequence[TxGeometry],
+def build_channel_matrix(arr: RectArray, users: TxGeometry | Sequence[TxGeometry],
                          quad: Optional[QuadratureSpec] = None,
                          model: str = "phase") -> ChannelMatrix:
     """Assemble the N x K channel matrix for a set of users.
@@ -180,7 +182,11 @@ def build_channel_matrix(arr: RectArray, users: Sequence[TxGeometry],
     (K, n, n) stack, and the entries are its (K, N) reshape transposed: rows
     in row-major (x index, y index) element order, and entries.T a view with
     each user's column contiguous.
+
+    ``users`` is one TxGeometry, a one-user channel, or a sequence of them;
+    anything else raises a ValueError starting with tx.
     """
+    users = _transmitters(users)[0]
     _check_users(arr, users)
     if model not in ("phase", "fresnel", "exact"):
         raise ValueError(f"unknown channel model {model!r}")
@@ -297,14 +303,14 @@ def _phase_gram(arr: RectArray, dists: np.ndarray) -> np.ndarray:
     ``_phase_table`` and ``_pair_sums``); the lower triangle is its conjugate
     and the diagonal is exactly N.  Each axis sums over the mirror half of
     the element grid; equal element sides give bit-identical axes, so one
-    table serves both.
+    table serves both.  The stack is the trials of ``_gram_stacks`` for the
+    one count K, so it holds the Monte Carlo Grams' bits.
     """
     dists = np.asarray(dists, dtype=float)
-    # users lead the tables, so each pair product reads contiguous rows
-    users = np.moveaxis(dists, -1, 0)
-    xt = _phase_table(arr, users, 0)
-    yt = xt if arr.elem_w == arr.elem_h else _phase_table(arr, users, 1)
-    return _table_gram(arr, xt, yt, np.triu_indices(dists.shape[-1], 1))
+    k = dists.shape[-1]
+    stream = dists.reshape(-1)
+    grams = [gram for *_, gram in _gram_stacks(arr, stream, [k], len(stream) // k)]
+    return np.concatenate(grams).reshape(dists.shape + (k,))
 
 
 def _phase_table(arr: RectArray, dists: np.ndarray, axis: int,
@@ -322,11 +328,13 @@ def _phase_table(arr: RectArray, dists: np.ndarray, axis: int,
     return table
 
 
-def _pair_sums(table: np.ndarray, n: int) -> np.ndarray:
+def _pair_sums(conj_first: np.ndarray, second: np.ndarray, n: int,
+               q: Optional[np.ndarray] = None) -> np.ndarray:
     """sum over one axis's element coordinates u of exp(i theta), theta =
-    pi/lambda (1/d_i - 1/d_j) u^2, for every user pair i < j of the
-    ``_phase_table`` ``table`` (K, ..., n // 2) of an axis of n elements,
-    users leading; the result is (..., K(K-1)/2), in np.triu_indices order.
+    pi/lambda (1/d_i - 1/d_j) u^2, for each pair of ``_phase_table`` rows
+    (..., n // 2) of an axis of n elements: d_i's rows conjugated in
+    ``conj_first`` and d_j's in ``second``; the result is (...).  ``q``, a
+    complex buffer of their shape, takes the products when given.
 
     Mirror pairs +-u add 2 cos theta = 2 - 4 s^2 and the centre (odd n) adds
     1, where s = sin(psi_i - psi_j); with c = cos(psi_i - psi_j) the sum is
@@ -334,53 +342,97 @@ def _pair_sums(table: np.ndarray, n: int) -> np.ndarray:
     conj(E_i) E_j gives c = Re q and s = -Im q with no further sine.  The
     real part never goes through a rounded cos theta, which loses the
     1 - cos theta of near-collinear users."""
-    k = len(table)
-    # one buffer each for the pair products and their squares, reused for
-    # every first user a of the pairs (a, a+1..K-1)
-    q = np.empty_like(table[1:])
-    work = np.empty(q.shape)
-    deficit = np.empty((k * (k - 1) // 2,) + q.shape[1:-1])
-    cross = np.empty_like(deficit)
-    start = 0
-    for a in range(k - 1):
-        m = k - 1 - a
-        qa = np.multiply(table[a].conj(), table[a + 1:], out=q[:m])
-        np.square(qa.imag, out=work[:m]).sum(-1, out=deficit[start:start + m])
-        np.multiply(qa.imag, qa.real, out=work[:m]).sum(-1, out=cross[start:start + m])
-        start += m
-    return np.moveaxis(n - 4.0 * deficit - 4j * cross, 0, -1)
+    # numpy multiplies complex arrays with a fused multiply-add, but not a lone
+    # value in place or broadcast from fewer dimensions, which would round
+    # apart; so the operands share their dimensions and q is neither of them
+    q = np.multiply(conj_first, second, out=q)
+    # s c over c, then s^2 over s: each product is one rounding wherever it lands
+    cross = np.multiply(q.imag, q.real, out=q.real).sum(-1)
+    deficit = np.square(q.imag, out=q.imag).sum(-1)
+    return n - 4.0 * deficit - 4j * cross
 
 
-def _table_gram(arr: RectArray, xt: np.ndarray, yt: np.ndarray,
-                pairs: tuple) -> np.ndarray:
-    """``_phase_gram`` from its users-leading x and y phase tables (``yt`` is
-    ``xt`` on a square array) and the strict upper triangle ``pairs`` =
-    np.triu_indices(K, 1): each entry is the product of two axes' pair sums."""
-    i, j = pairs
-    xs = _pair_sums(xt, arr.n_per_side)
-    upper = xs * (xs if yt is xt else _pair_sums(yt, arr.n_per_side))
-    k = len(xt)
-    gram = np.empty(xt.shape[1:-1] + (k, k), dtype=complex)
-    gram[..., i, j] = upper
-    gram[..., j, i] = upper.conj()
-    diag = np.arange(k)
-    gram[..., diag, diag] = arr.n_per_side ** 2
-    return gram
+def _gram_stacks(arr: RectArray, dists: np.ndarray, ks: Sequence[int], n_trials: int):
+    """``_phase_gram``'s Grams of every user count k of ``ks`` over
+    ``n_trials`` trials, count k's trial t the users at rows t k .. t k + k - 1
+    of the distance stream ``dists`` (max(ks) n_trials rows).  Yields
+    (k, t0, t1, grams), the (t1 - t0, k, k) Grams of count k's trials t0 ..
+    t1 - 1, each count's in trial order, in stacks of at most
+    ``_STACK_ENTRIES`` entries.
+
+    Entry (a, b), a < b, of count k's trial t is the pair sum at offset
+    b - a from stream row t k + a, so all counts read one pass of pair sums
+    per offset d = 1 .. p - 1, p = max(ks).  The stream is cut into windows
+    of whole periods of p rows.  Each row's phase table is built once per
+    axis, and the p - 1 rows past a window, which its last pairs reach, are
+    carried to the next.  In each period the pass of offset d pairs the
+    starts some count reads: the first p - d when p is the only count above
+    d, every start otherwise.  A pair sum is kept, as the product of its
+    axes' sums, until no pending stack reads it."""
+    p = max(ks)
+    n, half = arr.n_per_side, arr.n_per_side // 2
+    axes = (0,) if arr.elem_w == arr.elem_h else (0, 1)
+    lengths = {d: p - d if all(k <= d or k == p for k in ks) else p for d in range(1, p)}
+    window = p * max(1, _WINDOW_VALUES // (p * max(1, half)))
+    blocks = {k: max(1, _STACK_ENTRIES // (k * k)) for k in ks}   # trials per stack
+    entries = {k: (*np.triu_indices(k, 1), np.arange(k)) for k in blocks}
+    reach = max(k * block for k, block in blocks.items())
+    # rows past the stream's end are never built; zeros keep their unread
+    # pair sums finite
+    tables = np.zeros((len(axes), window + p - 1, half), dtype=complex)
+    conj = np.empty((len(axes), window, half), dtype=complex)
+    q = np.empty(window * half, dtype=complex)
+    sums = np.empty((p - 1, window + reach), dtype=complex)
+    done = dict.fromkeys(blocks, 0)      # trials yielded, per count
+    lo = built = 0                       # stream index of sums[:, 0]; rows built
+    for w0 in range(0, len(dists), window):
+        size = min(window, len(dists) - w0)
+        periods = size // p
+        ahead = built - w0               # rows built for the previous window's pairs
+        tables[:, :ahead] = tables[:, window:window + ahead]
+        built = min(len(dists), w0 + window + p - 1)
+        for axis, table in zip(axes, tables):
+            _phase_table(arr, dists[w0 + ahead:built], axis, out=table[ahead:built - w0])
+        np.conjugate(tables[:, :size], out=conj[:, :size])
+        # drop the pair sums that no pending stack reads
+        keep = min((done[k] * k for k in blocks if 1 < k and done[k] < n_trials), default=w0)
+        if keep > lo:
+            sums[:, :w0 - keep] = sums[:, keep - lo:w0 - lo]
+            lo = keep
+        # (period, position) views of the window's starts and of its pair sums
+        firsts = conj[:, :size].reshape(len(axes), periods, p, half)
+        stored = sums[:, w0 - lo:w0 + size - lo].reshape(p - 1, periods, p)
+        for d, length in lengths.items():
+            shape = (periods, length, half)
+            axis_sums = [_pair_sums(first[:, :length],
+                                    table[d:d + size].reshape(periods, p, half)[:, :length],
+                                    n, q[:math.prod(shape)].reshape(shape))
+                         for first, table in zip(firsts, tables)]
+            xs, ys = axis_sums * 2 if len(axis_sums) == 1 else axis_sums
+            stored[d - 1, :, :length] = xs * ys
+        for k, block in blocks.items():
+            i, j, diag = entries[k]
+            while done[k] < n_trials and min(n_trials, done[k] + block) * k <= w0 + size:
+                t0, t1 = done[k], min(n_trials, done[k] + block)
+                upper = sums[j - i - 1, np.arange(t0, t1)[:, None] * k + (i - lo)]
+                grams = np.empty((t1 - t0, k, k), dtype=complex)
+                grams[:, i, j] = upper
+                grams[:, j, i] = upper.conj()
+                grams[:, diag, diag] = n * n
+                done[k] = t1
+                yield k, t0, t1, grams
 
 
-def _mmse_table(gram: np.ndarray, identity: Optional[np.ndarray] = None) -> tuple:
+def _mmse_table(gram: np.ndarray) -> tuple:
     """``_split_diagonal`` of the table |h_k^H w_j|^2 of the unit-power MMSE
     precoder of the channel with K x K Gram matrix ``gram`` (or of each of a
     (..., K, K) stack): H^H W = alpha G (G + I)^{-1}.  The precoder does not
     depend on the SNR, so one table serves every SNR (``_table_rates``).
-    ``identity``, np.eye(K) when given, saves rebuilding it per stack.
 
     With P = G (G + I)^{-1}, the power ||H (G + I)^{-1}||_F^2 =
     trace((G + I)^{-H} P) is the elementwise sum of conj((G + I)^{-1}) P, so
     the one product P serves both the normalization and the table."""
-    if identity is None:
-        identity = np.eye(gram.shape[-1])
-    eye = np.broadcast_to(identity, gram.shape)
+    eye = np.broadcast_to(np.eye(gram.shape[-1]), gram.shape)
     inv = np.linalg.solve(gram + eye, eye)
     prod = gram @ inv
     alpha_sq = 1.0 / (inv.conj() * prod).sum((-2, -1)).real
@@ -438,15 +490,14 @@ def monte_carlo_sum_rate(arr: RectArray, k_users, region: tuple,
 
     Count k's trial t takes the users t k .. t k + k - 1 of one seeded
     stream of k_max T distances, so its draws are those of a (T, k) draw
-    alone.  The stream's x (and, for unequal element sides, y) phase tables
-    are built once per distance, in chunks of ``_GRAM_BLOCK_VALUES`` values,
-    into one buffer that also carries the rows pending trials still need:
-    at most one chunk plus one block, whatever T, K and n are.  Each count
-    keeps its own blocks of ``_GRAM_BLOCK_VALUES // (k * ((n + 1) // 2))``
-    trials, copied users-leading, so its pair sums, Gram, MMSE table and
-    rates are the arithmetic of a single-count call on the same values.
-    Every SNR sees the same draws, and a block's Gram stack and MMSE table
-    (one solve) serve all of them."""
+    alone.  Every count reads one pass of pair sums over the stream: Gram
+    entry (a, b) of count k's trial t is the sum at offset b - a from user
+    t k + a (see ``_gram_stacks``), formed once however many counts read it.
+    The phase tables, pair sums and Gram stacks are fixed-size windows
+    whatever T is; what grows with T is the draws and the rates.  Each count's
+    Grams, MMSE tables and rates are the arithmetic of its single-count call
+    on the same values.  Every SNR sees the same draws, and a Gram stack's
+    MMSE table (one solve) serves all of them."""
     counts, one_count = _one_or_many(k_users)
     ks = [_integer("k_users", k) for k in counts]
     n_trials = _integer("n_trials", n_trials)
@@ -459,54 +510,16 @@ def monte_carlo_sum_rate(arr: RectArray, k_users, region: tuple,
                          f"(z_min {z_min:.4g} m < {floor:.4g} m)")
     snrs, one_snr = _one_or_many(snr_db)
     powers = [_snr_power(snr) for snr in snrs]
-    width = (arr.n_per_side + 1) // 2
-    blocks = {k: max(1, _GRAM_BLOCK_VALUES // (k * width)) for k in ks}
+    rates = {k: np.empty((len(powers), n_trials)) for k in ks}
     rng = np.random.default_rng(seed)
-    dists = 1.0 / rng.uniform(1.0 / z_max, 1.0 / z_min, size=max(blocks) * n_trials)
-    axes = (0,) if arr.elem_w == arr.elem_h else (0, 1)
-    chunk = max(1, _GRAM_BLOCK_VALUES // width)
-    span = max(k * block for k, block in blocks.items())
-    half = arr.n_per_side // 2           # elements u > 0 of an axis
-    phases = np.empty((len(axes), chunk + span - 1, half), dtype=complex)
-    scratch = np.empty((len(axes), span * half), dtype=complex)
-    constants = {k: (np.triu_indices(k, 1), np.eye(k)) for k in blocks}
-    rates = {k: np.empty((len(powers), n_trials)) for k in blocks}
-    done = dict.fromkeys(blocks, 0)      # trials evaluated, per count
-    lo = built = 0                       # stream index of the first buffered row; rows built
-    while built < len(dists):
-        # drop the rows that no pending trial needs
-        keep = min(done[k] * k for k in blocks if done[k] < n_trials)
-        if keep > lo:
-            phases[:, :built - keep] = phases[:, keep - lo:built - lo]
-            lo = keep
-        stop = min(len(dists), built + chunk)
-        for axis, buffered in zip(axes, phases):
-            _phase_table(arr, dists[built:stop], axis, out=buffered[built - lo:stop - lo])
-        built = stop
-        for k, block in blocks.items():
-            pairs, identity = constants[k]
-            while done[k] < n_trials and min(n_trials, done[k] + block) * k <= built:
-                t0, t1 = done[k], min(n_trials, done[k] + block)
-                rows = slice(t0 * k - lo, t1 * k - lo)
-                users = [_users_leading(buffered[rows], k, out)
-                         for buffered, out in zip(phases, scratch)]
-                xt, yt = users if len(users) == 2 else users * 2
-                table = _mmse_table(_table_gram(arr, xt, yt, pairs), identity)
-                for rate, power in zip(rates[k], powers):
-                    rate[t0:t1] = _table_rates(table, power)
-                done[k] = t1
+    dists = 1.0 / rng.uniform(1.0 / z_max, 1.0 / z_min, size=max(rates) * n_trials)
+    for k, t0, t1, grams in _gram_stacks(arr, dists, list(rates), n_trials):
+        table = _mmse_table(grams)
+        for rate, power in zip(rates[k], powers):
+            rate[t0:t1] = _table_rates(table, power)
     results = {k: [MonteCarloResult(
         float(rate.mean()),
         float(rate.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0,
         n_trials) for rate in per_snr] for k, per_snr in rates.items()}
     results = [results[k][0] if one_snr else results[k] for k in ks]
     return results[0] if one_count else results
-
-
-def _users_leading(rows: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """The (b k, h) phase-table ``rows`` of b consecutive trials of k users,
-    copied into the flat buffer ``out`` as a contiguous (k, b, h) table."""
-    b, h = len(rows) // k, rows.shape[1]
-    table = out[:rows.size].reshape(k, b, h)
-    np.copyto(table, rows.reshape(b, k, h).swapaxes(0, 1))
-    return table

@@ -682,6 +682,8 @@ def test_numerical_failure_reports_sweep_indices(tmp_path, capsys):
     ("bd-vs-phi", {"focus": "4 m"}),
     # read as an azimuth before d_B / cos(phi) makes it a negative distance
     ("distance-error", {}),
+    # read before the batched steered and projected gains of every azimuth
+    ("projection-error", {"dist": "4 m", "focus": "4 m"}),
 ])
 def test_swept_azimuth_out_of_range_fails_at_its_index(tmp_path, capsys, experiment,
                                                         sweep):

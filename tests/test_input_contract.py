@@ -9,6 +9,7 @@ import re
 import warnings
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from nearfield_bd import gain_engine
@@ -31,7 +32,7 @@ from nearfield_bd.beam_depth import (
     numeric_bd,
     solve_a3db,
 )
-from nearfield_bd.field_model import QuadratureSpec
+from nearfield_bd.field_model import QuadratureSpec, mean_abs_distance_errors
 from nearfield_bd.gain_engine import (
     GainProfile,
     SweepEvalError,
@@ -174,6 +175,14 @@ CONTRACT = [
     # anything but a transmitter, alone or in a sequence, fails before any point
     *[(f"{gain.__name__}.tx", "tx", lambda v, gain=gain: gain(ARR, v, FAR), NOT_TX)
       for gain in (exact_array_gain, exact_array_gain_steered, projected_gain_approx)],
+    # one transmitter is read as such where only one is taken, and a channel's
+    # users as one or a sequence of them
+    *[(f"{name}.tx", "tx", call, NOT_TX + ([5.0], [TX, TX]))
+      for name, call in (("rect_gain_slanted", lambda v: rect_gain_slanted(ARR, v, FAR)),
+                         ("mean_abs_distance_errors",
+                          lambda v: mean_abs_distance_errors(ARR, v)))],
+    ("build_channel_matrix.users", "tx", lambda v: build_channel_matrix(ARR, v),
+     NOT_TX + ([5.0],)),
     # a sequence call's focus, shared by its points, fails once, not per point
     ("disk_gain_exact.focus.sequence", "focal distance",
      lambda v: disk_gain_exact(CIRC, [FAR, 2 * FAR], v), FOCUS),
@@ -315,6 +324,12 @@ def test_integral_floats_are_counts():
     arr = rect_array("n_per_side", 20.0)
     assert type(arr.n_per_side) is int
     assert build_channel_matrix(arr, [TxGeometry(10.0)]).entries.shape == (400, 1)
+
+
+def test_one_transmitter_is_a_one_user_channel():
+    npt.assert_array_equal(build_channel_matrix(ARR, TX).entries,
+                           build_channel_matrix(ARR, [TX]).entries)
+    assert build_channel_matrix(ARR, TX).n_users == 1
 
 
 @pytest.mark.parametrize("gain", [exact_array_gain, exact_array_gain_steered,

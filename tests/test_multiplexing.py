@@ -493,7 +493,8 @@ def test_half_angle_sums_match_long_double(gap):
     for _ in range(100):
         d_i = 1.0 / rng.uniform(1 / far, 1 / near)
         d_j = 1.0 / rng.uniform(1 / far, 1 / near) if gap is None else d_i * (1 + gap)
-        got = _pair_sums(_phase_table(arr, np.array([d_i, d_j]), 0), n)[0]
+        table = _phase_table(arr, np.array([d_i, d_j]), 0)
+        got = _pair_sums(table[0].conj(), table[1], n)
         real, imag = _long_double_axis_sum(arr, d_i, d_j)
         real_err = max(real_err, float(abs(np.longdouble(got.real) - real)))
         imag_err = max(imag_err, float(abs((np.longdouble(got.imag) - imag) / imag)))
@@ -582,18 +583,54 @@ def test_monte_carlo_reproducible():
     assert single.n_trials == 1
 
 
+def _smallest_windows(monkeypatch):
+    """Monte Carlo Gram stacks of one trial and windows of one period, one
+    trial of the largest user count."""
+    monkeypatch.setattr(multiplexing, "_WINDOW_VALUES", 1)
+    monkeypatch.setattr(multiplexing, "_STACK_ENTRIES", 1)
+
+
+@pytest.mark.parametrize("ks", [[8], range(1, 9), [3, 5]])
+def test_smallest_windows_hold_one_trial(monkeypatch, ks):
+    """Under ``_smallest_windows`` every Gram stack is one trial and every
+    window one period of p rows: the first window builds its period and the
+    p - 1 rows its last pairs reach, each later one the p rows past those,
+    and the last one the stream's last row."""
+    arr = make_rect_array(21, 1.0, FixedElementDiagonal(LAM / 2), LAM)
+    p, n_trials = max(ks), 7
+    rows, stacks = [], []
+    built, stacked = multiplexing._phase_table, multiplexing._gram_stacks
+
+    def counted(arr, dists, axis, out=None):
+        rows.append(len(dists))
+        return built(arr, dists, axis, out)
+
+    def recorded(*args):
+        for stack in stacked(*args):
+            stacks.append(stack[1:3])
+            yield stack
+
+    _smallest_windows(monkeypatch)
+    monkeypatch.setattr(multiplexing, "_phase_table", counted)
+    monkeypatch.setattr(multiplexing, "_gram_stacks", recorded)
+    monte_carlo_sum_rate(arr, ks, wide_region(arr), n_trials, 20.0, seed=2)
+    assert rows == [2 * p - 1] + [p] * (n_trials - 2) + [1]
+    assert all(t1 - t0 == 1 for t0, t1 in stacks)
+    assert len(stacks) == len(set(ks)) * n_trials
+
+
 def test_monte_carlo_blocks_do_not_couple_trials(monkeypatch):
-    """A block of one trial gives the default run's bits, an SNR grid gives
-    each SNR's own run's bits, and the memory a call takes does not grow
-    with its trial count."""
+    """Gram stacks of one trial give the default run's bits, an SNR grid
+    gives each SNR's own run's bits, and the memory a call takes does not
+    grow with its trial count."""
     arr = wide_array()
     region = wide_region(arr)
-    n_trials = 301        # not a multiple of the default block (20 trials here)
+    n_trials = 301        # not a multiple of the default stack (64 trials here)
     for snrs in ((25.0,), (0.0, 25.0, 30.0)):
         default = [monte_carlo_sum_rate(arr, 8, region, n_trials, snr, seed=5)
                    for snr in snrs]
         assert monte_carlo_sum_rate(arr, 8, region, n_trials, snrs, seed=5) == default
-        monkeypatch.setattr(multiplexing, "_GRAM_BLOCK_VALUES", 1)
+        _smallest_windows(monkeypatch)
         assert [monte_carlo_sum_rate(arr, 8, region, n_trials, snr, seed=5)
                 for snr in snrs] == default
         assert monte_carlo_sum_rate(arr, 8, region, n_trials, snrs, seed=5) == default
@@ -606,8 +643,9 @@ def test_monte_carlo_blocks_do_not_couple_trials(monkeypatch):
 
 
 def test_one_mmse_solve_per_block_serves_every_snr(monkeypatch):
-    """A 5-SNR call solves one MMSE system stack per block of trials, as
-    many as a 1-SNR call, not one per SNR."""
+    """A 5-SNR call solves one MMSE system stack per Gram stack, as many as
+    a 1-SNR call, not one per SNR; a stack of K = 5 users holds
+    _STACK_ENTRIES // 25 trials, whatever the array size."""
     arr = wide_array()
     region = wide_region(arr)
     solves = []
@@ -619,11 +657,11 @@ def test_one_mmse_solve_per_block_serves_every_snr(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     n_trials = 301
-    block = multiplexing._GRAM_BLOCK_VALUES // (5 * ((arr.n_per_side + 1) // 2))
+    block = multiplexing._STACK_ENTRIES // 25
     blocks = -(-n_trials // block)
     assert blocks > 1
     monte_carlo_sum_rate(arr, 5, region, n_trials, [0.0, 5.0, 10.0, 20.0, 30.0], seed=5)
-    assert len(solves) == blocks
+    assert [shape[0] for shape in solves] == [block] * (blocks - 1) + [n_trials % block]
     assert sum(shape[0] for shape in solves) == n_trials
     solves.clear()
     monte_carlo_sum_rate(arr, 5, region, n_trials, 20.0, seed=5)
@@ -678,13 +716,14 @@ def test_user_counts_by_snrs_equal_the_nested_single_calls(ks, snrs):
 ])
 def test_user_count_sweep_equals_single_count_calls(monkeypatch, arr, ks):
     """A sequence of user counts returns, per entry, the bits of that
-    count's own call, also when a block or a chunk holds a single value.
-    301 trials is a multiple of no block here (20-163 trials at n = 200)."""
+    count's own call, also when a Gram stack holds one trial and a window one
+    period.  301 trials is a multiple of no stack here (64-1024 trials for
+    K = 2-8)."""
     region = wide_region(arr)
     for seed, n_trials in ((5, 301), (17, 3)):
         swept = monte_carlo_sum_rate(arr, ks, region, n_trials, 20.0, seed)
         assert swept == _single_count_calls(arr, ks, region, n_trials, 20.0, seed)
-        monkeypatch.setattr(multiplexing, "_GRAM_BLOCK_VALUES", 1)
+        _smallest_windows(monkeypatch)
         assert monte_carlo_sum_rate(arr, ks, region, n_trials, 20.0, seed) == swept
         monkeypatch.undo()
 
@@ -707,6 +746,33 @@ def test_user_count_sweep_builds_one_table_row_per_distance(monkeypatch, arr, ax
     for axis in axes:
         assert sum(n for a, n in rows if a == axis) == 8 * n_trials
     assert {a for a, _ in rows} == set(axes)
+
+
+@pytest.mark.parametrize("ks, per_trial", [
+    (range(1, 9), 49),     # offsets 1-6 at every start, offset 7 at 1 of 8
+    ([8], 28), ([1, 8], 28), ([5], 10), ([2], 1),   # only the count's own pairs
+    ([3, 4, 6], 21),       # offsets 1-3 at every start, 4 at 2 of 6, 5 at 1
+])
+def test_user_counts_share_one_pass_of_pair_sums(monkeypatch, ks, per_trial):
+    """Count k's trial t pairs the users t k + a and t k + b, so one pass of
+    pair sums per offset b - a serves every count: T trials of k = 1..8
+    evaluate 49 T pair rows per axis, against the 84 T of one pass per count
+    and the 56 T of every start of every offset.  A lone count evaluates its
+    k (k - 1)/2 pairs per trial, no more."""
+    arr = wide_array()
+    evaluated = []
+    summed = multiplexing._pair_sums
+
+    def counted(*args, **kwargs):
+        sums = summed(*args, **kwargs)
+        evaluated.append(sums.size)
+        return sums
+
+    monkeypatch.setattr(multiplexing, "_pair_sums", counted)
+    n_trials = 301
+    monte_carlo_sum_rate(arr, ks, wide_region(arr), n_trials, 20.0, seed=5)
+    assert sum(evaluated) == per_trial * n_trials
+    assert sum(evaluated) <= 56 * n_trials
 
 
 def test_user_count_sweep_memory_does_not_grow_with_trials():
