@@ -5,7 +5,11 @@ approximation for a slanted transmitter, and the Taylor
 distance-approximation error diagnostics used to compare the direct and
 indirect expansions.  Exact gains and channels reduce over the node blocks
 of ``_aperture_blocks`` or ``_disk_blocks``, which share ``_spherical_wave`` and
-take their Gauss-Legendre rules from ``_gauss_legendre``.
+take their Gauss-Legendre rules from ``_gauss_legendre``.  The disk's
+transmitter is on its axis, where the range and the focusing phase do not
+vary around a ring, so ``_disk_blocks`` evaluates the field once per ring and
+lets the angle in only through the element pattern's per-ring sums; an
+off-axis transmitter would need the polar node grid.
 
 Fields are only ever used in ratios, so the source amplitude is fixed at 1;
 the 1/sqrt(4*pi) prefactor is kept so values match the underlying spherical
@@ -30,6 +34,11 @@ _REFINE_RTOL = 1e-8
 
 # Grid nodes per kernel block, unless one panel row (order**2 * panels) holds more.
 _BLOCK_NODES = 1 << 18
+
+# (transmitter, radius) nodes per disk block.  A node holds its field and one
+# element-pattern factor per angular orbit, so a full block traces about 0.8 MB
+# at the default orders (at most 5 orbits) and 1.5 MB at order 64 (17).
+_RING_NODES = 1 << 13
 
 # Most radians of residual phase a gain panel spans along a side: one turn,
 # which order-8 Gauss-Legendre integrates to 1e-10 and order 16 to rounding.
@@ -208,18 +217,30 @@ def _edges(n: int, elements: float, centred: bool) -> np.ndarray:
 
 
 def _disk_blocks(circ: CircArray, dists, order: int, focus_phase):
-    """Polar blocks over the disk for on-axis transmitters at the distances
-    ``dists``, each block of consecutive transmitters yielded as its slice of
-    ``dists``, its radial and angular node weights, and its (points, radii,
-    angles) amplitude and field.  A block takes as many transmitters as keep
-    it within _BLOCK_NODES nodes, and at least one.
+    """Ring blocks over the disk for on-axis transmitters at the distances
+    ``dists``, focused by ``focus_phase``, a phase of x^2 + y^2 alone (or
+    None).  Each block of consecutive transmitters is yielded as its slice of
+    ``dists``, the radial node weights, a unit angular weight, and two
+    (points, radii, 1) arrays: per ring, the root of its angle-weighted power
+    sum and its angle-weighted field sum, so the radial reduction over them
+    is the whole rule.  A block takes as many transmitters as keep it within
+    _RING_NODES (transmitter, radius) nodes, and at least one.
 
     The rule is 6*order Gauss-Legendre radii (weights carry the rho Jacobian)
-    by the order-point trapezoid in angle.  For a transmitter on the axis and a
-    focusing phase even in x and in y, the integrand is even in both, so each
-    mirror orbit of the trapezoid's angles is evaluated once, weighted by its
-    size: for even order the angles 2 pi m/order up to pi/2 (weight 2 on the
-    axes, 4 between), for odd order those up to pi (weight 1 at 0, 2 after)."""
+    by the order-point trapezoid in angle.  For a transmitter on the axis the
+    integrand is even in x and in y, so each mirror orbit of the trapezoid's
+    angles counts once, weighted by its size: for even order the angles
+    2 pi m/order up to pi/2 (weight 2 on the axes, 4 between), for odd order
+    those up to pi (weight 1 at 0, 2 after).
+
+    On the axis the range, and with it the propagation and focusing phases,
+    is the same all around a ring, so ``_spherical_wave`` is evaluated once
+    per (distance, radius), at (0, rho).  The angle enters only through the
+    element pattern, amp(rho, theta) = amp(rho, pi/2) sqrt(1 + (rho cos theta
+    / z)^2): a ring's field sum is its field at (0, rho) times the
+    orbit-weighted sum of that factor, and its power sum the squared
+    amplitude times the weighted sum of the factor's square.  Off the axis
+    the range varies around a ring, and this does not hold."""
     nodes, wts = _gauss_legendre(6 * order)
     rho = 0.5 * circ.radius * (nodes + 1.0)
     if order % 2:
@@ -229,14 +250,20 @@ def _disk_blocks(circ: CircArray, dists, order: int, focus_phase):
         m = np.arange(order // 4 + 1)
         size = np.where((m == 0) | (4 * m == order), 2.0, 4.0)
     step = 2.0 * np.pi / order
-    theta = m * step
-    x, y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
-    wr, wa = 0.5 * circ.radius * wts * rho, step * size
-    points = max(1, _BLOCK_NODES // x.size)
+    cos2, wa = np.cos(m * step) ** 2, step * size
+    wr = 0.5 * circ.radius * wts * rho
+    points = max(1, _RING_NODES // rho.size)
     for i in range(0, len(dists), points):
         at = slice(i, i + points)
-        yield (at, wr, wa, *_spherical_wave((0.0, 0.0, dists[at, None, None]), x, y,
-                                            circ.wavelength, focus_phase))
+        z = dists[at, None]
+        amp, field = _spherical_wave((0.0, 0.0, z), 0.0, rho, circ.wavelength, focus_phase)
+        t = (rho / z) ** 2
+        pattern = t[..., None] * cos2   # (points, radii, orbits): (rho cos theta / z)^2
+        pattern += 1.0
+        np.sqrt(pattern, out=pattern)   # the element-pattern factor
+        amp *= np.sqrt(wa.sum() + (wa @ cos2) * t)   # the weighted sum of its square
+        field *= pattern @ wa
+        yield at, wr, np.ones(1), amp[..., None], field[..., None]
 
 
 def _refined(evaluate, shape, quad: QuadratureSpec, agree):

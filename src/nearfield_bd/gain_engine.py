@@ -88,7 +88,9 @@ def _aperture_gains(geometry, dists, focus: float, quad: QuadratureSpec, rule) -
     ``blocks`` for the transmitters at the indices ``valid`` of ``dists``, at
     the checked distances ``ranges``: ``blocks(at, order)`` yields, for the
     transmitters at the positions ``at`` of ``valid``, blocks
-    ``(s, wx, wy, amp, field)`` whose sums add to the entries ``s`` of ``at``.
+    ``(s, wx, wy, amp, field)`` whose sums add to the entries ``s`` of ``at``
+    (a disk block's amp and field are per-ring sums over the angles, with a
+    unit wy).
     Each transmitter's order is refined per ``quad`` on its own, and each
     doubling evaluates only the transmitters still pending."""
     _real("focal distance", focus, inf=True)

@@ -304,11 +304,14 @@ def _phase_gram(arr: RectArray, dists: np.ndarray) -> np.ndarray:
     and the diagonal is exactly N.  Each axis sums over the mirror half of
     the element grid; equal element sides give bit-identical axes, so one
     table serves both.  The stack is the trials of ``_gram_stacks`` for the
-    one count K, so it holds the Monte Carlo Grams' bits.
+    one count K, so it holds the Monte Carlo Grams' bits; an empty stack
+    gives an empty (..., K, K) array.
     """
     dists = np.asarray(dists, dtype=float)
     k = dists.shape[-1]
     stream = dists.reshape(-1)
+    if not stream.size:
+        return np.empty(dists.shape + (k,), dtype=complex)
     grams = [gram for *_, gram in _gram_stacks(arr, stream, [k], len(stream) // k)]
     return np.concatenate(grams).reshape(dists.shape + (k,))
 

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.special import roots_legendre
 
@@ -401,8 +403,9 @@ def _full_circle_gain(circ, z, focus, order):
 
 
 def test_disk_fold_matches_full_circle():
-    """disk_gain_exact evaluates each mirror orbit of the trapezoid's angles
-    once, weighted by its size; at every order 2..9 of QuadratureSpec
+    """disk_gain_exact evaluates the field once per ring and each mirror orbit
+    of the trapezoid's angles once in the ring's pattern sums, weighted by the
+    orbit's size; at every order 2..9 of QuadratureSpec
     (unrefined gains at rule orders 4..18), and at rule orders 2..9 directly
     on _disk_blocks (odd orders fold one axis only), it agrees with the
     full-circle rule within 1e-14."""
@@ -417,6 +420,39 @@ def test_disk_fold_matches_full_circle():
                 g = abs(wr @ field[0] @ wa) ** 2 / (circ.aperture_area
                                                     * (wr @ amp[0] ** 2 @ wa))
                 assert abs(g - _full_circle_gain(circ, z, focus, order)) <= 1e-14
+
+
+@given(st.floats(2.0, 40.0), st.floats(1.0, 300.0),
+       st.one_of(st.none(), st.floats(1.0, 300.0)), st.integers(2, 9))
+@settings(max_examples=80, deadline=None)
+def test_disk_gain_in_domain(radius, at, focus_at, order):
+    """Over radii of 2..40 lambda, distances from the radiative floor to 300
+    times it, a focus in that range or at infinity, and QuadratureSpec orders
+    2..9 unrefined, the disk gain is finite, lies in [0, 1 + 1e-6] and is the
+    full-circle node-grid rule's within 1e-14."""
+    circ = CircArray(radius * LAM, LAM)
+    floor = radiative_floor(circ)
+    z = at * floor
+    focus = math.inf if focus_at is None else focus_at * floor
+    g = disk_gain_exact(circ, z, focus, QuadratureSpec(order, refinement=0))
+    assert math.isfinite(g) and 0.0 <= g <= 1.0 + 1e-6
+    assert abs(g - _full_circle_gain(circ, z, focus, 2 * order)) <= 1e-14
+
+
+def test_disk_profile_evaluates_each_ring_once():
+    """A 60-point default-order disk profile evaluates the field once per
+    (distance, radius), not once per node of the angular orbits, so it
+    traces under 0.9 MB (about 0.6 MB; 1.4 MB with a field on every node)."""
+    circ = CircArray(12.5 * LAM, LAM)
+    grid = np.geomspace(30 * LAM, 300 * LAM, 60)
+    gain_profile("exact", circ, grid, 50 * LAM)
+    tracemalloc.start()
+    try:
+        gain_profile("exact", circ, grid, 50 * LAM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * 2 ** 20
 
 
 def _per_point(circ, grid, focus, quad):
@@ -500,10 +536,11 @@ def test_disk_profile_reports_each_failing_point():
 
 
 def test_disk_profile_memory_is_bounded_per_block():
-    """A disk profile is integrated in blocks of at most _BLOCK_NODES nodes per
-    order: 4000 points at QuadratureSpec(16, 1) (151 points per order-32 block)
-    peak below four complex grids of _BLOCK_NODES nodes (16.8 MB), and within
-    1 MB of 60 points that each need order 64 (40 points per block)."""
+    """A disk profile is integrated in blocks of at most _RING_NODES
+    (distance, radius) nodes per order: 4000 points at QuadratureSpec(16, 1)
+    (42 points per order-32 block) peak below four complex grids of
+    _BLOCK_NODES nodes (16.8 MB), and within 1 MB of 60 points that each need
+    order 64 (21 points per block)."""
     def peak(circ, grid, focus):
         tracemalloc.start()
         try:

@@ -457,6 +457,15 @@ def test_phase_gram_matches_pairwise_definition(n, eta):
     assert single.shape == (1, 1) and single[0, 0] == n * n
 
 
+def test_phase_gram_of_an_empty_stack():
+    """A stack of no trials, or of trials of no users, has no Grams: an empty
+    complex (..., K, K) array."""
+    arr = make_rect_array(50, 1.0, FixedElementDiagonal(LAM / 2), LAM)
+    for shape in ((0, 3), (2, 0)):
+        gram = _phase_gram(arr, np.empty(shape))
+        assert gram.shape == shape + shape[-1:] and gram.dtype == complex
+
+
 def _long_double_axis_sum(arr, d_i, d_j):
     """sum over the x axis of exp(i theta), theta = pi/lambda (1/d_i - 1/d_j)
     u^2, in long double: the real part as n - 4 sum sin^2(theta/2) over the
@@ -776,8 +785,10 @@ def test_user_counts_share_one_pass_of_pair_sums(monkeypatch, ks, per_trial):
 
 
 def test_user_count_sweep_memory_does_not_grow_with_trials():
-    """The phase-table buffer holds one chunk and one block whatever the trial
-    count; only the draws and the rates (a few floats per trial) grow."""
+    """The distance stream is read in windows of whole periods: the phase
+    tables, pair sums and Gram stacks held are one window's (and the rows its
+    last pairs reach) whatever the trial count; only the draws and the rates
+    (a few floats per trial) grow."""
     arr = wide_array()
     region = wide_region(arr)
 
