@@ -3,8 +3,8 @@
 The exact spherical-wave field, its Fresnel (quadratic-phase)
 approximation for a slanted transmitter, and the Taylor
 distance-approximation error diagnostics used to compare the direct and
-indirect expansions.  Exact gains and channels reduce over the node blocks
-of ``_aperture_blocks`` or ``_disk_blocks``, which share ``_spherical_wave`` and
+indirect expansions.  Exact gains reduce over the node blocks of
+``_aperture_blocks`` or ``_disk_blocks``, which share ``_spherical_wave`` and
 take their Gauss-Legendre rules from ``_gauss_legendre``.  The disk's
 transmitter is on its axis, where the range and the focusing phase do not
 vary around a ring, so ``_disk_blocks`` evaluates the field once per ring and
@@ -29,8 +29,6 @@ from .array_geometry import (CircArray, RectArray, TxGeometry, _integer, _transm
                              element_grid)
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
-
-_REFINE_RTOL = 1e-8
 
 # Grid nodes per kernel block, unless one panel row (order**2 * panels) holds more.
 _BLOCK_NODES = 1 << 18
@@ -112,8 +110,8 @@ def _panels(edges, n: int, size: float):
     return 0.5 * (edges[:-1] + edges[1:] - n) * size, 0.5 * np.diff(edges) * size
 
 
-def _aperture_blocks(arr: RectArray, bx, by, points, order: int, focusing=None,
-                     weight: float = 1.0):
+def _aperture_blocks(arr: RectArray, bx, by, points, order: int, focusing,
+                     weight: float):
     """Exact field on the composite Gauss-Legendre grid, order nodes per panel
     side, of the panels between element-boundary indices bx (rows, along the
     width) and by (columns, along the height), for each transmitter of
@@ -123,12 +121,13 @@ def _aperture_blocks(arr: RectArray, bx, by, points, order: int, focusing=None,
     or else whole panel rows of one transmitter (at least one row).  A block's
     transmitters share one ``_spherical_wave`` call, focused by the phase
     ``focusing(block)`` gives first for that block of rows of ``points`` (as
-    in ``_panel_edges``; None for no focusing).
+    in ``_panel_edges``: a phase, or None where the gain is unfocused).
 
     Yields, for each transmitter of each block, its row in ``points``, the
-    block's row node weights times ``weight`` (2 or 4 where the panels cover
-    one mirror half or quarter of the aperture), its column node weights, and
-    that transmitter's amplitude and focused field on the block's node grid."""
+    block's row node weights times ``weight`` (1, or 2 or 4 where the panels
+    cover one mirror half or quarter of the aperture), its column node
+    weights, and that transmitter's amplitude and focused field on the
+    block's node grid."""
     nodes, wts = _gauss_legendre(order)
     cx, hx = _panels(bx, arr.n_per_side, arr.elem_w)
     cy, hy = _panels(by, arr.n_per_side, arr.elem_h)
@@ -139,7 +138,7 @@ def _aperture_blocks(arr: RectArray, bx, by, points, order: int, focusing=None,
     for t in range(0, len(points), per):
         block = points[t:t + per]
         position = [c[:, None, None] for c in block.T[:3]]
-        phase = focusing(block)[0] if focusing else None
+        phase = focusing(block)[0]
         for i in range(0, len(cx), rows):
             gx = (cx[i:i + rows, None] + hx[i:i + rows, None] * nodes).ravel()
             wx = (weight * hx[i:i + rows, None] * wts).ravel()
@@ -266,22 +265,21 @@ def _disk_blocks(circ: CircArray, dists, order: int, focus_phase):
         yield at, wr, np.ones(1), amp[..., None], field[..., None]
 
 
-def _refined(evaluate, shape, quad: QuadratureSpec, agree):
+def _refined(evaluate, shape, quad: QuadratureSpec, atol: float):
     """Results of ``evaluate(order, pending)``, an array of ``shape`` that need hold
     the order's results only where the boolean mask ``pending`` is set: at
     2*quad.order, unchecked if quad.refinement is 0; else each entry keeps its
-    first result that agrees with the one at half its order, within
+    first result within ``atol`` of the one at half its order, within
     quad.refinement more doublings, and each doubling asks only for the entries
     still without one.  Also returns, per entry, the gap between its last two
-    results where it never agreed, and 0 where it did (``agree`` holds for
-    equal results)."""
+    results where it never agreed, and 0 where it did."""
     pending = np.full(shape, True)
     if quad.refinement == 0:
         return evaluate(2 * quad.order, pending), np.zeros(shape)
     coarse = result = evaluate(quad.order, pending)
     for k in range(1, quad.refinement + 2):
         fine = evaluate(quad.order << k, pending)
-        done = pending & agree(coarse, fine)
+        done = pending & (np.abs(fine - coarse) <= atol)
         result, pending = np.where(done, fine, result), pending & ~done
         if not pending.any():
             return result, np.zeros(shape)
@@ -294,27 +292,6 @@ def _unconverged(quad: QuadratureSpec, gap: float) -> RuntimeError:
     return RuntimeError(
         f"aperture quadrature did not converge: orders {quad.order << quad.refinement} "
         f"and {quad.order << (quad.refinement + 1)} differ by {gap:.3e}")
-
-
-def _element_channels(arr: RectArray, bx, by, tx: TxGeometry,
-                      quad: QuadratureSpec) -> np.ndarray:
-    """Channels of the elements between consecutive boundary indices bx by by,
-    shape (len(bx) - 1, len(by) - 1): (1/sqrt(A)) times the integral of the
-    exact field over each element."""
-    def channels(order):
-        return np.concatenate([
-            np.einsum("ai,bj,aibj->ab", wx.reshape(-1, order), wy.reshape(-1, order),
-                      field.reshape(-1, order, len(by) - 1, order))
-            for _, wx, wy, _, field in _aperture_blocks(arr, bx, by, np.array([tx.position]),
-                                                        order)
-        ]) / math.sqrt(arr.elem_area)
-
-    result, gap = _refined(lambda order, _: channels(order), (len(bx) - 1, len(by) - 1),
-                           quad, lambda h, h2: np.abs(h2 - h) <= _REFINE_RTOL
-                           * np.maximum(np.abs(h2), 1e-300))
-    if np.any(gap):
-        raise _unconverged(quad, np.max(gap))
-    return result
 
 
 def _distance(x, y, tx: TxGeometry):

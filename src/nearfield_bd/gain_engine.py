@@ -126,8 +126,7 @@ def _aperture_gains(geometry, dists, focus: float, quad: QuadratureSpec, rule) -
                           for n, d in zip(num.tolist(), den.tolist())]
         return gains
 
-    gains, gaps = _refined(gain, ranges.shape, quad,
-                           lambda g, g2: abs(g2 - g) <= _GAIN_REFINE_ATOL)
+    gains, gaps = _refined(gain, ranges.shape, quad, _GAIN_REFINE_ATOL)
     for i, g, gap in zip(valid, gains.tolist(), gaps.tolist()):
         outcomes[i] = _unconverged(quad, gap) if gap else g
     return outcomes

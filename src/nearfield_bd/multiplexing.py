@@ -2,8 +2,9 @@
 
 Users share one angular direction and are separated purely by distance.
 Focal points are planned so their half-power depth intervals tile a region
-without overlap; channels are per-element narrowband responses; the
-precoder is MMSE with a total transmit-power normalization.
+without overlap; a user's channel is the unit-modulus paraxial phase at
+each element centre; the precoder is MMSE with a total transmit-power
+normalization.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from .array_geometry import (RectArray, TxGeometry, _integer, _one_or_many, _real, _shown,
                              _transmitters, element_grid)
 from .beam_depth import bd_rect, finite_bd_limit_rect
-from .field_model import SQRT_4PI, QuadratureSpec, _element_channels
 from .gain_engine import radiative_floor
 
 _PLAN_EDGE_RTOL = 1e-9
@@ -162,59 +162,37 @@ def _check_users(arr: RectArray, users: Sequence[TxGeometry]):
                              f"(dist {tx.dist:.4g} m)")
 
 
-def build_channel_matrix(arr: RectArray, users: TxGeometry | Sequence[TxGeometry],
-                         quad: Optional[QuadratureSpec] = None,
-                         model: str = "phase") -> ChannelMatrix:
-    """Assemble the N x K channel matrix for a set of users.
-
-    model "phase" (default): unit-modulus entries carrying the quadratic
-    phase of the paraxial field at each element center.  model "fresnel":
-    the same field including its amplitude 1/(sqrt(4 pi) z), times the
-    element-area square root (midpoint rule).  model "exact": per-element
-    quadrature of the spherical-wave field.
+def build_channel_matrix(arr: RectArray,
+                         users: TxGeometry | Sequence[TxGeometry]) -> ChannelMatrix:
+    """Assemble the N x K channel matrix for a set of users: unit-modulus
+    entries carrying the quadratic phase of the paraxial field at each
+    element center.
 
     The paraxial phase d + (x^2 - 2 x x_t)/(2d) + (y^2 - 2 y y_t)/(2d)
-    separates, so a "phase" or "fresnel" column is the outer product of two
-    per-axis factors exp(-jk(u^2 - 2 u u_t)/(2d)), 2 n_per_side exponentials,
-    times one scalar that carries the range phase e^{-jkd} and, for
-    "fresnel", the amplitude; for "phase" each factor and the scalar are
-    scaled to unit modulus.  Every column is written into one C-contiguous
-    (K, n, n) stack, and the entries are its (K, N) reshape transposed: rows
-    in row-major (x index, y index) element order, and entries.T a view with
-    each user's column contiguous.
+    separates, so a column is the outer product of two per-axis factors
+    exp(-jk(u^2 - 2 u u_t)/(2d)), 2 n_per_side exponentials, times the range
+    phase e^{-jkd}, each factor and the scalar scaled to unit modulus.  Every
+    column is written into one C-contiguous (K, n, n) stack, and the entries
+    are its (K, N) reshape transposed: rows in row-major (x index, y index)
+    element order, and entries.T a view with each user's column contiguous.
 
     ``users`` is one TxGeometry, a one-user channel, or a sequence of them;
     anything else raises a ValueError starting with tx.
     """
     users = _transmitters(users)[0]
     _check_users(arr, users)
-    if model not in ("phase", "fresnel", "exact"):
-        raise ValueError(f"unknown channel model {model!r}")
     n = arr.n_per_side
     xc, yc = element_grid(arr)
-    edges = np.arange(n + 1)
     wavenumber = 2.0 * np.pi / arr.wavelength
     stack = np.empty((len(users), n, n), dtype=complex)
     for k, tx in enumerate(users):
-        try:
-            if model == "exact":
-                stack[k] = _element_channels(arr, edges, edges, tx,
-                                             quad or QuadratureSpec())
-            else:
-                ax = np.exp(-1j * wavenumber
-                            * ((xc * xc - 2.0 * xc * tx.x) / (2.0 * tx.dist)))
-                ay = np.exp(-1j * wavenumber
-                            * ((yc * yc - 2.0 * yc * tx.y) / (2.0 * tx.dist)))
-                scale = np.exp(-1j * wavenumber * tx.dist)
-                if model == "phase":
-                    ax /= np.abs(ax)
-                    ay /= np.abs(ay)
-                    scale /= abs(scale)
-                else:
-                    scale *= math.sqrt(arr.elem_area) / (SQRT_4PI * tx.z)
-                np.multiply((scale * ax)[:, None], ay, out=stack[k])
-        except (ValueError, RuntimeError) as err:
-            raise type(err)(f"user {k}: {err}") from err
+        ax = np.exp(-1j * wavenumber * ((xc * xc - 2.0 * xc * tx.x) / (2.0 * tx.dist)))
+        ay = np.exp(-1j * wavenumber * ((yc * yc - 2.0 * yc * tx.y) / (2.0 * tx.dist)))
+        scale = np.exp(-1j * wavenumber * tx.dist)
+        ax /= np.abs(ax)
+        ay /= np.abs(ay)
+        scale /= abs(scale)
+        np.multiply((scale * ax)[:, None], ay, out=stack[k])
     return ChannelMatrix(stack.reshape(len(users), n * n).T)
 
 
@@ -317,27 +295,26 @@ def _phase_gram(arr: RectArray, dists: np.ndarray) -> np.ndarray:
 
 
 def _phase_table(arr: RectArray, dists: np.ndarray, axis: int,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
+                 out: np.ndarray) -> np.ndarray:
     """E_d(u) = e^{i psi_d(u)}, psi_d = pi u^2 / (2 lambda d), over one axis's
-    element coordinates u > 0, for each distance d of ``dists``: shape
-    dists.shape + (n_per_side // 2,), written into ``out`` when given.  One
-    cos/sin pair per distance and half-grid element."""
+    element coordinates u > 0, for each distance d of ``dists``, written into
+    and returned as ``out``, a complex array of shape dists.shape +
+    (n_per_side // 2,).  One cos/sin pair per distance and half-grid element."""
     half = element_grid(arr)[axis]
     half = half[half > 0]
     psi = np.pi / (2.0 * arr.wavelength) * half ** 2 / dists[..., None]
-    table = np.empty(psi.shape, dtype=complex) if out is None else out
-    np.cos(psi, out=table.real)
-    np.sin(psi, out=table.imag)
-    return table
+    np.cos(psi, out=out.real)
+    np.sin(psi, out=out.imag)
+    return out
 
 
 def _pair_sums(conj_first: np.ndarray, second: np.ndarray, n: int,
-               q: Optional[np.ndarray] = None) -> np.ndarray:
+               q: np.ndarray) -> np.ndarray:
     """sum over one axis's element coordinates u of exp(i theta), theta =
     pi/lambda (1/d_i - 1/d_j) u^2, for each pair of ``_phase_table`` rows
     (..., n // 2) of an axis of n elements: d_i's rows conjugated in
     ``conj_first`` and d_j's in ``second``; the result is (...).  ``q``, a
-    complex buffer of their shape, takes the products when given.
+    complex buffer of their shape, takes the products.
 
     Mirror pairs +-u add 2 cos theta = 2 - 4 s^2 and the centre (odd n) adds
     1, where s = sin(psi_i - psi_j); with c = cos(psi_i - psi_j) the sum is
