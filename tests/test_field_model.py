@@ -26,6 +26,7 @@ from nearfield_bd.field_model import (
     _distance,
     _gauss_legendre,
     _panel_edges,
+    _refined,
     _spherical_wave,
     fresnel_field_nonbroadside,
     mean_abs_distance_errors,
@@ -224,6 +225,41 @@ def test_whole_aperture_integral_geometric_decay():
     assert abs(gain(8) - ref) < 1e-7 * ref
     # doubling rescues a too-coarse base rule: measured 4.6e-17 off
     assert abs(gain(2, refinement=4) - ref) < 1e-12 * ref
+
+
+def _recording(scale):
+    """evaluate(order, pending) of scale / order^2, NaN outside ``pending``,
+    and the list of (order, pending) it was called with."""
+    calls = []
+
+    def evaluate(order, pending):
+        calls.append((order, pending.copy()))
+        return np.where(pending, scale / order ** 2, np.nan)
+    return evaluate, calls
+
+
+def test_refined_keeps_each_entry_first_agreement():
+    """Scales 0, 1 and 1e3 at orders 2..32 against atol 5e-3: the first entry
+    agrees at order 4, the second at 32 (3/1024 from 16), the third never, so
+    it keeps its order-2 value and reports its last gap, 1e3 * 3/1024.  Each
+    doubling after an agreement asks only for the entries still pending."""
+    evaluate, calls = _recording(np.array([0.0, 1.0, 1e3]))
+    result, gap = _refined(evaluate, (3,), QuadratureSpec(2, 3), 5e-3)
+    npt.assert_array_equal(result, [0.0, 1.0 / 1024, 250.0])
+    npt.assert_array_equal(gap, [0.0, 0.0, 1e3 * 3 / 1024])
+    assert [order for order, _ in calls] == [2, 4, 8, 16, 32]
+    for _, pending in calls[:2]:
+        npt.assert_array_equal(pending, [True, True, True])
+    for _, pending in calls[2:]:
+        npt.assert_array_equal(pending, [False, True, True])
+
+
+def test_refined_without_refinement_evaluates_once_at_twice_the_order():
+    evaluate, calls = _recording(np.array([1.0, 1e3]))
+    result, gap = _refined(evaluate, (2,), QuadratureSpec(4, 0), 0.0)
+    npt.assert_array_equal(result, [1.0 / 64, 1e3 / 64])
+    npt.assert_array_equal(gap, [0.0, 0.0])
+    assert [order for order, _ in calls] == [8]
 
 
 @pytest.mark.parametrize("n, diag, tx_at, focus_at, panels", [

@@ -188,6 +188,46 @@ def test_channel_slanted_users_match_the_2d_fresnel_grid(mult):
         assert np.max(np.abs(col - grid / np.abs(grid))) <= tol
 
 
+@pytest.mark.parametrize("n, mult", [(60, 2.0), (60, 10.0), (100, 3.0), (200, 5.0)])
+def test_channel_phase_is_the_paraxial_remainder_of_the_exact_distance(n, mult):
+    """Element by element, the broadside column differs in phase from the
+    exact-distance channel (tests' fields.exact_distance_channel) by
+    k (sqrt(d^2 + r^2) - d - r^2/(2d)), whose alternating series puts it in
+    [-k r^4/(8 d^3), -k r^4/(8 d^3) + k r^6/(16 d^5)] for r < d.  Both sides
+    round a range phase of about k d, so the slack is 8 eps k d."""
+    arr = make_rect_array(n, 1.0, FixedElementDiagonal(LAM / 2), LAM)
+    d = mult * arr.aperture_len
+    xc, yc = element_grid(arr)
+    r2 = (xc[:, None] ** 2 + yc[None, :] ** 2).ravel()
+    k = 2 * np.pi / LAM
+    quartic = k * r2 ** 2 / (8 * d ** 3)
+    assert quartic.max() < np.pi
+    phase = np.angle(build_channel_matrix(arr, TxGeometry(d)).entries[:, 0]
+                     * exact_distance_channel(arr, [d])[:, 0].conj())
+    slack = 8 * np.finfo(float).eps * k * d
+    assert np.all(phase >= -quartic - slack)
+    assert np.all(phase <= -quartic + k * r2 ** 3 / (16 * d ** 5) + slack)
+
+
+@pytest.mark.parametrize("az, el", [(0.0, 0.0), (0.4, -0.25), (-0.9, 0.6)])
+def test_channel_plane_wave_limit(az, el):
+    """A far user's column tends to the plane wave e^{-jkd} e^{jk(x u + y v)}
+    of its direction cosines u = sin(az) cos(el), v = sin(el): within
+    k r_max^2/(2d), the paraxial curvature at the corner, at 1e3 and 1e4
+    aperture lengths (measured 0.99998 and 0.9999998 of it)."""
+    arr = make_rect_array(60, 1.0, FixedElementDiagonal(LAM / 2), LAM)
+    xc, yc = element_grid(arr)
+    x, y = np.meshgrid(xc, yc, indexing="ij")
+    k = 2 * np.pi / LAM
+    u, v = math.sin(az) * math.cos(el), math.sin(el)
+    for mult in (1e3, 1e4):
+        d = mult * arr.aperture_len
+        col = build_channel_matrix(arr, TxGeometry(d, azimuth=az, elevation=el)).entries[:, 0]
+        plane = (np.exp(-1j * k * d) * np.exp(1j * k * (x * u + y * v))).ravel()
+        bound = k * (xc[-1] ** 2 + yc[-1] ** 2) / (2 * d)
+        assert np.max(np.abs(col - plane)) <= bound + 8 * np.finfo(float).eps * k * d
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
