@@ -8,8 +8,8 @@ indirect expansions.  Exact gains reduce over the node blocks of
 take their Gauss-Legendre rules from ``_gauss_legendre``.  The disk's
 transmitter is on its axis, where the range and the focusing phase do not
 vary around a ring, so ``_disk_blocks`` evaluates the field once per ring and
-lets the angle in only through the element pattern's per-ring sums; an
-off-axis transmitter would need the polar node grid.
+lets the angle in only through the element pattern's closed-form integrals
+over the circle; an off-axis transmitter would need the polar node grid.
 
 Fields are only ever used in ratios, so the source amplitude is fixed at 1;
 the 1/sqrt(4*pi) prefactor is kept so values match the underlying spherical
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import ellipe, roots_legendre
 
 from .array_geometry import (CircArray, RectArray, TxGeometry, _integer, _transmitter,
                              element_grid)
@@ -33,9 +33,9 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 # Grid nodes per kernel block, unless one panel row (order**2 * panels) holds more.
 _BLOCK_NODES = 1 << 18
 
-# (transmitter, radius) nodes per disk block.  A node holds its field and one
-# element-pattern factor per angular orbit, so a full block traces about 0.8 MB
-# at the default orders (at most 5 orbits) and 1.5 MB at order 64 (17).
+# (transmitter, radius) nodes per disk block.  A node holds its amplitude, its
+# field and its (rho/z)^2 with their temporaries, so a full block traces about
+# 0.53 MB at every order.
 _RING_NODES = 1 << 13
 
 # Most radians of residual phase a gain panel spans along a side: one turn,
@@ -60,7 +60,8 @@ def _gauss_legendre(n: int):
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Exact-field rules (``_aperture_blocks``, ``_disk_blocks``) evaluated at 2*order,
-    and how many more times the order may double until two successive results agree."""
+    and how many more times the order may double until two successive results agree.
+    A disk's order sets its radial rule only; its angle is integrated exactly."""
 
     order: int = 8
     refinement: int = 1
@@ -220,36 +221,23 @@ def _disk_blocks(circ: CircArray, dists, order: int, focus_phase):
     ``dists``, focused by ``focus_phase``, a phase of x^2 + y^2 alone (or
     None).  Each block of consecutive transmitters is yielded as its slice of
     ``dists``, the radial node weights, a unit angular weight, and two
-    (points, radii, 1) arrays: per ring, the root of its angle-weighted power
-    sum and its angle-weighted field sum, so the radial reduction over them
-    is the whole rule.  A block takes as many transmitters as keep it within
+    (points, radii, 1) arrays: per ring, the root of its power and its field,
+    each integrated over the angle, so the radial reduction over them is the
+    whole rule.  A block takes as many transmitters as keep it within
     _RING_NODES (transmitter, radius) nodes, and at least one.
 
-    The rule is 6*order Gauss-Legendre radii (weights carry the rho Jacobian)
-    by the order-point trapezoid in angle.  For a transmitter on the axis the
-    integrand is even in x and in y, so each mirror orbit of the trapezoid's
-    angles counts once, weighted by its size: for even order the angles
-    2 pi m/order up to pi/2 (weight 2 on the axes, 4 between), for odd order
-    those up to pi (weight 1 at 0, 2 after).
-
-    On the axis the range, and with it the propagation and focusing phases,
-    is the same all around a ring, so ``_spherical_wave`` is evaluated once
-    per (distance, radius), at (0, rho).  The angle enters only through the
-    element pattern, amp(rho, theta) = amp(rho, pi/2) sqrt(1 + (rho cos theta
-    / z)^2): a ring's field sum is its field at (0, rho) times the
-    orbit-weighted sum of that factor, and its power sum the squared
-    amplitude times the weighted sum of the factor's square.  Off the axis
-    the range varies around a ring, and this does not hold."""
+    The radii are 6*order Gauss-Legendre nodes, whose weights carry the rho
+    Jacobian.  On the axis the range, and with it the propagation and
+    focusing phases, is the same all around a ring, so ``_spherical_wave`` is
+    evaluated once per (distance, radius), at (0, rho).  The angle enters only
+    through the element pattern, amp(rho, theta) = amp(rho, pi/2)
+    sqrt(1 + t cos^2 theta) with t = (rho/z)^2, and is integrated exactly:
+    over the circle the square of that factor gives pi (2 + t), and the factor
+    4 sqrt(1 + t) E(t/(1 + t)), E the complete elliptic integral of the second
+    kind (scipy's ``ellipe``).  Off the axis the range varies around a ring,
+    and this does not hold."""
     nodes, wts = _gauss_legendre(6 * order)
     rho = 0.5 * circ.radius * (nodes + 1.0)
-    if order % 2:
-        m = np.arange(order // 2 + 1)
-        size = np.where(m == 0, 1.0, 2.0)
-    else:
-        m = np.arange(order // 4 + 1)
-        size = np.where((m == 0) | (4 * m == order), 2.0, 4.0)
-    step = 2.0 * np.pi / order
-    cos2, wa = np.cos(m * step) ** 2, step * size
     wr = 0.5 * circ.radius * wts * rho
     points = max(1, _RING_NODES // rho.size)
     for i in range(0, len(dists), points):
@@ -257,11 +245,8 @@ def _disk_blocks(circ: CircArray, dists, order: int, focus_phase):
         z = dists[at, None]
         amp, field = _spherical_wave((0.0, 0.0, z), 0.0, rho, circ.wavelength, focus_phase)
         t = (rho / z) ** 2
-        pattern = t[..., None] * cos2   # (points, radii, orbits): (rho cos theta / z)^2
-        pattern += 1.0
-        np.sqrt(pattern, out=pattern)   # the element-pattern factor
-        amp *= np.sqrt(wa.sum() + (wa @ cos2) * t)   # the weighted sum of its square
-        field *= pattern @ wa
+        amp *= np.sqrt(np.pi * (2.0 + t))
+        field *= 4.0 * np.sqrt(1.0 + t) * ellipe(t / (1.0 + t))
         yield at, wr, np.ones(1), amp[..., None], field[..., None]
 
 
@@ -287,13 +272,6 @@ def _refined(evaluate, shape, quad: QuadratureSpec, atol: float):
     return result, np.where(pending, np.abs(fine - previous), 0.0)
 
 
-def _unconverged(quad: QuadratureSpec, gap: float) -> RuntimeError:
-    """The error of an entry whose last two orders under ``quad`` differ by ``gap``."""
-    return RuntimeError(
-        f"aperture quadrature did not converge: orders {quad.order << quad.refinement} "
-        f"and {quad.order << (quad.refinement + 1)} differ by {gap:.3e}")
-
-
 def _distance(x, y, tx: TxGeometry):
     return np.sqrt((x - tx.x) ** 2 + (y - tx.y) ** 2 + tx.z ** 2)
 
@@ -317,6 +295,9 @@ def mean_abs_distance_errors(arr: RectArray, tx: TxGeometry) -> tuple:
     even in y and the element rows are mirror pairs, so only the rows with
     y >= 0 are evaluated: weight 2, and 1 on a centre row at y = 0."""
     tx = _transmitter(tx)
+    # 2 (dist + aperture length)^2 bounds every square below
+    if tx.dist + arr.aperture_len > math.sqrt(0.5 * np.finfo(float).max):
+        raise ValueError(f"tx: squared distances overflow at {tx.dist:.6g} m")
     xs, ys = element_grid(arr)
     weights = 1.0
     if _mirrored(tx.position)[1]:

@@ -51,12 +51,17 @@ from .array_geometry import (
 )
 from .field_model import (QuadratureSpec, _aperture_blocks, _broadside_focus,
                           _disk_blocks, _gauss_legendre, _mirrored, _panel_edges,
-                          _refined, _unconverged)
+                          _refined)
 from .fresnel_core import fresnel_cs, sinc
 
 REACTIVE_LIMIT_FACTOR = 1.2
 
 _GAIN_REFINE_ATOL = 1e-6
+
+# Most radians k d a transmitter's range may span.  Each node's phase -k r
+# rounds by about eps k r, so a gain moves by up to about 2 eps k d; keeping
+# that within _GAIN_REFINE_ATOL gives k d <= 1e-6 / (2 * 2.2e-16), about 2^31.
+_PHASE_RANGE = 2.0 ** 31
 
 
 class SweepEvalError(RuntimeError):
@@ -83,7 +88,9 @@ def radiative_floor(geometry) -> float:
 def _aperture_gains(geometry, dists, focus: float, quad: QuadratureSpec, rule) -> list:
     """For the transmitter at each distance of ``dists``, in order, its gain
     |sum w E e^{j phase}|^2 / (A sum w |E|^2) or the ValueError or RuntimeError
-    it met; a bad focus, which every transmitter shares, raises at once.
+    it met (a distance below the radiative floor, or beyond the range whose
+    float64 phase the kernel resolves, is a ValueError); a bad focus, which
+    every transmitter shares, raises at once.
     Once the distances have been checked, ``rule(valid, ranges)`` builds
     ``blocks`` for the transmitters at the indices ``valid`` of ``dists``, at
     the checked distances ``ranges``: ``blocks(at, order)`` yields, for the
@@ -95,6 +102,7 @@ def _aperture_gains(geometry, dists, focus: float, quad: QuadratureSpec, rule) -
     doubling evaluates only the transmitters still pending."""
     _real("focal distance", focus, inf=True)
     limit = radiative_floor(geometry)
+    far = _PHASE_RANGE * geometry.wavelength / (2.0 * np.pi)
     outcomes = []
     for dist in dists:
         try:
@@ -103,6 +111,10 @@ def _aperture_gains(geometry, dists, focus: float, quad: QuadratureSpec, rule) -
                 raise ValueError(
                     f"transmitter at {dist:.6g} m is inside the reactive near-field "
                     f"boundary {limit:.6g} m (1.2 x aperture length)")
+            if dist > far:
+                raise ValueError(
+                    f"transmitter at {dist:.6g} m is beyond the phase-resolution "
+                    f"range {far:.6g} m (2^31 / wavenumber)")
         except ValueError as exc:
             dist = exc
         outcomes.append(dist)
@@ -127,8 +139,11 @@ def _aperture_gains(geometry, dists, focus: float, quad: QuadratureSpec, rule) -
         return gains
 
     gains, gaps = _refined(gain, ranges.shape, quad, _GAIN_REFINE_ATOL)
+    last = quad.order << quad.refinement
     for i, g, gap in zip(valid, gains.tolist(), gaps.tolist()):
-        outcomes[i] = _unconverged(quad, gap) if gap else g
+        outcomes[i] = RuntimeError(
+            f"aperture quadrature did not converge: orders {last} and {2 * last} "
+            f"differ by {gap:.3e}") if gap else g
     return outcomes
 
 

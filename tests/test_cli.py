@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -232,12 +233,13 @@ def test_slanted_analytic_profile_through_its_focus(tmp_path):
 def test_circular_gain_honours_quadrature_keys(tmp_path, capsys):
     """The disk's exact kind integrates at the configured order: a coarse
     rule writes other gains, (8, 0) the default's order-16 gains, and a rule
-    whose doublings still disagree at 31 wavelengths fails numerically."""
+    whose doublings still disagree at 122 wavelengths, just above the floor
+    of a 50 lambda disk, fails numerically."""
     cfg = {
-        "geometry": {"kind": "circ", "radius": f"{12.5 * LAM} m", "carrier_hz": 3e9},
+        "geometry": {"kind": "circ", "radius": f"{50 * LAM} m", "carrier_hz": 3e9},
         "experiment": "circular-gain",
-        "sweep": {"z_min": f"{31 * LAM} m", "z_max": f"{400 * LAM} m", "n_points": 5,
-                  "focus": f"{50 * LAM} m", "kinds": ["exact"]},
+        "sweep": {"z_min": f"{122 * LAM} m", "z_max": f"{1600 * LAM} m", "n_points": 5,
+                  "focus": f"{1200 * LAM} m", "kinds": ["exact"]},
     }
 
     def gains(name, **quad):
@@ -696,6 +698,33 @@ def test_swept_azimuth_out_of_range_fails_at_its_index(tmp_path, capsys, experim
     err = capsys.readouterr().err
     assert "sweep index 1: azimuth must lie in (-pi/2, pi/2), got 2.0" in err
     assert "sweep index 0" not in err
+
+
+BEYOND = "is beyond the phase-resolution range"
+
+
+@pytest.mark.parametrize("geometry, experiment, sweep, failed, message", [
+    (TINY_GEOM, "gain-profile",
+     {"z_min": "1 m", "z_max": "1e300 m", "n_points": 3, "focus": "4 m"}, [1, 2], BEYOND),
+    (CIRC_GEOM, "circular-gain",
+     {"z_min": "2 m", "z_max": "1e300 m", "n_points": 3, "focus": "4 m"}, [1, 2], BEYOND),
+    (TINY_GEOM, "projection-error",
+     {"phi_values": [0.0, 0.3], "dist": "1e160 m", "focus": "4 m"}, [0, 1], BEYOND),
+    (TINY_GEOM, "distance-error", {"phi_values": [0.0, 0.3], "dist": "1e160 m"}, [0, 1],
+     "tx: squared distances overflow at 1e+160 m"),
+])
+def test_far_transmitters_fail_at_their_indices(tmp_path, capsys, geometry, experiment,
+                                                sweep, failed, message):
+    """A transmitter too far for float64 fails its point with a ValueError, not
+    a traceback or a quadrature fault, and no RuntimeWarning escapes."""
+    cfg = {"geometry": geometry, "experiment": experiment, "sweep": sweep}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("run", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "x.csv")) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert [int(line.split(":")[0].split()[-1]) for line in lines] == failed
+    assert all(message in line for line in lines)
 
 
 def test_planning_failure_reports_sweep_index(tmp_path, capsys):

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from fields import quadratic_focus, spherical_wave
@@ -23,6 +24,7 @@ from nearfield_bd.field_model import (
     QuadratureSpec,
     SQRT_4PI,
     _broadside_focus,
+    _disk_blocks,
     _distance,
     _gauss_legendre,
     _panel_edges,
@@ -309,6 +311,27 @@ def test_panels_bound_the_residual_phase(n, diag, tx_at, focus_at, panels):
             assert len(b) - 1 < n
         if panels == "elements":
             assert len(b) - 1 == n
+
+
+def test_disk_angular_factors_match_quadrature_over_the_circle():
+    """A disk ring's amplitude and field are _spherical_wave's at (0, rho)
+    times the element pattern sqrt(1 + t cos^2 theta), t = (rho/z)^2,
+    integrated over the angle: the power factor is pi (2 + t) and the field
+    factor scipy's adaptive quad of the pattern over [0, 2 pi], both within a
+    few ulp, for t from 0 to 1."""
+    circ = CircArray(12.5 * LAM, LAM)
+    order = 8
+    rho = 0.5 * circ.radius * (_gauss_legendre(6 * order)[0] + 1.0)
+    for z in circ.radius * np.array([1.0, 2.0, 5.0, 50.0]):
+        (_, _, _, amp, field), = _disk_blocks(circ, np.array([z]), order, None)
+        ring_amp, ring_field = _spherical_wave((0.0, 0.0, z), 0.0, rho, LAM)
+        t = (rho / z) ** 2
+        npt.assert_allclose((amp[0, :, 0] / ring_amp) ** 2, np.pi * (2.0 + t),
+                            rtol=4 * np.finfo(float).eps)
+        pattern = [quad(lambda a, u=u: math.sqrt(1.0 + u * math.cos(a) ** 2),
+                        0.0, 2.0 * np.pi, epsabs=0.0, epsrel=1e-13)[0] for u in t]
+        npt.assert_allclose(field[0, :, 0] / ring_field, pattern,
+                            rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_distance_variants_agree_at_center_broadside():

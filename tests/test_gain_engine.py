@@ -373,11 +373,12 @@ def test_disk_exact_agreement_band():
 
 
 def test_disk_gain_refines_order_until_gains_agree():
-    """Just above the radiative floor the disk gains at orders 4 and 8 are
-    1.7e-6 apart, so (2, 1) fails; (2, 2) goes on to agree at orders 8 and 16
-    and returns the order-16 gain that the default (8, 1) returns."""
-    circ = CircArray(12.5 * LAM, LAM)
-    z, focus = 31 * LAM, 50 * LAM
+    """Just above the radiative floor of a 60 lambda disk, unfocused, the
+    gains at orders 4 and 8 are 0.12 apart, so (2, 1) fails; (2, 2) goes on
+    to agree at orders 8 and 16 (1e-16 apart) and returns the order-16 gain
+    that the default (8, 1) returns."""
+    circ = CircArray(60 * LAM, LAM)
+    z, focus = 1.01 * radiative_floor(circ), math.inf
     with pytest.raises(RuntimeError, match="orders 4 and 8"):
         disk_gain_exact(circ, z, focus, QuadratureSpec(order=2, refinement=1))
     assert (disk_gain_exact(circ, z, focus, QuadratureSpec(order=2, refinement=2))
@@ -385,30 +386,30 @@ def test_disk_gain_refines_order_until_gains_agree():
             == disk_gain_exact(circ, z, focus, QuadratureSpec(order=8, refinement=0)))
 
 
-def _full_circle_gain(circ, z, focus, order):
-    """The disk rule of disk_gain_exact at one order, 6*order Gauss-Legendre
-    radii by the order-point trapezoid over the full circle.  The field is
+def _full_circle_gain(circ, z, focus, order, angles=128):
+    """The radial rule of disk_gain_exact at one order, 6*order Gauss-Legendre
+    radii, by the ``angles``-point trapezoid over the full circle, which
+    integrates the smooth periodic element pattern to rounding.  The field is
     _spherical_wave's, with the focusing phase added inside its one exponential
     as the kernel does: a separate e^{j phase} factor rounds
     each node's phase differently, by up to eps * k * r (1.7e-13 in the gain
-    at z = 3000 lambda), which would hide what the fold changes."""
+    at z = 3000 lambda), which would hide what the angular factor changes."""
     nodes, wts = roots_legendre(6 * order)
     rho = 0.5 * circ.radius * (nodes + 1.0)
-    theta = np.arange(order) * (2.0 * np.pi / order)
+    theta = np.arange(angles) * (2.0 * np.pi / angles)
     x, y = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
     amp, field = _spherical_wave(TxGeometry(z).position, x, y, LAM,
                                  _broadside_focus(LAM, focus))
-    w = (0.5 * circ.radius * wts * rho)[:, None] * (2.0 * np.pi / order)
+    w = (0.5 * circ.radius * wts * rho)[:, None] * (2.0 * np.pi / angles)
     return abs(np.sum(w * field)) ** 2 / (circ.aperture_area * np.sum(w * amp * amp))
 
 
 def test_disk_fold_matches_full_circle():
-    """disk_gain_exact evaluates the field once per ring and each mirror orbit
-    of the trapezoid's angles once in the ring's pattern sums, weighted by the
-    orbit's size; at every order 2..9 of QuadratureSpec
-    (unrefined gains at rule orders 4..18), and at rule orders 2..9 directly
-    on _disk_blocks (odd orders fold one axis only), it agrees with the
-    full-circle rule within 1e-14."""
+    """disk_gain_exact evaluates the field once per ring and integrates the
+    element pattern over the angle in closed form; at every order 2..9 of
+    QuadratureSpec (unrefined gains at rule orders 4..18), and at rule orders
+    2..9 directly on _disk_blocks, it agrees with the full-circle node grid
+    of the same radii and 128 angles within 1e-14."""
     circ = CircArray(12.5 * LAM, LAM)
     for z in np.geomspace(31 * LAM, 3000 * LAM, 6):
         for focus in (50 * LAM, math.inf):
@@ -429,7 +430,7 @@ def test_disk_gain_in_domain(radius, at, focus_at, order):
     """Over radii of 2..40 lambda, distances from the radiative floor to 300
     times it, a focus in that range or at infinity, and QuadratureSpec orders
     2..9 unrefined, the disk gain is finite, lies in [0, 1 + 1e-6] and is the
-    full-circle node-grid rule's within 1e-14."""
+    full-circle node-grid rule's (128 angles) within 1e-14."""
     circ = CircArray(radius * LAM, LAM)
     floor = radiative_floor(circ)
     z = at * floor
@@ -502,23 +503,26 @@ def test_disk_profile_matches_per_point_gains(radius):
 
 
 def test_disk_profile_keeps_each_points_order():
-    """With R = 12.5 lambda, F = 10 R and QuadratureSpec(4, 1), the profile's
-    points at 1.01 and 3.19 x floor first agree at orders 8 and 16, the one at
-    1.79 x floor at orders 4 and 8.  Each gets the gain of its own order, the
-    one it has alone, and the middle point's order-16 gain lies 3e-11 apart."""
-    circ = CircArray(12.5 * LAM, LAM)
-    grid = np.geomspace(1.01, 100.0, 9)[:3] * radiative_floor(circ)
-    focus = 10 * circ.radius
+    """With R = 100 lambda, F = 10 x floor and QuadratureSpec(4, 1), the
+    profile's point at 1.01 x floor first agrees at orders 8 and 16, those at
+    3 and 5 x floor at orders 4 and 8.  Each gets the gain of its own order,
+    the one it has alone, and the first point's order-8 gain lies 1.1e-7
+    apart from the order-16 gain it takes."""
+    circ = CircArray(100 * LAM, LAM)
+    floor = radiative_floor(circ)
+    grid = np.array([1.01, 3.0, 5.0]) * floor
+    focus = 10 * floor
     gains = _assert_profile_matches_per_point(circ, grid, focus, QuadratureSpec(4, 1))
     at = {o: _per_point(circ, grid, focus, QuadratureSpec(o // 2, 0)) for o in (8, 16)}
-    npt.assert_array_equal(gains, [at[16][0], at[8][1], at[16][2]])
-    assert abs(at[16][1] - at[8][1]) > 1e-11
+    npt.assert_array_equal(gains, [at[16][0], at[8][1], at[8][2]])
+    assert abs(at[16][0] - at[8][0]) > 1e-11
 
 
 def test_disk_profile_reports_each_failing_point():
-    """A point below the radiative floor, and points whose orders never agree,
-    fail gain_profile at exactly their indices, each with the message it has
-    alone (its own gap, not the largest); the other points do not fail."""
+    """A point below the radiative floor, and points whose orders never agree
+    (on a 100 lambda disk, where the radial rule is what refines), fail
+    gain_profile at exactly their indices, each with the message it has alone
+    (its own gap, not the largest); the other points do not fail."""
     circ = CircArray(30 * LAM, LAM)
     floor = radiative_floor(circ)
     with pytest.raises(SweepEvalError) as info:
@@ -526,13 +530,15 @@ def test_disk_profile_reports_each_failing_point():
     assert [(i, str(exc)) for i, exc in info.value.failures] == [
         (0, "transmitter at 3.59751 m is inside the reactive near-field boundary "
             "7.19502 m (1.2 x aperture length)")]
+    wide = CircArray(100 * LAM, LAM)
+    floor = radiative_floor(wide)
     with pytest.raises(SweepEvalError) as info:
-        gain_profile("exact", circ, np.array([1.01, 2.0, 10.0]) * floor, 2 * floor,
+        gain_profile("exact", wide, np.array([1.01, 2.0, 10.0]) * floor, 10 * floor,
                      quad=QuadratureSpec(2, 1))
     assert [(i, str(exc)) for i, exc in info.value.failures] == [
-        (0, "aperture quadrature did not converge: orders 4 and 8 differ by 1.160e-06"),
-        (1, "aperture quadrature did not converge: orders 4 and 8 differ by 1.871e-05")]
-    assert 0.0 < disk_gain_exact(circ, 10 * floor, 2 * floor, QuadratureSpec(2, 1)) < 1.0
+        (0, "aperture quadrature did not converge: orders 4 and 8 differ by 6.214e-03"),
+        (1, "aperture quadrature did not converge: orders 4 and 8 differ by 1.680e-05")]
+    assert 0.0 < disk_gain_exact(wide, 10 * floor, 10 * floor, QuadratureSpec(2, 1)) < 1.0
 
 
 def test_disk_profile_memory_is_bounded_per_block():

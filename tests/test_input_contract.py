@@ -371,3 +371,50 @@ def test_circular_gain_past_the_sinc_argument_overflow_is_its_limit():
         assert analytic_gain_circ(1e308) == 0.0
         prof = gain_profile("analytic", circ, [1e-307, 50 * LAM], 100 * LAM)
     assert prof.gains[0] == 0.0 and prof.gains[1] > 0.0
+
+
+# Past the phase-resolution range (3.42e7 m at 3 GHz) a gain was a rounded phase
+# (4e7 m), failed as a quadrature fault (1e12), read exactly 1 (1e15), failed
+# as "differ by nan" (1e120) or raised OverflowError from z ** 2 (1e160).
+BEYOND_PHASE_RANGE = (4e7, 1e12, 1e15, 1e120, 1e160)
+
+
+@pytest.mark.parametrize("dist", BEYOND_PHASE_RANGE)
+@pytest.mark.parametrize("gain, geometry, tx", [
+    (exact_array_gain, ARR, TxGeometry),
+    (exact_array_gain_steered, ARR, lambda d: TxGeometry(d, 0.2, 0.1)),
+    (projected_gain_approx, ARR, lambda d: TxGeometry(d, 0.2)),
+    (disk_gain_exact, CIRC, float),
+])
+def test_a_transmitter_past_the_phase_range_raises_value_error(gain, geometry, tx, dist):
+    """Beyond 2^31 / k an exact gain refuses the transmitter as it refuses one
+    below the radiative floor, alone and at its index of a batch."""
+    message = (f"transmitter at {dist:.6g} m is beyond the phase-resolution range "
+               f"{2.0 ** 31 * LAM / (2.0 * math.pi):.6g} m (2^31 / wavenumber)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as info:
+            gain(geometry, tx(dist), FAR)
+        assert str(info.value) == message
+        with pytest.raises(SweepEvalError) as info:
+            gain(geometry, [tx(FAR), tx(dist)], FAR)
+    assert [(i, str(exc)) for i, exc in info.value.failures] == [(1, message)]
+
+
+def test_gains_inside_the_phase_range_track_the_closed_form():
+    """At 3e7 m, inside the phase-resolution range, the exact gains are their
+    closed forms' within the refinement tolerance 1e-6 (measured 2.8e-8 for
+    the 20 x 20 array focused at 4 m, and 1.0e-9 for a 0.5 m disk)."""
+    disk = CircArray(0.5, LAM)
+    assert abs(exact_array_gain(ARR, TxGeometry(3e7), 4.0)
+               - rect_gain_broadside(ARR, 3e7, 4.0)) <= 1e-6
+    assert abs(disk_gain_exact(disk, 3e7, 4.0)
+               - circ_gain_broadside(disk, 3e7, 4.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("dist", [1e154, 1e160, 1e300])
+def test_distance_errors_refuse_a_transmitter_whose_squares_overflow(dist):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^tx: squared distances overflow at "):
+            mean_abs_distance_errors(ARR, TxGeometry(dist, azimuth=0.2))
